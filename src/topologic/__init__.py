@@ -19,9 +19,8 @@ from .finitemodel import (ExtractionResult, QuotientMap, basis_equivalent,
                           basis_model, basis_witness, extract_finite_model,
                           minimal_neighborhood_basis, point_quotient)
 from .decide import (SearchBound, SweepReport, Verdict, axiom_soundness_sweep,
-                     decide_sat, decide_valid, enumerate_closed_families,
-                     enumerate_subset_spaces, enumerate_topologies,
-                     enumerate_valuations, find_subset_space_countermodel,
-                     random_formula)
+                     decide_sat, decide_valid, enumerate_subset_spaces,
+                     enumerate_topologies, enumerate_valuations,
+                     find_subset_space_countermodel, random_formula)
 from .modelfile import (load_model, model_from_document, model_to_document,
                         save_model)

@@ -19,13 +19,14 @@ from . import __version__
 from .decide import (SearchBound, axiom_soundness_sweep, decide_sat,
                      decide_valid, random_formula)
 from .finitemodel import basis_equivalent, extract_finite_model
-from .formula import Formula, ParseError, atoms, parse, print_formula
+from .formula import (Formula, ParseError, atoms, parse, print_formula,
+                      subformulas)
 from .modelfile import load_model, model_to_document, save_model
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
                         find_counterexample)
 from .space import (Model, SpaceError, format_family, format_set, is_topology,
                     sort_family)
-from .splitting import build_splitting, is_stable
+from .splitting import build_splitting, is_stable, partition
 
 
 def _parse_formula(m: Model, text: str) -> Formula:
@@ -84,12 +85,13 @@ def cmd_split(args) -> int:
         sp = table.splittings[psi]
         print(f"subformula: {print_formula(psi)}")
         print(f"  family: {format_family(sp.family, names)}")
-        part = table.partition_for(psi)
+        part = partition(sp)
+        subs = set(subformulas(psi))
         for rep in sort_family(part.blocks):
             block = part.blocks[rep]
             verdicts = []
             for phi in table.order:
-                if phi not in set(_subs(psi)):
+                if phi not in subs:
                     continue
                 ok = is_stable(m, block, phi, ev)
                 all_stable = all_stable and ok
@@ -105,11 +107,6 @@ def cmd_split(args) -> int:
               file=sys.stderr)
         return 3
     return 0
-
-
-def _subs(psi: Formula):
-    from .formula import subformulas
-    return subformulas(psi)
 
 
 def cmd_quotient(args) -> int:
@@ -146,8 +143,9 @@ def cmd_basis(args) -> int:
         raw = json.loads(Path(args.basis).read_text())
     except json.JSONDecodeError as exc:
         raise SpaceError(f"{args.basis}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, list):
-        raise SpaceError("basis file must be a JSON list of opens")
+    if not (isinstance(raw, list) and all(isinstance(U, list) for U in raw)):
+        raise SpaceError("basis file must be a JSON list of opens, "
+                         "each a list of point names")
     basis = [frozenset(m.space.index_of(n) for n in member) for member in raw]
     if args.formulas:
         formulas = [_parse_formula(m, line)
@@ -195,8 +193,12 @@ def cmd_decide(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    schemes = ([int(x) for x in args.schemes.split(",")]
-               if args.schemes else sorted(AXIOM_METAVARS))
+    try:
+        schemes = ([int(x) for x in args.schemes.split(",")]
+                   if args.schemes else sorted(AXIOM_METAVARS))
+    except ValueError:
+        raise SpaceError(f"--schemes takes comma-separated scheme ids, "
+                         f"not {args.schemes!r}") from None
     for sid in schemes:
         if sid not in AXIOM_METAVARS:
             raise SpaceError(f"unknown axiom scheme {sid}")
@@ -266,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--atoms", default="",
                    help="comma-separated atom alphabet for the search")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the witness/counter model here")
     p.set_defaults(func=cmd_decide)
 

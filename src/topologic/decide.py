@@ -6,8 +6,8 @@ so the procedures here search up to a user-supplied point bound and
 report verdicts "within bound".
 
 Topologies are enumerated through preorders (opens = up-closed sets of a
-reflexive transitive relation); the raw closed-family enumeration is kept
-as an independent oracle for the tests.
+reflexive transitive relation); the tests check them against a raw
+closed-family enumeration.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair, find_counterexample,
                         instantiate_axiom, pairs_in_order)
-from .space import (EMPTY, Model, PointSet, SpaceError, SubsetSpace,
-                    make_model, make_space, set_key, sort_family)
+from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
+                    make_space, set_key, sort_family)
 
 HARD_POINT_CAP = 4
 
@@ -30,11 +30,10 @@ HARD_POINT_CAP = 4
 class SearchBound:
     max_points: int
     atoms: tuple[str, ...]
-    enumerate_valuations: bool = True
 
     def __post_init__(self) -> None:
         if self.max_points < 1:
-            raise ValueError("max_points must be at least 1")
+            raise SpaceError("the point bound must be at least 1")
 
 
 @dataclass
@@ -91,21 +90,6 @@ def enumerate_topologies(n: int, cap: int = HARD_POINT_CAP
         yield make_space(names, fam)
 
 
-def enumerate_closed_families(n: int) -> list[tuple[PointSet, ...]]:
-    """Brute-force oracle: all families containing the empty set and X and
-    closed under pairwise intersection and union."""
-    subsets = _subsets_in_order(n)
-    universe = frozenset(range(n))
-    middle = [s for s in subsets if s != EMPTY and s != universe]
-    out = []
-    for k in range(len(middle) + 1):
-        for combo in itertools.combinations(middle, k):
-            fam = set(combo) | {EMPTY, universe}
-            if all(a & b in fam and a | b in fam for a in fam for b in fam):
-                out.append(sort_family(fam))
-    return sorted(out, key=lambda fam: tuple(set_key(U) for U in fam))
-
-
 def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
     """All subset spaces on n points with at most max_opens opens.
 
@@ -125,42 +109,46 @@ def enumerate_valuations(n: int, atom_names: Sequence[str]
         yield dict(zip(atom_names, choice))
 
 
-def _candidate_models(f_atoms: set[str], b: SearchBound,
-                      spaces: Iterable[SubsetSpace]) -> Iterator[Model]:
-    names = sorted(set(b.atoms) | f_atoms)
+def _models(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
+            ) -> Iterator[Model]:
+    """Every model over the spaces, valuations in order within each space."""
     for space in spaces:
-        n = len(space.point_names)
-        for val in enumerate_valuations(n, names):
+        for val in enumerate_valuations(len(space.point_names), atom_names):
             yield make_model(space, val)
+
+
+def _first_hit(models: Iterable[Model], f: Formula, holds: bool
+               ) -> tuple[Model, Pair] | None:
+    """The least (model, pair), pairs in `pairs_in_order`, at which the
+    truth of f equals holds; None if there is none."""
+    for m in models:
+        ev = Evaluator(m)
+        for p in pairs_in_order(m):
+            if ev.satisfies(p, f) == holds:
+                assert Evaluator(m).satisfies(p, f) == holds
+                return m, p
+    return None
+
+
+def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: str,
+            no_hit_kind: str) -> Verdict:
+    if not atoms(f) <= set(b.atoms):
+        raise SpaceError(f"formula atoms {sorted(atoms(f))} not covered by "
+                         f"the search bound atoms {list(b.atoms)}")
+    spaces = (space for n in range(1, b.max_points + 1)
+              for space in enumerate_topologies(n))
+    hit = _first_hit(_models(spaces, sorted(set(b.atoms))), f, holds)
+    return Verdict(no_hit_kind) if hit is None else Verdict(hit_kind, *hit)
 
 
 def decide_sat(f: Formula, b: SearchBound) -> Verdict:
     """Search topological models up to the bound for a satisfying pair."""
-    if not atoms(f) <= set(b.atoms):
-        raise SpaceError(f"formula atoms {sorted(atoms(f))} not covered by "
-                         f"the search bound atoms {list(b.atoms)}")
-    for n in range(1, b.max_points + 1):
-        for m in _candidate_models(atoms(f), b, enumerate_topologies(n)):
-            ev = Evaluator(m)
-            for p in pairs_in_order(m):
-                if ev.satisfies(p, f):
-                    assert Evaluator(m).satisfies(p, f)
-                    return Verdict("satisfiable", m, p)
-    return Verdict("no_model_within_bound")
+    return _decide(f, b, True, "satisfiable", "no_model_within_bound")
 
 
 def decide_valid(f: Formula, b: SearchBound) -> Verdict:
     """Search topological models up to the bound for a falsifying pair."""
-    if not atoms(f) <= set(b.atoms):
-        raise SpaceError(f"formula atoms {sorted(atoms(f))} not covered by "
-                         f"the search bound atoms {list(b.atoms)}")
-    for n in range(1, b.max_points + 1):
-        for m in _candidate_models(atoms(f), b, enumerate_topologies(n)):
-            counter = find_counterexample(m, f)
-            if counter is not None:
-                assert not Evaluator(m).satisfies(counter, f)
-                return Verdict("invalid", m, counter)
-    return Verdict("valid_within_bound")
+    return _decide(f, b, False, "invalid", "valid_within_bound")
 
 
 def random_formula(rng: random.Random, atom_names: Sequence[str],
@@ -210,6 +198,8 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
     Expected outcome on topologies: no violations for any of the twelve
     schemes.
     """
+    if trials < 1:
+        raise SpaceError("the number of trials must be at least 1")
     rng = random.Random(seed)
     atom_names = list(b.atoms) or ["A"]
     instances: list[tuple[int, Formula]] = []
@@ -230,17 +220,14 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
         spaces = list(spaces)
     checked = {sid: 0 for sid in scheme_ids}
     violations: list[SchemeViolation] = []
-    for space in spaces:
-        n = len(space.point_names)
-        for val in enumerate_valuations(n, atom_names):
-            m = make_model(space, val)
-            ev = Evaluator(m)
-            for scheme_id, instance in instances:
-                checked[scheme_id] += 1
-                counter = find_counterexample(m, instance, ev)
-                if counter is not None:
-                    violations.append(
-                        SchemeViolation(scheme_id, instance, m, counter))
+    for m in _models(spaces, atom_names):
+        ev = Evaluator(m)
+        for scheme_id, instance in instances:
+            checked[scheme_id] += 1
+            counter = find_counterexample(m, instance, ev)
+            if counter is not None:
+                violations.append(
+                    SchemeViolation(scheme_id, instance, m, counter))
     return SweepReport(checked, violations)
 
 
@@ -266,15 +253,13 @@ def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
     (points, space, substitution, valuation), or None within the bound."""
     if scheme_id not in (11, 12):
         raise SpaceError("boundary search applies to schemes 11 and 12 only")
+    instances = [instantiate_axiom(scheme_id, subst)
+                 for subst in _BOUNDARY_SUBSTITUTIONS[scheme_id]]
+    atom_names = [sorted(atoms(instance)) for instance in instances]
     for n in range(1, b.max_points + 1):
         for space in enumerate_subset_spaces(n, max_opens):
-            for subst in _BOUNDARY_SUBSTITUTIONS[scheme_id]:
-                instance = instantiate_axiom(scheme_id, subst)
-                names = sorted(atoms(instance))
-                for val in enumerate_valuations(n, names):
-                    m = make_model(space, val)
-                    counter = find_counterexample(m, instance)
-                    if counter is not None:
-                        assert not Evaluator(m).satisfies(counter, instance)
-                        return m, instance, counter
+            for instance, names in zip(instances, atom_names):
+                hit = _first_hit(_models([space], names), instance, False)
+                if hit is not None:
+                    return hit[0], instance, hit[1]
     return None

@@ -121,7 +121,6 @@ def minimal_neighborhood_basis(m: Model) -> tuple[PointSet, ...]:
 class QuotientMap:
     """Point and open classes of a membership-profile quotient."""
 
-    source: Model
     point_class: dict[int, int]
     open_class: dict[PointSet, PointSet]
     model: Model
@@ -159,7 +158,7 @@ def point_quotient(m: Model, atom_list: Iterable[str]) -> QuotientMap:
             assert len({x in m.atom_set(a) for x in members}) == 1
     if is_topology(s):
         assert is_topology(qspace), "quotient of a topology must be a topology"
-    return QuotientMap(m, point_class, open_class, make_model(qspace, qval))
+    return QuotientMap(point_class, open_class, make_model(qspace, qval))
 
 
 @dataclass

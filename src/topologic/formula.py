@@ -265,22 +265,35 @@ def print_formula(f: Formula) -> str:
 
 
 def subformulas(f: Formula) -> list[Formula]:
-    """All subformulas in post-order, duplicates removed, f itself last."""
-    seen: set[Formula] = set()
+    """All subformulas in post-order, duplicates removed, f itself last.
+
+    A compound subformula is matched by its constructor and the output
+    positions of its operands, so no deep formula is hashed or recursed into.
+    """
     out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
+    position: dict[object, int] = {}
+    operands: list[int] = []  # output positions of finished operands
+    todo: list[tuple[Formula, bool]] = [(f, False)]
+    while todo:
+        g, expanded = todo.pop()
         match g:
-            case Not(x) | Knows(x) | Box(x):
-                walk(x)
-            case And(a, b):
-                walk(a)
-                walk(b)
-        if g not in seen:
-            seen.add(g)
+            case Not(x) | Knows(x) | Box(x) if not expanded:
+                todo += [(g, True), (x, False)]
+                continue
+            case And(a, b) if not expanded:
+                todo += [(g, True), (b, False), (a, False)]
+                continue
+            case Not() | Knows() | Box():
+                key: object = (type(g), operands.pop())
+            case And():
+                key = (And, *operands[-2:])
+                del operands[-2:]
+            case _:
+                key = g  # a leaf: its hash is shallow
+        if key not in position:
+            position[key] = len(out)
             out.append(g)
-
-    walk(f)
+        operands.append(position[key])
     return out
 
 

@@ -54,9 +54,6 @@ class SubsetSpace:
     def universe(self) -> PointSet:
         return frozenset(range(len(self.point_names)))
 
-    def name_of(self, point: int) -> str:
-        return self.point_names[point]
-
     def index_of(self, name: str) -> int:
         try:
             return self.point_names.index(name)
@@ -107,18 +104,8 @@ def generate_topology(subbasis: Iterable[PointSet],
         if not s <= universe:
             raise SpaceError(f"subbasis set {sorted(s)} has out-of-range points")
         family.add(s)
-    while True:
-        new = set()
-        for a in family:
-            for b in family:
-                if a & b not in family:
-                    new.add(a & b)
-                if a | b not in family:
-                    new.add(a | b)
-        if not new:
-            break
-        family |= new
-    return make_space(names, family)
+    # Still intersection-closed: the opens form a distributive lattice.
+    return make_space(names, close_under_union(close_under_intersection(family)))
 
 
 def interior(s: SubsetSpace, S: PointSet) -> PointSet:

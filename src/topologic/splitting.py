@@ -23,20 +23,14 @@ from .semantics import Evaluator, Pair
 
 @dataclass(frozen=True)
 class Splitting:
-    """An intersection-closed family of opens inside an ambient space."""
+    """An intersection-closed family of opens inside an ambient space.
+
+    Build one from a caller's family with `make_splitting`, which checks
+    both conditions.
+    """
 
     family: tuple[PointSet, ...]
     space: SubsetSpace
-
-    def __post_init__(self) -> None:
-        fam = set(self.family)
-        for U in fam:
-            if U not in self.space.opens:
-                raise SpaceError(f"{sorted(U)} is not an open of the space")
-        for a in fam:
-            for b in fam:
-                if a & b not in fam:
-                    raise SpaceError("splitting family is not intersection-closed")
 
     def down(self) -> tuple[PointSet, ...]:
         """All opens below some member of the family."""
@@ -45,7 +39,14 @@ class Splitting:
 
 
 def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
-    return Splitting(sort_family(family), space)
+    fam = sort_family(family)
+    for U in fam:
+        if U not in space.opens:
+            raise SpaceError(f"{sorted(U)} is not an open of the space")
+    members = set(fam)
+    if any(a & b not in members for a in fam for b in fam):
+        raise SpaceError("splitting family is not intersection-closed")
+    return Splitting(fam, space)
 
 
 def remainder(s: Splitting, U: PointSet) -> frozenset[PointSet]:
@@ -115,24 +116,15 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
 class SplittingTable:
     """Per-subformula stable splittings and recorded extensions."""
 
-    model: Model
-    formula: Formula
     order: tuple[Formula, ...]
     splittings: dict[Formula, Splitting]
     extensions: dict[Formula, dict[PointSet, PointSet]]
-    _partitions: dict[Formula, RemainderPartition]
 
     def splitting_for(self, psi: Formula) -> Splitting:
         try:
             return self.splittings[psi]
         except KeyError:
             raise SpaceError(f"{psi} is not a subformula of the table's formula") from None
-
-    def partition_for(self, psi: Formula) -> RemainderPartition:
-        self.splitting_for(psi)
-        if psi not in self._partitions:
-            self._partitions[psi] = partition(self.splittings[psi])
-        return self._partitions[psi]
 
 
 def build_splitting(m: Model, f: Formula) -> SplittingTable:
@@ -176,9 +168,10 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
                 family = close_under_intersection(set(sub.family) | set(extra))
             case _:
                 raise TypeError(f"not a formula: {psi!r}")
+        # Sorted opens, intersection-closed by construction: no check needed.
         splittings[psi] = Splitting(family, s)
         extensions[psi] = {U: ev.extension(U, psi) for U in family}
-    return SplittingTable(m, f, order, splittings, extensions, {})
+    return SplittingTable(order, splittings, extensions)
 
 
 def fast_satisfies(table: SplittingTable, p: Pair, psi: Formula) -> bool:

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 import topologic as t
+from topologic.space import set_key
 
 F = frozenset
 
@@ -30,3 +32,18 @@ def random_model(rng: random.Random, n: int, atom_names=("A", "B")) -> t.Model:
     val = {a: frozenset(i for i in range(n) if rng.random() < 0.5)
            for a in atom_names}
     return t.make_model(space, val)
+
+
+def enumerate_closed_families(n: int) -> list[tuple[frozenset, ...]]:
+    """Brute-force oracle: all families containing the empty set and X and
+    closed under pairwise intersection and union."""
+    universe = frozenset(range(n))
+    middle = [frozenset(c) for k in range(1, n)
+              for c in itertools.combinations(range(n), k)]
+    out = []
+    for k in range(len(middle) + 1):
+        for combo in itertools.combinations(middle, k):
+            fam = set(combo) | {F(), universe}
+            if all(a & b in fam and a | b in fam for a in fam for b in fam):
+                out.append(t.sort_family(fam))
+    return sorted(out, key=lambda fam: tuple(set_key(U) for U in fam))

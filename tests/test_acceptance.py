@@ -9,7 +9,7 @@ import time
 
 import topologic as t
 from topologic import Pair
-from conftest import random_model
+from conftest import enumerate_closed_families, random_model
 
 F = frozenset
 
@@ -151,10 +151,10 @@ def test_criterion_7_enumeration_calibration():
         via_preorders = [s.opens for s in t.enumerate_topologies(n)]
         assert len(via_preorders) == count
         if n <= 3:
-            brute = t.enumerate_closed_families(n)
+            brute = enumerate_closed_families(n)
             assert sorted(via_preorders) == sorted(brute)
     # n=4 brute force is the independent oracle for the 355 figure.
-    assert len(t.enumerate_closed_families(4)) == 355
+    assert len(enumerate_closed_families(4)) == 355
     _report("criterion 7: topology counts 1, 4, 29, 355 match brute force")
 
 

@@ -156,6 +156,21 @@ def test_axioms_non_topology_violations(non_topology_file, capsys):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--enumerate", "2", "--trials", "0"],
+    ["axioms", "--enumerate", "2", "--trials", "-3"],
+    ["axioms", "--enumerate", "2", "--schemes", "x"],
+    ["decide", "K A -> A", "--points", "0"],
+    ["basis", "M0", "BASIS"],
+])
+def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text("[5]")
+    argv = [{"M0": m0_file, "BASIS": str(basis_path)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_roundtrip_model_document(m0):
     doc = t.model_to_document(m0)
     again = t.model_from_document(doc)

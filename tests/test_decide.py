@@ -3,6 +3,8 @@ import random
 import pytest
 
 import topologic as t
+from conftest import enumerate_closed_families
+from topologic.decide import _BOUNDARY_SUBSTITUTIONS
 
 F = frozenset
 
@@ -16,7 +18,7 @@ def test_enumeration_counts_small():
 def test_enumeration_matches_brute_force():
     for n in (1, 2, 3):
         preorder_route = sorted(s.opens for s in t.enumerate_topologies(n))
-        brute = sorted(t.enumerate_closed_families(n))
+        brute = sorted(enumerate_closed_families(n))
         assert preorder_route == brute
 
 
@@ -85,6 +87,58 @@ def test_decide_deterministic():
     assert v1.model.space.opens == v2.model.space.opens
     assert v1.model.valuation == v2.model.valuation
     assert v1.pair == v2.pair
+
+
+def _reference_search(f, b, holds):
+    """The nested search loop the shared search core must agree with."""
+    names = sorted(set(b.atoms))
+    for n in range(1, b.max_points + 1):
+        for space in t.enumerate_topologies(n):
+            for val in t.enumerate_valuations(n, names):
+                m = t.make_model(space, val)
+                ev = t.Evaluator(m)
+                for p in t.pairs_in_order(m):
+                    if ev.satisfies(p, f) == holds:
+                        return m, p
+    return None
+
+
+def _reference_boundary(scheme_id, b, max_opens):
+    for n in range(1, b.max_points + 1):
+        for space in t.enumerate_subset_spaces(n, max_opens):
+            for subst in _BOUNDARY_SUBSTITUTIONS[scheme_id]:
+                instance = t.instantiate_axiom(scheme_id, subst)
+                names = sorted(t.atoms(instance))
+                for val in t.enumerate_valuations(n, names):
+                    m = t.make_model(space, val)
+                    counter = t.find_counterexample(m, instance)
+                    if counter is not None:
+                        return m, instance, counter
+    return None
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("A & ~K A", t.SearchBound(3, ("A",))),
+    ("A -> K A", t.SearchBound(3, ("A",))),
+    ("K A -> A", t.SearchBound(3, ("A",))),
+    ("<> [] A & ~[] A", t.SearchBound(3, ("A",))),
+    ("L A & L B & ~L (A & B)", t.SearchBound(2, ("B", "A"))),
+])
+def test_witness_order_matches_reference(text, bound):
+    f = t.parse(text)
+    for decide, holds in ((t.decide_sat, True), (t.decide_valid, False)):
+        v = decide(f, bound)
+        hit = _reference_search(f, bound, holds)
+        assert (v.model, v.pair) == (hit if hit else (None, None))
+
+
+@pytest.mark.parametrize("scheme_id, bound, max_opens", [
+    (11, t.SearchBound(3, ()), 4),
+    (12, t.SearchBound(2, ()), 4),
+])
+def test_boundary_order_matches_reference(scheme_id, bound, max_opens):
+    assert (t.find_subset_space_countermodel(scheme_id, bound, max_opens)
+            == _reference_boundary(scheme_id, bound, max_opens))
 
 
 def test_sweep_clean_on_topologies():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +114,41 @@ def test_subformulas_closed_and_self_last(f):
         }.get(type(g), lambda x: [])(g)
         for child in children:
             assert child in subs[:i]
+
+
+def _subformulas_reference(f):
+    """The recursive walk subformulas must agree with."""
+    seen, out = set(), []
+
+    def walk(g):
+        match g:
+            case Not(x) | Knows(x) | Box(x):
+                walk(x)
+            case And(a, b):
+                walk(a)
+                walk(b)
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+
+    walk(f)
+    return out
+
+
+def test_subformulas_match_recursive_reference():
+    rng = random.Random(17)
+    for _ in range(200):
+        f = t.random_formula(rng, ["A", "B"], rng.randint(0, 6))
+        assert t.subformulas(f) == _subformulas_reference(f)
+
+
+def test_subformulas_deep_chain():
+    f = Atom("A")
+    for _ in range(5000):
+        f = Not(f)
+    subs = t.subformulas(f)
+    assert len(subs) == 5001
+    assert subs[0] is subs[1].arg and subs[-1] is f
 
 
 def test_atoms():

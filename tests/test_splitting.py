@@ -38,6 +38,22 @@ def test_splitting_requires_intersection_closed(m0_space):
         t.make_splitting(s, [F({0, 1}), F({0, 2}), X])
 
 
+def test_splitting_requires_opens(m0_space):
+    with pytest.raises(t.SpaceError):
+        t.make_splitting(m0_space, [F({1}), X])
+
+
+def test_build_splitting_families_pass_make_splitting():
+    # build_splitting skips make_splitting's check; every family it builds
+    # must pass that check unchanged.
+    rng = random.Random(71)
+    for _ in range(25):
+        m = random_model(rng, 4)
+        f = t.random_formula(rng, ["A", "B"], 3)
+        for sp in t.build_splitting(m, f).splittings.values():
+            assert t.make_splitting(m.space, sp.family) == sp
+
+
 def test_classify(split_f):
     assert t.classify(split_f, F({0})) == F({0, 1})
     assert t.classify(split_f, X) == X
