@@ -24,8 +24,8 @@ from .formula import (Formula, ParseError, atoms, parse, print_formula,
 from .modelfile import load_model, model_to_document, save_model
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
                         find_counterexample)
-from .space import (Model, SpaceError, format_family, format_set, is_topology,
-                    sort_family)
+from .space import (InternalError, Model, SpaceError, format_family,
+                    format_set, is_topology, sort_family)
 from .splitting import build_splitting, is_stable, partition
 
 
@@ -103,9 +103,7 @@ def cmd_split(args) -> int:
             print(f"    extension: {format_set(ext, names)}")
             print(f"    stability: {'; '.join(verdicts)}")
     if not all_stable:
-        print("internal error: unstable block in a stable splitting",
-              file=sys.stderr)
-        return 3
+        raise InternalError("unstable block in a stable splitting")
     return 0
 
 
@@ -152,10 +150,14 @@ def cmd_basis(args) -> int:
                     for line in Path(args.formulas).read_text().splitlines()
                     if line.strip()]
     else:
+        if args.depth < 0:
+            raise SpaceError("--depth must be at least 0")
         rng = random.Random(args.seed)
         names = sorted(m.valuation)
         formulas = [random_formula(rng, names, args.depth)
                     for _ in range(args.trials)]
+    if not formulas:
+        raise SpaceError("no formulas to compare (see --trials, --formulas)")
     counter = basis_equivalent(m, basis, formulas)
     if counter is None:
         print(f"equivalent on {len(formulas)} formula(s)")
@@ -175,13 +177,7 @@ def cmd_decide(args) -> int:
         verdict = decide_sat(f, bound)
     else:
         verdict = decide_valid(f, bound)
-    label = {
-        "satisfiable": "satisfiable",
-        "no_model_within_bound": "no model within bound",
-        "valid_within_bound": "valid within bound",
-        "invalid": "invalid",
-    }[verdict.kind]
-    print(label)
+    print(verdict.kind.value.replace("_", " "))
     if verdict.model is not None:
         print(f"at {_pair_str(verdict.model, verdict.pair)}")
         if args.out:
@@ -287,9 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SpaceError, FileNotFoundError) as exc:
+    except (ParseError, SpaceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair, find_counterexample,
                         instantiate_axiom, pairs_in_order)
 from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
-                    make_space, set_key, sort_family)
+                    make_space, set_key)
 
 HARD_POINT_CAP = 4
 
@@ -36,15 +37,23 @@ class SearchBound:
             raise SpaceError("the point bound must be at least 1")
 
 
+class VerdictKind(str, Enum):
+    SATISFIABLE = "satisfiable"
+    NO_MODEL_WITHIN_BOUND = "no_model_within_bound"
+    VALID_WITHIN_BOUND = "valid_within_bound"
+    INVALID = "invalid"
+
+
 @dataclass
 class Verdict:
-    kind: str  # satisfiable | no_model_within_bound | valid_within_bound | invalid
+    kind: VerdictKind
     model: Model | None = None
     pair: Pair | None = None
 
     @property
     def positive(self) -> bool:
-        return self.kind in ("satisfiable", "valid_within_bound")
+        return self.kind in (VerdictKind.SATISFIABLE,
+                             VerdictKind.VALID_WITHIN_BOUND)
 
 
 def _point_names(n: int) -> tuple[str, ...]:
@@ -64,8 +73,9 @@ def enumerate_topologies(n: int, cap: int = HARD_POINT_CAP
                          ) -> Iterator[SubsetSpace]:
     """Every labeled topology on n points, exactly once, in canonical order.
 
-    Candidates are the up-set families of reflexive transitive relations,
-    deduplicated across preorders that generate the same family.
+    These are the up-set families of the reflexive transitive relations;
+    finite topologies and preorders correspond one to one, so no two
+    relations give the same family.
     """
     if n < 1:
         raise SpaceError("need at least one point")
@@ -74,7 +84,7 @@ def enumerate_topologies(n: int, cap: int = HARD_POINT_CAP
     names = _point_names(n)
     subsets = _subsets_in_order(n)
     off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
-    families = set()
+    families = []
     for choice in itertools.product((False, True), repeat=len(off_diagonal)):
         rel = {(i, i) for i in range(n)}
         rel.update(e for e, picked in zip(off_diagonal, choice) if picked)
@@ -83,10 +93,10 @@ def enumerate_topologies(n: int, cap: int = HARD_POINT_CAP
             continue
         up_sets = tuple(U for U in subsets
                         if all(j in U for i in U for (i2, j) in rel if i2 == i))
-        families.add(up_sets)
-    ordered = sorted(families,
-                     key=lambda fam: tuple(set_key(U) for U in sort_family(fam)))
-    for fam in ordered:
+        families.append(up_sets)
+    # Each family lists its opens in set_key order, as `subsets` does.
+    families.sort(key=lambda fam: [set_key(U) for U in fam])
+    for fam in families:
         yield make_space(names, fam)
 
 
@@ -125,13 +135,15 @@ def _first_hit(models: Iterable[Model], f: Formula, holds: bool
         ev = Evaluator(m)
         for p in pairs_in_order(m):
             if ev.satisfies(p, f) == holds:
-                assert Evaluator(m).satisfies(p, f) == holds
                 return m, p
     return None
 
 
-def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: str,
-            no_hit_kind: str) -> Verdict:
+def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
+            no_hit_kind: VerdictKind) -> Verdict:
+    if b.max_points > HARD_POINT_CAP:
+        raise SpaceError(f"point bound {b.max_points} exceeds the cap "
+                         f"{HARD_POINT_CAP}")
     if not atoms(f) <= set(b.atoms):
         raise SpaceError(f"formula atoms {sorted(atoms(f))} not covered by "
                          f"the search bound atoms {list(b.atoms)}")
@@ -143,12 +155,14 @@ def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: str,
 
 def decide_sat(f: Formula, b: SearchBound) -> Verdict:
     """Search topological models up to the bound for a satisfying pair."""
-    return _decide(f, b, True, "satisfiable", "no_model_within_bound")
+    return _decide(f, b, True, VerdictKind.SATISFIABLE,
+                   VerdictKind.NO_MODEL_WITHIN_BOUND)
 
 
 def decide_valid(f: Formula, b: SearchBound) -> Verdict:
     """Search topological models up to the bound for a falsifying pair."""
-    return _decide(f, b, False, "invalid", "valid_within_bound")
+    return _decide(f, b, False, VerdictKind.INVALID,
+                   VerdictKind.VALID_WITHIN_BOUND)
 
 
 def random_formula(rng: random.Random, atom_names: Sequence[str],

@@ -14,8 +14,9 @@ from typing import Callable, Iterable, Sequence
 
 from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, model_valid
-from .space import (EMPTY, Model, PointSet, SpaceError, close_under_union,
-                    is_topology, make_model, make_space, sort_family)
+from .space import (EMPTY, InternalError, Model, PointSet, SpaceError,
+                    close_under_union, is_topology, make_model, make_space,
+                    sort_family)
 from .splitting import build_splitting
 
 
@@ -63,9 +64,11 @@ def basis_witness(m: Model, basis: Sequence[PointSet], F: Iterable[PointSet],
             witness |= basic_neighborhood(xi, V)
     # Direct remainder membership: below V, below no family member that
     # fails to contain V.
-    assert x in witness and witness <= V
-    assert not any(witness <= Vi for Vi in fam if not V <= Vi)
-    assert witness in sorted_basis
+    if not (x in witness and witness <= V
+            and not any(witness <= Vi for Vi in fam if not V <= Vi)
+            and witness in sorted_basis):
+        raise InternalError("basis witness is not a basis member containing "
+                            "x in the remainder of V")
     return witness
 
 
@@ -133,31 +136,23 @@ def point_quotient(m: Model, atom_list: Iterable[str]) -> QuotientMap:
     """Quotient the points by (open membership, atom membership) profiles.
 
     The quotient space carries the image opens and the image valuation;
-    when the source is a topology the image is asserted to be one too.
+    when the source is a topology the image is checked to be one too.
     """
     names = tuple(sorted(set(atom_list)))
     s = m.space
     profiles: dict[tuple, int] = {}
     point_class: dict[int, int] = {}
-    class_members: list[list[int]] = []
     for x in sorted(s.universe):
         profile = (tuple(x in U for U in s.opens),
                    tuple(x in m.atom_set(a) for a in names))
-        if profile not in profiles:
-            profiles[profile] = len(class_members)
-            class_members.append([])
-        point_class[x] = profiles[profile]
-        class_members[profiles[profile]].append(x)
+        point_class[x] = profiles.setdefault(profile, len(profiles))
     open_class = {U: frozenset(point_class[x] for x in U) for U in s.opens}
-    class_names = tuple(f"c{i}" for i in range(len(class_members)))
+    class_names = tuple(f"c{i}" for i in range(len(profiles)))
     qspace = make_space(class_names, set(open_class.values()))
+    # Class members agree on every atom: the profile contains the atoms.
     qval = {a: frozenset(point_class[x] for x in m.atom_set(a)) for a in names}
-    # Well-definedness: class members agree on every atom by construction.
-    for a in names:
-        for members in class_members:
-            assert len({x in m.atom_set(a) for x in members}) == 1
-    if is_topology(s):
-        assert is_topology(qspace), "quotient of a topology must be a topology"
+    if is_topology(s) and not is_topology(qspace):
+        raise InternalError("the quotient of a topology is not a topology")
     return QuotientMap(point_class, open_class, make_model(qspace, qval))
 
 
@@ -184,14 +179,15 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     table = build_splitting(m, f)
     family = set(table.splittings[f].family)
     family.add(EMPTY)
-    closed = set(close_under_union(family))
+    restricted_space = make_space(m.space.point_names,
+                                  close_under_union(family))
     # Union closure of an intersection-closed family of opens stays
     # intersection-closed (the open-set lattice is distributive).
-    assert all(a & b in closed for a in closed for b in closed)
+    if not is_topology(restricted_space):
+        raise InternalError("the restricted family is not a topology")
     names = atoms(f)
-    restricted_space = make_space(m.space.point_names, closed)
     restricted = make_model(restricted_space,
                             {a: m.atom_set(a) for a in names})
     qm = point_quotient(restricted, names)
-    return ExtractionResult(sort_family(closed), restricted, qm, qm.model,
+    return ExtractionResult(restricted_space.opens, restricted, qm, qm.model,
                             qm.translate)

@@ -85,9 +85,6 @@ def Diamond(arg: Formula) -> Formula:
     return Not(Box(Not(arg)))
 
 
-RESERVED = {"K", "L", "top", "bot"}
-
-
 class ParseError(ValueError):
     """Syntax error with the offending position in the input string."""
 
@@ -222,7 +219,6 @@ _PREC_IMPLIES = 1
 _PREC_OR = 2
 _PREC_AND = 3
 _PREC_UNARY = 4
-_PREC_ATOM = 5
 
 
 def _fmt(f: Formula, min_prec: int) -> str:

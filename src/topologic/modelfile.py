@@ -33,7 +33,8 @@ def model_from_document(doc: dict) -> Model:
         raise SpaceError("duplicate point names")
 
     def to_set(raw, where: str) -> PointSet:
-        if not isinstance(raw, list):
+        if (not isinstance(raw, list)
+                or not all(isinstance(name, str) for name in raw)):
             raise SpaceError(f"{where} must be a list of point identifiers")
         out = set()
         for name in raw:
@@ -42,6 +43,8 @@ def model_from_document(doc: dict) -> Model:
             out.add(index[name])
         return frozenset(out)
 
+    if not isinstance(doc["opens"], list):
+        raise SpaceError("'opens' must be a list of opens")
     opens = [to_set(raw, "each open") for raw in doc["opens"]]
     if not isinstance(doc["valuation"], dict):
         raise SpaceError("'valuation' must be a map from atoms to point lists")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import And, Atom, Bot, Box, Formula, Implies, Knows, Not, Top
-from .space import EMPTY, Model, PointSet, SpaceError
+from .space import EMPTY, InternalError, Model, PointSet, SpaceError
 
 
 @dataclass(frozen=True)
@@ -183,4 +183,4 @@ def instantiate_axiom(scheme_id: int, substitution: dict[str, Formula]) -> Formu
             return Implies(
                 And(Diamond(And(Knows(p), q)), L(Diamond(And(Knows(p), c)))),
                 Diamond(And(Knows(Diamond(p)), And(Diamond(q), L(Diamond(c))))))
-    raise AssertionError
+    raise InternalError(f"scheme {scheme_id} has no construction")

@@ -53,14 +53,9 @@ def remainder(s: Splitting, U: PointSet) -> frozenset[PointSet]:
     """Opens below U but below no member of the family not containing U."""
     if U not in s.family:
         raise SpaceError(f"{sorted(U)} is not in the splitting family")
-    down_u = [V for V in s.space.opens if V <= U]
-    result = {V for V in down_u
-              if not any(V <= W for W in s.family if not U <= W)}
-    # Intersection-closedness admits the simplified form.
-    simplified = {V for V in down_u
-                  if not any(V <= W for W in s.family if W < U)}
-    assert result == simplified
-    return frozenset(result)
+    return frozenset(V for V in s.space.opens
+                     if V <= U
+                     and not any(V <= W for W in s.family if not U <= W))
 
 
 def classify(s: Splitting, V: PointSet) -> PointSet:

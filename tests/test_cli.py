@@ -1,8 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import topologic as t
+from topologic import cli, finitemodel
 from topologic.cli import main
 
 F = frozenset
@@ -162,13 +166,91 @@ def test_axioms_non_topology_violations(non_topology_file, capsys):
     ["axioms", "--enumerate", "2", "--schemes", "x"],
     ["decide", "K A -> A", "--points", "0"],
     ["basis", "M0", "BASIS"],
+    ["decide", "A", "--mode", "sat", "--points", "5"],
+    ["basis", "M0", "OPENS", "--trials", "0"],
+    ["basis", "M0", "OPENS", "--trials", "-2"],
+    ["basis", "M0", "OPENS", "--formulas", "EMPTY"],
+    ["basis", "M0", "OPENS", "--depth", "-1"],
+    ["check", "OPENS_INT", "A"],
+    ["check", "OPEN_NAME_DICT", "A"],
+    ["check", "VALUATION_NAME_LIST", "A"],
+    ["check", "DIRECTORY", "A"],
+    ["check", "BINARY", "A"],
 ])
 def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
-    basis_path = tmp_path / "basis.json"
-    basis_path.write_text("[5]")
-    argv = [{"M0": m0_file, "BASIS": str(basis_path)}.get(a, a) for a in argv]
-    assert main(argv) == 2
+    """Bad numbers, vacuous requests and malformed files exit 2."""
+    texts = {
+        "BASIS": "[5]",
+        "OPENS": json.dumps(M0_DOC["opens"]),
+        "EMPTY": "\n",
+        "OPENS_INT": json.dumps({**M0_DOC, "opens": 5}),
+        "OPEN_NAME_DICT": json.dumps({**M0_DOC, "opens": [[{"a": 1}]]}),
+        "VALUATION_NAME_LIST": json.dumps({**M0_DOC,
+                                           "valuation": {"A": [["x0"]]}}),
+    }
+    files = {"M0": m0_file, "DIRECTORY": str(tmp_path)}
+    for key, text in texts.items():
+        files[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_text(text)
+    files["BINARY"] = str(tmp_path / "binary.json")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00{")
+    assert main([files.get(a, a) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+# Arbitrary JSON, or the right shapes over a few names, so that documents
+# also reach the checks past the type checks.
+_NAMES = st.sampled_from(["x0", "x1", "top", "A"])
+_DOCUMENTS = st.fixed_dictionaries({
+    "points": _JSON_VALUES | st.lists(_NAMES, max_size=3),
+    "opens": _JSON_VALUES | st.lists(st.lists(_NAMES, max_size=3),
+                                     max_size=4),
+    "valuation": _JSON_VALUES | st.dictionaries(
+        _NAMES, _JSON_VALUES | st.lists(_NAMES, max_size=3), max_size=2),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_model_document_fuzz(doc):
+    """Any JSON under the three keys gives a Model or a SpaceError."""
+    try:
+        assert isinstance(t.model_from_document(doc), t.Model)
+    except t.SpaceError:
+        pass
+
+
+def test_internal_error_exits_3(m0_file, monkeypatch, capsys):
+    # A restricted family without the empty set fails the topology check.
+    monkeypatch.setattr(
+        finitemodel, "close_under_union",
+        lambda family: tuple(U for U in t.sort_family(family) if U))
+    assert main(["quotient", m0_file, "A"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
+def test_split_unstable_block_exits_3(m0_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "is_stable", lambda *args: False)
+    assert main(["split", m0_file, "K A"]) == 3
+    captured = capsys.readouterr()
+    assert "UNSTABLE" in captured.out
+    assert captured.err.startswith("internal error: unstable block")
+    assert "Traceback" not in captured.err
+
+
+def test_library_has_no_assert():
+    # Self-checks raise InternalError, so they also run under python -O.
+    for path in Path(t.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert)
+                       for node in ast.walk(tree)), path
 
 
 def test_roundtrip_model_document(m0):

@@ -38,6 +38,7 @@ def test_enumeration_all_are_topologies():
 def test_decide_sat_positive():
     v = t.decide_sat(t.parse("A & ~K A"), t.SearchBound(2, ("A",)))
     assert v.kind == "satisfiable"
+    assert v.kind is t.VerdictKind.SATISFIABLE and v.positive
     assert len(v.model.space.point_names) == 2
     assert t.satisfies(v.model, v.pair, t.parse("A & ~K A"))
 
@@ -45,6 +46,13 @@ def test_decide_sat_positive():
 def test_decide_sat_contradiction():
     v = t.decide_sat(t.parse("A & ~A"), t.SearchBound(2, ("A",)))
     assert v.kind == "no_model_within_bound"
+
+
+def test_decide_rejects_bound_above_cap():
+    # Rejected before any search: "A" has a witness on one point.
+    for decide in (t.decide_sat, t.decide_valid):
+        with pytest.raises(t.SpaceError):
+            decide(t.parse("A"), t.SearchBound(5, ("A",)))
 
 
 def test_decide_sat_negated_axiom():

@@ -98,6 +98,11 @@ def test_point_quotient_topology_preserved():
         m = random_model(rng, 5)
         qm = t.point_quotient(m, sorted(m.valuation))
         assert t.is_topology(qm.model.space)
+        # Class members agree on every atom.
+        for a, points in m.valuation.items():
+            for x in m.space.universe:
+                assert ((x in points)
+                        == (qm.point_class[x] in qm.model.valuation[a]))
 
 
 def test_quotient_lemma_random():
