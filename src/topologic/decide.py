@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair, find_counterexample,
-                        instantiate_axiom, pairs_in_order)
+                        instantiate_axiom)
 from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
                     make_space, set_key)
 
@@ -132,10 +132,9 @@ def _first_hit(models: Iterable[Model], f: Formula, holds: bool
     """The least (model, pair), pairs in `pairs_in_order`, at which the
     truth of f equals holds; None if there is none."""
     for m in models:
-        ev = Evaluator(m)
-        for p in pairs_in_order(m):
-            if ev.satisfies(p, f) == holds:
-                return m, p
+        p = Evaluator(m).first_pair(f, holds)
+        if p is not None:
+            return m, p
     return None
 
 

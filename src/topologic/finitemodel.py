@@ -98,10 +98,9 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     ev_b = Evaluator(mb)
     for f in formulas:
         for U in mb.space.opens:
-            for x in sorted(U):
-                p = Pair(x, U)
-                if ev_t.satisfies(p, f) != ev_b.satisfies(p, f):
-                    return BasisCounterexample(f, p)
+            differ = ev_t.extension(U, f) ^ ev_b.extension(U, f)
+            if differ:
+                return BasisCounterexample(f, Pair(min(differ), U))
         if model_valid(m, f, ev_t) != model_valid(mb, f, ev_b):
             return BasisCounterexample(f, None)
     return None

@@ -211,7 +211,10 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse surface syntax into the desugared core AST."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", 0) from None
 
 
 # Precedence levels for printing; unary operators bind tightest.
@@ -260,37 +263,46 @@ def print_formula(f: Formula) -> str:
     return _fmt(f, 0)
 
 
-def subformulas(f: Formula) -> list[Formula]:
-    """All subformulas in post-order, duplicates removed, f itself last.
+def walk(f: Formula) -> list[tuple[Formula, tuple[int, ...]]]:
+    """The distinct subformulas of f in post-order, f itself last, each with
+    the positions of its operands in the returned list.
 
-    A compound subformula is matched by its constructor and the output
-    positions of its operands, so no deep formula is hashed or recursed into.
+    A compound subformula is matched by its constructor and the positions of
+    its operands, so no deep formula is hashed or recursed into.
     """
-    out: list[Formula] = []
+    out: list[tuple[Formula, tuple[int, ...]]] = []
     position: dict[object, int] = {}
-    operands: list[int] = []  # output positions of finished operands
-    todo: list[tuple[Formula, bool]] = [(f, False)]
+    done: list[int] = []  # positions of finished operands
+    expanded = object()  # on the stack: the node below has its operands done
+    todo: list[object] = [f]
     while todo:
-        g, expanded = todo.pop()
-        match g:
-            case Not(x) | Knows(x) | Box(x) if not expanded:
-                todo += [(g, True), (x, False)]
-                continue
-            case And(a, b) if not expanded:
-                todo += [(g, True), (b, False), (a, False)]
-                continue
-            case Not() | Knows() | Box():
-                key: object = (type(g), operands.pop())
-            case And():
-                key = (And, *operands[-2:])
-                del operands[-2:]
-            case _:
-                key = g  # a leaf: its hash is shallow
-        if key not in position:
-            position[key] = len(out)
-            out.append(g)
-        operands.append(position[key])
+        g = todo.pop()
+        t = type(g)
+        if g is expanded:
+            g = todo.pop()
+            ops: tuple[int, ...] = (done.pop(),)
+            if type(g) is And:
+                ops = (done.pop(), ops[0])
+            key: object = (type(g), ops)
+        elif t is And:
+            todo += [g, expanded, g.right, g.left]
+            continue
+        elif t is Not or t is Knows or t is Box:
+            todo += [g, expanded, g.arg]
+            continue
+        else:
+            ops, key = (), g  # a leaf's hash is shallow
+        pos = position.get(key)
+        if pos is None:
+            pos = position[key] = len(out)
+            out.append((g, ops))
+        done.append(pos)
     return out
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    """All subformulas in post-order, duplicates removed, f itself last."""
+    return [g for g, _ in walk(f)]
 
 
 def atoms(f: Formula) -> set[str]:

@@ -4,18 +4,19 @@ A pair (x, U) with x in U and U open is the unit of evaluation.  `K`
 quantifies over the points of the current open, `[]` over the opens
 below the current one that still contain the current point.
 
-Evaluation is extension-based: per (subformula, open) the set of
-satisfying points is computed once and memoized, which keeps whole-model
-sweeps cheap.
+Evaluation labels each distinct subformula with one row of int bitmasks,
+its extension at every open, filled bottom up from its operands' rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_, xor
 from typing import Iterator
 
-from .formula import And, Atom, Bot, Box, Formula, Implies, Knows, Not, Top
-from .space import EMPTY, InternalError, Model, PointSet, SpaceError
+from .formula import And, Atom, Bot, Box, Formula, Implies, Knows, Not, Top, walk
+from .space import InternalError, Model, PointSet, SpaceError
 
 
 @dataclass(frozen=True)
@@ -29,85 +30,116 @@ class Pair:
 
 
 def pairs_in_order(m: Model) -> Iterator[Pair]:
-    """Deterministic pair order: opens largest first, points ascending.
+    """Deterministic pair order: opens largest first, then by members;
+    points ascending.
 
     This is the order in which counterexamples and witnesses are reported,
     so the full open X is always inspected first.
     """
-    for U in sorted(m.space.opens, key=lambda s: (-len(s), tuple(sorted(s)))):
+    # The opens are in `sort_family` order and sorting is stable.
+    for U in sorted(m.space.opens, key=len, reverse=True):
         for x in sorted(U):
             yield Pair(x, U)
 
 
 class Evaluator:
-    """Memoizing evaluator for one model; reusable across formulas."""
+    """Extension table of one model, shared by every formula it evaluates.
+
+    Row r holds, at index i, the mask of the points of open i that satisfy
+    the subformula of row r there.  Rows are interned by constructor and
+    operand rows, so equal subformulas of different formulas share a row.
+    """
 
     def __init__(self, m: Model):
         self.model = m
-        self._ext: dict[tuple[Formula, PointSet], PointSet] = {}
-        self._down: dict[PointSet, tuple[PointSet, ...]] = {}
+        self._index = {U: i for i, U in enumerate(m.space.opens)}
+        self._masks = [sum(1 << x for x in U) for U in m.space.opens]
+        self._below: list[list[int]] | None = None  # sub-open indices per open
+        self._rows: list[list[int]] = []
+        self._interned: dict[object, int] = {}
+        self._compiled: dict[int, tuple[Formula, list[int]]] = {}
 
-    def _subopens(self, U: PointSet) -> tuple[PointSet, ...]:
-        cached = self._down.get(U)
-        if cached is None:
-            cached = self.model.space.subopens(U)
-            self._down[U] = cached
-        return cached
+    def _row(self, f: Formula) -> list[int]:
+        # Keyed by id; the entry keeps f alive, so the id is never reused.
+        hit = self._compiled.get(id(f))
+        if hit is not None:
+            return hit[1]
+        masks, rows, interned = self._masks, self._rows, self._interned
+        ids: list[int] = []
+        for g, ops in walk(f):
+            t = type(g)
+            # A unary node's key repeats its operand's row id.
+            key = (t, ids[ops[0]], ids[ops[-1]]) if ops else g
+            rid = interned.get(key)
+            if rid is None:
+                r = rows[key[1]] if ops else masks
+                if t is Not:
+                    row = list(map(xor, masks, r))
+                elif t is And:
+                    row = list(map(and_, r, rows[key[2]]))
+                elif t is Knows:
+                    row = [u if a == u else 0 for u, a in zip(masks, r)]
+                elif t is Box:
+                    if self._below is None:
+                        self._below = [[j for j, v in enumerate(masks)
+                                        if v & ~u == 0] for u in masks]
+                    # miss[j]: the points of open j at which the operand fails.
+                    miss = list(map(xor, masks, r))
+                    row = [u & ~reduce(or_, [miss[j] for j in js])
+                           for u, js in zip(masks, self._below)]
+                elif t is Atom:
+                    a = sum(1 << x for x in self.model.atom_set(g.name))
+                    row = [u & a for u in masks]
+                elif t is Top:
+                    row = masks
+                elif t is Bot:
+                    row = [0] * len(masks)
+                else:
+                    raise TypeError(f"not a formula: {g!r}")
+                rid = interned[key] = len(rows)
+                rows.append(row)
+            ids.append(rid)
+        row = rows[ids[-1]]
+        self._compiled[id(f)] = (f, row)
+        return row
 
     def extension(self, U: PointSet, f: Formula) -> PointSet:
-        key = (f, U)
-        cached = self._ext.get(key)
-        if cached is not None:
-            return cached
-        match f:
-            case Top():
-                result = U
-            case Bot():
-                result = EMPTY
-            case Atom(name):
-                result = self.model.atom_set(name) & U
-            case Not(x):
-                result = U - self.extension(U, x)
-            case And(a, b):
-                result = self.extension(U, a) & self.extension(U, b)
-            case Knows(x):
-                result = U if self.extension(U, x) == U else EMPTY
-            case Box(x):
-                bad = EMPTY
-                for V in self._subopens(U):
-                    bad |= V - self.extension(V, x)
-                result = U - bad
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        self._ext[key] = result
-        return result
+        i = self._index.get(U)
+        if i is None:
+            raise SpaceError(f"{sorted(U)} is not an open of the space")
+        bits = self._row(f)[i]
+        if bits == self._masks[i]:
+            return U
+        return frozenset(x for x in U if bits >> x & 1)
 
     def satisfies(self, p: Pair, f: Formula) -> bool:
         return p.point in self.extension(p.open, f)
 
+    def first_pair(self, f: Formula, holds: bool) -> Pair | None:
+        """The least pair in `pairs_in_order` at which the truth of f
+        equals holds, or None."""
+        row, masks, opens = self._row(f), self._masks, self.model.space.opens
+        for i in sorted(range(len(opens)), key=lambda i: -len(opens[i])):
+            bits = row[i] if holds else masks[i] ^ row[i]
+            if bits:
+                return Pair((bits & -bits).bit_length() - 1, opens[i])
+        return None
+
 
 def satisfies(m: Model, p: Pair, f: Formula) -> bool:
     """The satisfaction relation at one pair."""
-    if p.open not in m.space.opens:
-        raise SpaceError(f"{sorted(p.open)} is not an open of the space")
     return Evaluator(m).satisfies(p, f)
 
 
 def extension(m: Model, U: PointSet, f: Formula) -> PointSet:
     """The set of points of U satisfying f at U."""
-    if U not in m.space.opens:
-        raise SpaceError(f"{sorted(U)} is not an open of the space")
     return Evaluator(m).extension(U, f)
 
 
 def find_counterexample(m: Model, f: Formula,
                         evaluator: Evaluator | None = None) -> Pair | None:
     """Least falsifying pair in the deterministic order, or None."""
-    ev = evaluator if evaluator is not None else Evaluator(m)
-    for p in pairs_in_order(m):
-        if not ev.satisfies(p, f):
-            return p
-    return None
+    return (evaluator or Evaluator(m)).first_pair(f, False)
 
 
 def model_valid(m: Model, f: Formula,

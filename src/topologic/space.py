@@ -47,7 +47,8 @@ def format_family(family: Iterable[PointSet],
 
 @dataclass(frozen=True)
 class SubsetSpace:
-    """A pair (X, opens) with X a finite point set and X itself open."""
+    """A pair (X, opens) with X a finite point set and X itself open;
+    `make_space` lists the opens in `sort_family` order."""
 
     point_names: tuple[str, ...]
     opens: tuple[PointSet, ...]
@@ -64,13 +65,11 @@ class SubsetSpace:
         except ValueError:
             raise SpaceError(f"unknown point {name!r}") from None
 
-    def subopens(self, U: PointSet) -> tuple[PointSet, ...]:
-        """The principal ideal of U: all opens contained in U."""
-        return tuple(V for V in self.opens if V <= U)
-
 
 def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetSpace:
     names = tuple(point_names)
+    if not names:
+        raise SpaceError("a space needs at least one point")
     if len(set(names)) != len(names):
         raise SpaceError("duplicate point names")
     n = len(names)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import topologic as t
+from topologic.formula import And, Atom, Bot, Box, Knows, Not, Top
 from topologic.space import set_key
 
 F = frozenset
@@ -47,3 +48,51 @@ def enumerate_closed_families(n: int) -> list[tuple[frozenset, ...]]:
             if all(a & b in fam and a | b in fam for a in fam for b in fam):
                 out.append(t.sort_family(fam))
     return sorted(out, key=lambda fam: tuple(set_key(U) for U in fam))
+
+
+class ReferenceEvaluator:
+    """The recursive evaluator, memoized per (subformula, open): the oracle
+    that `t.Evaluator` must agree with."""
+
+    def __init__(self, m: t.Model):
+        self.model = m
+        self._ext = {}
+
+    def extension(self, U, f):
+        key = (f, U)
+        cached = self._ext.get(key)
+        if cached is not None:
+            return cached
+        match f:
+            case Top():
+                result = U
+            case Bot():
+                result = F()
+            case Atom(name):
+                result = self.model.atom_set(name) & U
+            case Not(x):
+                result = U - self.extension(U, x)
+            case And(a, b):
+                result = self.extension(U, a) & self.extension(U, b)
+            case Knows(x):
+                result = U if self.extension(U, x) == U else F()
+            case Box(x):
+                bad = F()
+                for V in self.model.space.opens:
+                    if V <= U:
+                        bad |= V - self.extension(V, x)
+                result = U - bad
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+        self._ext[key] = result
+        return result
+
+    def satisfies(self, p, f):
+        return p.point in self.extension(p.open, f)
+
+    def find_counterexample(self, f):
+        """Least falsifying pair in `pairs_in_order`, or None."""
+        for p in t.pairs_in_order(self.model):
+            if not self.satisfies(p, f):
+                return p
+        return None

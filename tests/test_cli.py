@@ -60,6 +60,14 @@ def test_check_parse_error(m0_file, capsys):
     assert main(["check", m0_file, "(A & B"]) == 2
 
 
+def test_check_deep_nesting(m0_file, capsys):
+    assert main(["check", m0_file, "(" * 300 + "A" + ")" * 300]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    # Evaluation recurses nowhere: A behind 600 negations fails at x1.
+    assert main(["check", m0_file, "~" * 600 + "A"]) == 1
+    assert capsys.readouterr().out.startswith("counterexample: point x1")
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent.json", "A"]) == 2
 
@@ -176,6 +184,7 @@ def test_axioms_non_topology_violations(non_topology_file, capsys):
     ["check", "VALUATION_NAME_LIST", "A"],
     ["check", "DIRECTORY", "A"],
     ["check", "BINARY", "A"],
+    ["check", "NO_POINTS", "A"],
 ])
 def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
     """Bad numbers, vacuous requests and malformed files exit 2."""
@@ -187,6 +196,8 @@ def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
         "OPEN_NAME_DICT": json.dumps({**M0_DOC, "opens": [[{"a": 1}]]}),
         "VALUATION_NAME_LIST": json.dumps({**M0_DOC,
                                            "valuation": {"A": [["x0"]]}}),
+        "NO_POINTS": json.dumps({"points": [], "opens": [[]],
+                                 "valuation": {"A": []}}),
     }
     files = {"M0": m0_file, "DIRECTORY": str(tmp_path)}
     for key, text in texts.items():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import topologic as t
-from conftest import enumerate_closed_families
+from conftest import ReferenceEvaluator, enumerate_closed_families
 from topologic.decide import _BOUNDARY_SUBSTITUTIONS
 
 F = frozenset
@@ -104,7 +104,7 @@ def _reference_search(f, b, holds):
         for space in t.enumerate_topologies(n):
             for val in t.enumerate_valuations(n, names):
                 m = t.make_model(space, val)
-                ev = t.Evaluator(m)
+                ev = ReferenceEvaluator(m)
                 for p in t.pairs_in_order(m):
                     if ev.satisfies(p, f) == holds:
                         return m, p
@@ -119,7 +119,7 @@ def _reference_boundary(scheme_id, b, max_opens):
                 names = sorted(t.atoms(instance))
                 for val in t.enumerate_valuations(n, names):
                     m = t.make_model(space, val)
-                    counter = t.find_counterexample(m, instance)
+                    counter = ReferenceEvaluator(m).find_counterexample(instance)
                     if counter is not None:
                         return m, instance, counter
     return None

@@ -3,8 +3,8 @@ import random
 import pytest
 
 import topologic as t
-from topologic import Atom, Knows, Pair
-from conftest import random_model
+from topologic import Atom, Box, Knows, Not, Pair
+from conftest import ReferenceEvaluator, random_model
 
 F = frozenset
 X = F({0, 1, 2})
@@ -39,6 +39,57 @@ def test_extension(m0):
     assert t.extension(m0, X, t.parse("A")) == F({0})
     assert t.extension(m0, X, t.parse("K A")) == F()
     assert t.extension(m0, F({0}), t.parse("K A")) == F({0})
+
+
+def test_extension_rejects_non_open(m0):
+    with pytest.raises(t.SpaceError):
+        t.Evaluator(m0).extension(F({1}), t.parse("A"))
+
+
+def test_satisfies_rejects_non_open(m0):
+    with pytest.raises(t.SpaceError):
+        t.Evaluator(m0).satisfies(Pair(1, F({1, 2})), t.parse("A"))
+
+
+def test_evaluator_matches_reference():
+    """Every (subformula, open) cell, and the least falsifying and satisfying
+    pairs, agree with the recursive evaluator on all topologies up to 3
+    points and on the non-topologies the boundary search scans."""
+    rng = random.Random(31)
+    spaces = [s for n in (1, 2, 3) for s in t.enumerate_topologies(n)]
+    spaces += t.enumerate_subset_spaces(3, 4)
+    for space in spaces:
+        n = len(space.point_names)
+        for _ in range(2):
+            val = {a: F(i for i in range(n) if rng.random() < 0.5)
+                   for a in ("A", "B")}
+            m = t.make_model(space, val)
+            # One evaluator per model, so formulas share rows as in a sweep.
+            ev, ref = t.Evaluator(m), ReferenceEvaluator(m)
+            for _ in range(3):
+                f = t.random_formula(rng, ["A", "B"], 4)
+                for g in t.subformulas(f):
+                    for U in m.space.opens:
+                        assert ev.extension(U, g) == ref.extension(U, g)
+                assert t.find_counterexample(m, f, ev) == ref.find_counterexample(f)
+                assert ev.first_pair(f, True) == next(
+                    (p for p in t.pairs_in_order(m) if ref.satisfies(p, f)), None)
+
+
+@pytest.mark.parametrize("blocks", [1666, 1667])
+def test_deep_chain_closed_form(m0, blocks):
+    # Point 0 carries A and lies in every nonempty open of m0, so [] K ~
+    # sends A to the empty extension, the empty one to the whole open, and
+    # the whole open back to the empty one: 3 * blocks operators deep, the
+    # chain holds nowhere for odd blocks and everywhere for even ones.
+    f = Atom("A")
+    for _ in range(blocks):
+        f = Box(Knows(Not(f)))
+    ev = t.Evaluator(m0)
+    odd = blocks % 2 == 1
+    for U in m0.space.opens:
+        assert ev.extension(U, f) == (F() if odd else U)
+    assert t.find_counterexample(m0, f, ev) == (Pair(0, X) if odd else None)
 
 
 def test_model_valid_axiom7_instance(m0):
