@@ -80,23 +80,22 @@ def cmd_split(args) -> int:
     table = build_splitting(m, f)
     names = m.space.point_names
     ev = Evaluator(m)
+    text = {psi: print_formula(psi) for psi in table.order}
     all_stable = True
     for psi in table.order:
         sp = table.splittings[psi]
-        print(f"subformula: {print_formula(psi)}")
+        print(f"subformula: {text[psi]}")
         print(f"  family: {format_family(sp.family, names)}")
         part = partition(sp)
         subs = set(subformulas(psi))
+        inner = [phi for phi in table.order if phi in subs]
         for rep in sort_family(part.blocks):
             block = part.blocks[rep]
             verdicts = []
-            for phi in table.order:
-                if phi not in subs:
-                    continue
+            for phi in inner:
                 ok = is_stable(m, block, phi, ev)
                 all_stable = all_stable and ok
-                verdicts.append(f"{print_formula(phi)}: "
-                                f"{'stable' if ok else 'UNSTABLE'}")
+                verdicts.append(f"{text[phi]}: {'stable' if ok else 'UNSTABLE'}")
             ext = table.extensions[psi][rep]
             print(f"  block of {format_set(rep, names)}: "
                   f"{format_family(block, names)}")

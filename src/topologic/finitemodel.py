@@ -98,9 +98,10 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     ev_b = Evaluator(mb)
     for f in formulas:
         for U in mb.space.opens:
-            differ = ev_t.extension(U, f) ^ ev_b.extension(U, f)
+            differ = ev_t.mask(U, f) ^ ev_b.mask(U, f)
             if differ:
-                return BasisCounterexample(f, Pair(min(differ), U))
+                least = (differ & -differ).bit_length() - 1
+                return BasisCounterexample(f, Pair(least, U))
         if model_valid(m, f, ev_t) != model_valid(mb, f, ev_b):
             return BasisCounterexample(f, None)
     return None

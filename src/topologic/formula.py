@@ -1,66 +1,94 @@
 """Bimodal formulas: knowledge `K` and effort `[]` over a propositional base.
 
 The core AST has exactly seven constructors: Atom, Top, Bot, Not, And,
-Knows, Box.  The surface syntax additionally offers `|`, `->`, `L` and
-`<>`, all of which desugar at parse time:
+Knows, Box.  They take positional arguments and intern their nodes: equal
+formulas are the same object, so `==` and `hash` are identity and never
+recurse.  The surface syntax additionally offers `|`, `->`, `L` and `<>`,
+all of which desugar at parse time:
 
     L p    ==  ~K~p
     <> p   ==  ~[]~p
     p | q  ==  ~(~p & ~q)
     p -> q ==  ~(p & ~q)
 
-The printer re-sugars these patterns, so parse(print_formula(f)) == f.
+The printer re-sugars these patterns, so parse(print_formula(f)) is f.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Container, Iterator
+from weakref import KeyedRef
+
+# Interned nodes by constructor and operands.  A key holds only what its node
+# holds, and its entry goes when the node does.
+_nodes: dict[tuple, KeyedRef] = {}
+
+
+def _drop(ref: KeyedRef, nodes: dict[tuple, KeyedRef] = _nodes) -> None:
+    # The key may already name a newer node whose ref must stay.
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 class Formula:
-    """Base class for the seven core constructors."""
+    """Base of the seven core constructors.  Nodes are interned and
+    immutable, equality is identity, and operands are positional."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *operands):
+        key = (cls, *operands)  # operand formulas hash and compare by id
+        ref = _nodes.get(key)
+        node = ref and ref()
+        if node is None:
+            fields = cls.__match_args__
+            if len(operands) != len(fields):
+                raise TypeError(f"{cls.__name__} takes {len(fields)} operand(s)")
+            node = object.__new__(cls)
+            for field, value in zip(fields, operands):
+                object.__setattr__(node, field, value)
+            _nodes[key] = KeyedRef(node, _drop, key)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        args = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
+        return f"{type(self).__name__}({args})"
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Knows(Formula):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
 class Box(Formula):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
 
 TOP = Top()
@@ -263,46 +291,30 @@ def print_formula(f: Formula) -> str:
     return _fmt(f, 0)
 
 
-def walk(f: Formula) -> list[tuple[Formula, tuple[int, ...]]]:
-    """The distinct subformulas of f in post-order, f itself last, each with
-    the positions of its operands in the returned list.
-
-    A compound subformula is matched by its constructor and the positions of
-    its operands, so no deep formula is hashed or recursed into.
-    """
-    out: list[tuple[Formula, tuple[int, ...]]] = []
-    position: dict[object, int] = {}
-    done: list[int] = []  # positions of finished operands
-    expanded = object()  # on the stack: the node below has its operands done
-    todo: list[object] = [f]
+def post_order(f: Formula, done: Container[Formula]) -> Iterator[Formula]:
+    """The subformulas of f not in done, each after its operands, f last.
+    The caller adds each yielded node to done before drawing the next, so
+    shared subformulas are yielded once."""
+    todo = [f]
     while todo:
         g = todo.pop()
+        if g in done:
+            continue
         t = type(g)
-        if g is expanded:
-            g = todo.pop()
-            ops: tuple[int, ...] = (done.pop(),)
-            if type(g) is And:
-                ops = (done.pop(), ops[0])
-            key: object = (type(g), ops)
-        elif t is And:
-            todo += [g, expanded, g.right, g.left]
-            continue
-        elif t is Not or t is Knows or t is Box:
-            todo += [g, expanded, g.arg]
-            continue
+        if t is And and (g.left not in done or g.right not in done):
+            todo += (g, g.right, g.left)  # g again once its operands are done
+        elif (t is Not or t is Knows or t is Box) and g.arg not in done:
+            todo += (g, g.arg)
         else:
-            ops, key = (), g  # a leaf's hash is shallow
-        pos = position.get(key)
-        if pos is None:
-            pos = position[key] = len(out)
-            out.append((g, ops))
-        done.append(pos)
-    return out
+            yield g
 
 
 def subformulas(f: Formula) -> list[Formula]:
     """All subformulas in post-order, duplicates removed, f itself last."""
-    return [g for g, _ in walk(f)]
+    seen: dict[Formula, None] = {}  # insertion-ordered
+    for g in post_order(f, seen):
+        seen[g] = None
+    return list(seen)
 
 
 def atoms(f: Formula) -> set[str]:

@@ -15,7 +15,8 @@ from functools import reduce
 from operator import and_, or_, xor
 from typing import Iterator
 
-from .formula import And, Atom, Bot, Box, Formula, Implies, Knows, Not, Top, walk
+from .formula import (And, Atom, Bot, Box, Diamond, Formula, Implies, Knows, L,
+                      Not, Top, post_order)
 from .space import InternalError, Model, PointSet, SpaceError
 
 
@@ -45,9 +46,9 @@ def pairs_in_order(m: Model) -> Iterator[Pair]:
 class Evaluator:
     """Extension table of one model, shared by every formula it evaluates.
 
-    Row r holds, at index i, the mask of the points of open i that satisfy
-    the subformula of row r there.  Rows are interned by constructor and
-    operand rows, so equal subformulas of different formulas share a row.
+    Each distinct subformula has one row: at index i, the mask of the points
+    of open i that satisfy it there.  Formulas are interned, so rows are
+    keyed by node and equal subformulas of different formulas share a row.
     """
 
     def __init__(self, m: Model):
@@ -55,65 +56,51 @@ class Evaluator:
         self._index = {U: i for i, U in enumerate(m.space.opens)}
         self._masks = [sum(1 << x for x in U) for U in m.space.opens]
         self._below: list[list[int]] | None = None  # sub-open indices per open
-        self._rows: list[list[int]] = []
-        self._interned: dict[object, int] = {}
-        self._compiled: dict[int, tuple[Formula, list[int]]] = {}
+        self._rows: dict[Formula, list[int]] = {}
 
     def _row(self, f: Formula) -> list[int]:
-        # Keyed by id; the entry keeps f alive, so the id is never reused.
-        hit = self._compiled.get(id(f))
-        if hit is not None:
-            return hit[1]
-        masks, rows, interned = self._masks, self._rows, self._interned
-        ids: list[int] = []
-        for g, ops in walk(f):
+        rows, masks = self._rows, self._masks
+        for g in post_order(f, rows):
             t = type(g)
-            # A unary node's key repeats its operand's row id.
-            key = (t, ids[ops[0]], ids[ops[-1]]) if ops else g
-            rid = interned.get(key)
-            if rid is None:
-                r = rows[key[1]] if ops else masks
-                if t is Not:
-                    row = list(map(xor, masks, r))
-                elif t is And:
-                    row = list(map(and_, r, rows[key[2]]))
-                elif t is Knows:
-                    row = [u if a == u else 0 for u, a in zip(masks, r)]
-                elif t is Box:
-                    if self._below is None:
-                        self._below = [[j for j, v in enumerate(masks)
-                                        if v & ~u == 0] for u in masks]
-                    # miss[j]: the points of open j at which the operand fails.
-                    miss = list(map(xor, masks, r))
-                    row = [u & ~reduce(or_, [miss[j] for j in js])
-                           for u, js in zip(masks, self._below)]
-                elif t is Atom:
-                    a = sum(1 << x for x in self.model.atom_set(g.name))
-                    row = [u & a for u in masks]
-                elif t is Top:
-                    row = masks
-                elif t is Bot:
-                    row = [0] * len(masks)
-                else:
-                    raise TypeError(f"not a formula: {g!r}")
-                rid = interned[key] = len(rows)
-                rows.append(row)
-            ids.append(rid)
-        row = rows[ids[-1]]
-        self._compiled[id(f)] = (f, row)
-        return row
+            if t is Not:
+                row = list(map(xor, masks, rows[g.arg]))
+            elif t is And:
+                row = list(map(and_, rows[g.left], rows[g.right]))
+            elif t is Knows:
+                row = [u if a == u else 0 for u, a in zip(masks, rows[g.arg])]
+            elif t is Box:
+                if self._below is None:
+                    self._below = [[j for j, v in enumerate(masks)
+                                    if v & ~u == 0] for u in masks]
+                # miss[j]: the points of open j at which the operand fails.
+                miss = list(map(xor, masks, rows[g.arg]))
+                row = [u & ~reduce(or_, [miss[j] for j in js])
+                       for u, js in zip(masks, self._below)]
+            elif t is Atom:
+                a = sum(1 << x for x in self.model.atom_set(g.name))
+                row = [u & a for u in masks]
+            elif t is Top:
+                row = masks
+            elif t is Bot:
+                row = [0] * len(masks)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            rows[g] = row
+        return rows[f]
 
-    def extension(self, U: PointSet, f: Formula) -> PointSet:
+    def mask(self, U: PointSet, f: Formula) -> int:
+        """The points of the open U that satisfy f at U, as a bitmask."""
         i = self._index.get(U)
         if i is None:
             raise SpaceError(f"{sorted(U)} is not an open of the space")
-        bits = self._row(f)[i]
-        if bits == self._masks[i]:
-            return U
+        return (self._rows.get(f) or self._row(f))[i]  # rows are never empty
+
+    def extension(self, U: PointSet, f: Formula) -> PointSet:
+        bits = self.mask(U, f)
         return frozenset(x for x in U if bits >> x & 1)
 
     def satisfies(self, p: Pair, f: Formula) -> bool:
-        return p.point in self.extension(p.open, f)
+        return bool(self.mask(p.open, f) >> p.point & 1)
 
     def first_pair(self, f: Formula, holds: bool) -> Pair | None:
         """The least pair in `pairs_in_order` at which the truth of f
@@ -176,8 +163,6 @@ def instantiate_axiom(scheme_id: int, substitution: dict[str, Formula]) -> Formu
     Scheme 2 is stated for atomic formulas only and rejects any other
     substitution for phi.
     """
-    from .formula import Diamond, L
-
     if scheme_id not in AXIOM_METAVARS:
         raise SchemeError(f"unknown axiom scheme {scheme_id}")
     missing = [v for v in AXIOM_METAVARS[scheme_id] if v not in substitution]

@@ -99,12 +99,12 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
     """True iff f's truth at each point is constant over the block members
     containing that point."""
     ev = evaluator if evaluator is not None else Evaluator(m)
-    members = list(block)
-    for x in m.space.universe:
-        verdicts = {x in ev.extension(V, f) for V in members if x in V}
-        if len(verdicts) > 1:
-            return False
-    return True
+    not_f = Not(f)
+    sat = fail = 0  # points where f holds, and fails, at some member
+    for V in block:
+        sat |= ev.mask(V, f)
+        fail |= ev.mask(V, not_f)
+    return not sat & fail
 
 
 @dataclass
@@ -152,7 +152,7 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
                 sub = splittings[x]
                 extra = []
                 for U in sub.family:
-                    W = interior(s, ev.extension(U, x))
+                    W = interior(s, extensions[x][U])
                     if W in remainder(sub, U):
                         extra.append(W)
                 family = close_under_intersection(set(sub.family) | set(extra))

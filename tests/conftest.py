@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 import topologic as t
 from topologic.formula import And, Atom, Bot, Box, Knows, Not, Top
@@ -33,6 +34,21 @@ def random_model(rng: random.Random, n: int, atom_names=("A", "B")) -> t.Model:
     val = {a: frozenset(i for i in range(n) if rng.random() < 0.5)
            for a in atom_names}
     return t.make_model(space, val)
+
+
+def not_chain(depth: int, f=Atom("A")):
+    """f behind depth negations, built without recursion."""
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+# Formula text over the parser's token alphabet, plus a few stray
+# characters; concatenation also forms identifiers such as "KA".
+FORMULA_TEXT = st.lists(
+    st.sampled_from(["~", "&", "|", "->", "[]", "<>", "(", ")", "K", "L",
+                     "A", "B", "C", "top", "bot", " ", "-", "[", ">", "1"]),
+    max_size=40).map("".join)
 
 
 def enumerate_closed_families(n: int) -> list[tuple[frozenset, ...]]:

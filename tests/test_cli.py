@@ -1,5 +1,7 @@
 import ast
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import topologic as t
 from topologic import cli, finitemodel
 from topologic.cli import main
+from conftest import FORMULA_TEXT
 
 F = frozenset
 
@@ -83,6 +86,24 @@ def test_split_atom(m0_file, capsys):
     assert main(["split", m0_file, "A"]) == 0
     out = capsys.readouterr().out
     assert "family: {{}, {x0, x1, x2}}" in out
+
+
+def test_split_deep_chain(tmp_path, capsys):
+    # The report lists every sub-subformula per block, so its size grows
+    # with the cube of the depth; one point keeps it near 50 MB.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"points": ["x0"], "opens": [[], ["x0"]],
+                                "valuation": {"A": ["x0"]}}))
+    assert main(["split", str(path), "~" * 520 + "A"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("subformula: ") == 521
+    assert "UNSTABLE" not in out
+
+
+def test_quotient_deep_chain(m0_file, capsys):
+    assert main(["quotient", m0_file, "~" * 600 + "A"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("restricted family: {{}, {x0, x1, x2}}")
 
 
 def test_split_non_topology(non_topology_file, capsys):
@@ -235,6 +256,28 @@ def test_model_document_fuzz(doc):
         assert isinstance(t.model_from_document(doc), t.Model)
     except t.SpaceError:
         pass
+
+
+@pytest.fixture(scope="module")
+def m0_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m0.json"
+    path.write_text(json.dumps(M0_DOC))
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=FORMULA_TEXT)
+def test_check_fuzz(m0_path, text):
+    """Any formula text gives exit 0, 1 or 2 from check, never a
+    traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["check", m0_path, text])
+        except SystemExit as exc:  # argparse takes "->A" for an option
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert (code == 2) == bool(err.getvalue())
 
 
 def test_internal_error_exits_3(m0_file, monkeypatch, capsys):

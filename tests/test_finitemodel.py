@@ -4,7 +4,7 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import random_model
+from conftest import not_chain, random_model
 
 F = frozenset
 X = F({0, 1, 2})
@@ -145,6 +145,18 @@ def test_extract_finite_model_knows(m0):
         for x in sorted(U):
             p = Pair(x, U)
             assert ev.satisfies(p, f) == evq.satisfies(res.translate(p), f)
+
+
+def test_extract_finite_model_deep_chain(m0):
+    f = not_chain(600)
+    res = t.extract_finite_model(m0, f)
+    assert set(res.restricted_family) == {F(), X}
+    ev, evq = t.Evaluator(m0), t.Evaluator(res.model)
+    for U in res.restricted_family:
+        for x in sorted(U):
+            p = Pair(x, U)
+            for g in (f, f.arg):
+                assert ev.satisfies(p, g) == evq.satisfies(res.translate(p), g)
 
 
 def test_extract_finite_model_preserves_subformulas():

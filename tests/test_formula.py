@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import topologic as t
-from topologic import And, Atom, Bot, Box, Knows, Not, Top
+from topologic import And, Atom, Bot, Box, Knows, Not, Top, formula
+from conftest import FORMULA_TEXT, not_chain
 
 
 def test_parse_implication_desugars():
@@ -155,3 +158,73 @@ def test_atoms():
     assert t.atoms(t.parse("K A & L B")) == {"A", "B"}
     assert t.atoms(t.parse("top")) == set()
     assert t.atoms(t.parse("[] (A -> A)")) == {"A"}
+
+
+def test_equal_formulas_are_one_object():
+    f = And(Knows(Atom("A")), Not(Box(Atom("B"))))
+    assert And(Knows(Atom("A")), Not(Box(Atom("B")))) is f
+    assert t.parse("K A & ~[] B") is f
+    assert t.parse("A -> B") is t.Implies(Atom("A"), Atom("B"))
+    assert Top() is t.TOP and Bot() is t.BOT
+    assert Not(Atom("A")) is not Not(Atom("B"))
+
+
+def test_deep_chain_hash_eq_and_dict_key():
+    f, g = not_chain(5000), not_chain(5000)
+    assert f is g and f == g and hash(f) == hash(g)
+    assert f != f.arg and f != not_chain(4999, Atom("B"))
+    table = {f: 1, f.arg: 2}
+    assert table[g] == 1 and table[g.arg] == 2 and len(table) == 2
+
+
+def test_dropped_formula_is_freed():
+    f = Knows(Not(Atom("freed_probe")))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert Knows(Not(Atom("freed_probe"))).arg.arg.name == "freed_probe"
+
+
+def test_table_keeps_no_sweep_instance():
+    gc.collect()
+    before = len(formula._nodes)
+    t.axiom_soundness_sweep(t.SearchBound(1, ("A",)), [3, 12], 5, 0)
+    gc.collect()
+    assert len(formula._nodes) <= before
+
+
+def test_late_callback_keeps_newer_node():
+    # A callback that runs after a newer node took the key leaves it alone.
+    key = (Atom, "late_probe")
+    f = Atom("late_probe")
+    stale = formula._nodes[key]
+    del f
+    gc.collect()
+    g = Atom("late_probe")
+    formula._drop(stale)
+    assert formula._nodes[key]() is g
+    assert Atom("late_probe") is g
+
+
+def test_constructors_check_arity_and_stay_immutable():
+    with pytest.raises(TypeError):
+        Not()
+    with pytest.raises(TypeError):
+        And(Atom("A"))
+    with pytest.raises(AttributeError):
+        Not(Atom("A")).arg = Atom("B")
+    assert repr(And(Atom("A"), Top())) == "And(Atom('A'), Top())"
+
+
+@settings(max_examples=500, deadline=None)
+@given(FORMULA_TEXT)
+def test_parse_fuzz(text):
+    """Text over the token alphabet parses or raises ParseError, and a
+    parsed formula prints back to itself."""
+    try:
+        f = t.parse(text)
+    except t.ParseError:
+        return
+    assert isinstance(f, t.Formula)
+    assert t.parse(t.print_formula(f)) is f

@@ -4,7 +4,7 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import random_model
+from conftest import not_chain, random_model
 
 F = frozenset
 X = F({0, 1, 2})
@@ -263,3 +263,15 @@ def test_fast_satisfies_agrees_with_satisfies():
         for psi in t.subformulas(f):
             for p in t.pairs_in_order(m):
                 assert t.fast_satisfies(table, p, psi) == ev.satisfies(p, psi)
+
+
+def test_build_splitting_deep_chain(m0):
+    # Negation reuses its operand's splitting all the way up a 600-deep chain.
+    f = not_chain(600)
+    table = t.build_splitting(m0, f)
+    assert len(table.order) == 601 and table.order[-1] is f
+    atom = table.splittings[t.Atom("A")]
+    assert table.splittings[f].family == atom.family
+    assert table.extensions[f] == table.extensions[t.Atom("A")]
+    assert table.extensions[f.arg] == {U: U - ext for U, ext
+                                       in table.extensions[f].items()}
