@@ -55,6 +55,9 @@ class Formula:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):  # copies and pickles rebuild through the table
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
     def __repr__(self) -> str:
         args = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
         return f"{type(self).__name__}({args})"

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -164,6 +166,7 @@ def test_equal_formulas_are_one_object():
     f = And(Knows(Atom("A")), Not(Box(Atom("B"))))
     assert And(Knows(Atom("A")), Not(Box(Atom("B")))) is f
     assert t.parse("K A & ~[] B") is f
+    assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
     assert t.parse("A -> B") is t.Implies(Atom("A"), Atom("B"))
     assert Top() is t.TOP and Bot() is t.BOT
     assert Not(Atom("A")) is not Not(Atom("B"))
