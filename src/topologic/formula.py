@@ -1,10 +1,9 @@
 """Bimodal formulas: knowledge `K` and effort `[]` over a propositional base.
 
 The core AST has exactly seven constructors: Atom, Top, Bot, Not, And,
-Knows, Box.  They take positional arguments and intern their nodes: equal
-formulas are the same object, so `==` and `hash` are identity and never
-recurse.  The surface syntax additionally offers `|`, `->`, `L` and `<>`,
-all of which desugar at parse time:
+Knows, Box.  They take positional operands and intern their nodes, so equal
+formulas are one object and `==` and `hash` are identity, never recursive.
+The surface syntax also offers `|`, `->`, `L` and `<>`, desugared by parse:
 
     L p    ==  ~K~p
     <> p   ==  ~[]~p

@@ -99,10 +99,11 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
     """True iff f's truth at each point is constant over the block members
     containing that point."""
     ev = evaluator if evaluator is not None else Evaluator(m)
+    not_f = Not(f)
     sat = fail = 0  # points where f holds, and fails, at some member
     for V in block:
         sat |= ev.mask(V, f)
-        fail |= ev.mask(V, Not(f))
+        fail |= ev.mask(V, not_f)
     return not sat & fail
 
 
