@@ -79,7 +79,6 @@ def cmd_split(args) -> int:
     f = _parse_formula(m, args.formula)
     table = build_splitting(m, f)
     names = m.space.point_names
-    ev = Evaluator(m)
     text = {psi: print_formula(psi) for psi in table.order}
     all_stable = True
     for psi in table.order:
@@ -93,7 +92,7 @@ def cmd_split(args) -> int:
             block = part.blocks[rep]
             verdicts = []
             for phi in inner:
-                ok = is_stable(m, block, phi, ev)
+                ok = is_stable(m, block, phi, table.evaluator)
                 all_stable = all_stable and ok
                 verdicts.append(f"{text[phi]}: {'stable' if ok else 'UNSTABLE'}")
             ext = table.extensions[psi][rep]

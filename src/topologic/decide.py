@@ -16,15 +16,17 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
-from .semantics import (AXIOM_METAVARS, Evaluator, Pair, find_counterexample,
-                        instantiate_axiom)
+from .semantics import AXIOM_METAVARS, Evaluator, Pair, instantiate_axiom
 from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
                     make_space, set_key)
 
 HARD_POINT_CAP = 4
+# Valuations per evaluator pass; a row then spans at most this many lanes.
+LANE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -114,27 +116,85 @@ def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
 
 def enumerate_valuations(n: int, atom_names: Sequence[str]
                          ) -> Iterator[dict[str, PointSet]]:
+    """Every valuation of the atoms on n points.
+
+    The v-th valuation is lane v of the search's evaluators: written in
+    base 2**n, v has one digit per atom, the first atom's most significant,
+    and each digit indexes the subsets in cardinality-then-members order.
+    """
     subsets = _subsets_in_order(n)
     for choice in itertools.product(subsets, repeat=len(atom_names)):
         yield dict(zip(atom_names, choice))
 
 
-def _models(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
-            ) -> Iterator[Model]:
-    """Every model over the spaces, valuations in order within each space."""
+def _lane_model(space: SubsetSpace, atom_names: Sequence[str], v: int
+                ) -> Model:
+    """The model of the space under the v-th valuation of
+    `enumerate_valuations`."""
+    n, k = len(space.point_names), len(atom_names)
+    subsets = _subsets_in_order(n)
+    return make_model(space, {a: subsets[v >> n * (k - 1 - i) & (1 << n) - 1]
+                              for i, a in enumerate(atom_names)})
+
+
+def _ones(count: int, step: int) -> int:
+    """count set bits, step bits apart, from bit 0."""
+    return ((1 << count * step) - 1) // ((1 << step) - 1)
+
+
+@lru_cache(maxsize=64)
+def _atom_rows(n: int, k: int, lo: int, count: int) -> tuple[int, ...]:
+    """The rows of k atoms over the lanes lo, ..., lo + count - 1 on n
+    points.
+
+    From bit (v - lo)*(n+1), row i holds the set that the v-th valuation
+    gives the i-th atom.  Its subset index, a digit of v, stays put for
+    `run` lanes and cycles through all 2**n subsets every `period` lanes,
+    so a row is at most 2**n + 1 runs, then copies of that period.
+    """
+    w = n + 1
+    subsets = [sum(1 << x for x in s) for s in _subsets_in_order(n)]
+    rows = []
+    for i in range(k):
+        run = 1 << n * (k - 1 - i)
+        period = run << n
+        end = lo + min(count, period)
+        row, v = 0, lo
+        while v < end:
+            stop = min(end, (v // run + 1) * run)
+            row |= subsets[v // run % (1 << n)] * _ones(stop - v, w) << (
+                v - lo) * w
+            v = stop
+        if period < count:
+            row = (row * _ones(-(-count // period), period * w)
+                   & (1 << count * w) - 1)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
+                  ) -> Iterator[tuple[SubsetSpace, int, int, Evaluator]]:
+    """(space, first lane, lane count, evaluator) per pass over the models
+    on the spaces, in space order and then lane order, at most LANE_CAP
+    lanes per pass."""
+    k = len(atom_names)
     for space in spaces:
-        for val in enumerate_valuations(len(space.point_names), atom_names):
-            yield make_model(space, val)
+        n = len(space.point_names)
+        total = 1 << n * k
+        for lo in range(0, total, LANE_CAP):
+            count = min(LANE_CAP, total - lo)
+            rows = dict(zip(atom_names, _atom_rows(n, k, lo, count)))
+            yield space, lo, count, Evaluator(space, count, rows)
 
 
-def _first_hit(models: Iterable[Model], f: Formula, holds: bool
-               ) -> tuple[Model, Pair] | None:
-    """The least (model, pair), pairs in `pairs_in_order`, at which the
+def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
+               f: Formula, holds: bool) -> tuple[Model, Pair] | None:
+    """The least (model, pair), models by space and then valuation in
+    `enumerate_valuations` order, pairs in `pairs_in_order`, at which the
     truth of f equals holds; None if there is none."""
-    for m in models:
-        p = Evaluator(m).first_pair(f, holds)
-        if p is not None:
-            return m, p
+    for space, lo, _, ev in _space_passes(spaces, atom_names):
+        for lane, pair in ev.hits(f, holds):
+            return _lane_model(space, atom_names, lo + lane), pair
     return None
 
 
@@ -148,7 +208,7 @@ def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
                          f"the search bound atoms {list(b.atoms)}")
     spaces = (space for n in range(1, b.max_points + 1)
               for space in enumerate_topologies(n))
-    hit = _first_hit(_models(spaces, sorted(set(b.atoms))), f, holds)
+    hit = _first_hit(spaces, sorted(set(b.atoms)), f, holds)
     return Verdict(no_hit_kind) if hit is None else Verdict(hit_kind, *hit)
 
 
@@ -227,20 +287,24 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
                                                 substitution_depth)
             instances.append((scheme_id, instantiate_axiom(scheme_id, subst)))
     if spaces is None:
-        spaces = [s for n in range(1, b.max_points + 1)
-                  for s in enumerate_topologies(n)]
-    else:
-        spaces = list(spaces)
+        spaces = (s for n in range(1, b.max_points + 1)
+                  for s in enumerate_topologies(n))
     checked = {sid: 0 for sid in scheme_ids}
     violations: list[SchemeViolation] = []
-    for m in _models(spaces, atom_names):
-        ev = Evaluator(m)
-        for scheme_id, instance in instances:
-            checked[scheme_id] += 1
-            counter = find_counterexample(m, instance, ev)
-            if counter is not None:
-                violations.append(
-                    SchemeViolation(scheme_id, instance, m, counter))
+    for space, lo, count, ev in _space_passes(spaces, atom_names):
+        found = sorted(((lane, j, pair)
+                        for j, (_, instance) in enumerate(instances)
+                        for lane, pair in ev.hits(instance, False)),
+                       key=lambda hit: hit[:2])
+        models: dict[int, Model] = {}
+        for lane, j, pair in found:
+            if lane not in models:
+                models[lane] = _lane_model(space, atom_names, lo + lane)
+            scheme_id, instance = instances[j]
+            violations.append(
+                SchemeViolation(scheme_id, instance, models[lane], pair))
+        for scheme_id, _ in instances:
+            checked[scheme_id] += count
     return SweepReport(checked, violations)
 
 
@@ -272,7 +336,7 @@ def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
     for n in range(1, b.max_points + 1):
         for space in enumerate_subset_spaces(n, max_opens):
             for instance, names in zip(instances, atom_names):
-                hit = _first_hit(_models([space], names), instance, False)
+                hit = _first_hit([space], names, instance, False)
                 if hit is not None:
                     return hit[0], instance, hit[1]
     return None

@@ -6,6 +6,16 @@ below the current one that still contain the current point.
 
 Evaluation labels each distinct subformula with one row of int bitmasks,
 its extension at every open, filled bottom up from its operands' rows.
+
+A row can carry many valuations of one space side by side, one lane each.
+With n points a lane is n + 1 bits wide: bit v*(n+1) + x is point x under
+valuation v, and the top bit of each lane is a guard that stays 0.  The
+opens' masks repeat in every lane, so `~`, `&` and `[]` are the one-lane
+bit operations unchanged, and an atom's row holds its set in each lane.
+`K` must test a whole lane: with a = the operand's row and u = the open's,
+adding 2**n - 1 per lane to u ^ a carries into a lane's guard bit exactly
+when a misses a point of u there, and subtracting the carries shifted
+down by n gives the mask of those lanes' points, which K clears.
 """
 
 from __future__ import annotations
@@ -13,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_, xor
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .formula import (And, Atom, Bot, Box, Diamond, Formula, Implies, Knows, L,
                       Not, Top, post_order)
-from .space import InternalError, Model, PointSet, SpaceError
+from .space import InternalError, Model, PointSet, SpaceError, SubsetSpace
 
 
 @dataclass(frozen=True)
@@ -44,17 +54,34 @@ def pairs_in_order(m: Model) -> Iterator[Pair]:
 
 
 class Evaluator:
-    """Extension table of one model, shared by every formula it evaluates.
+    """Extension table of one model, or of many valuations of one space,
+    shared by every formula it evaluates.
 
     Each distinct subformula has one row: at index i, the mask of the points
-    of open i that satisfy it there.  Formulas are interned, so rows are
-    keyed by node and equal subformulas of different formulas share a row.
+    of open i that satisfy it there, in every lane.  Formulas are interned,
+    so rows are keyed by node and equal subformulas of different formulas
+    share a row.
+
+    `Evaluator(m)` has one lane, valued by the model m.  `Evaluator(space,
+    lanes, atoms)` has `lanes` lanes over the space, and atoms[a] is atom
+    a's row: bit v*(n+1) + x is set when x is in a's set under lane v.
+    `mask` returns every lane; `extension` and `satisfies` read lane 0.
     """
 
-    def __init__(self, m: Model):
-        self.model = m
-        self._index = {U: i for i, U in enumerate(m.space.opens)}
-        self._masks = [sum(1 << x for x in U) for U in m.space.opens]
+    def __init__(self, m: Model | SubsetSpace, lanes: int = 1,
+                 atoms: Mapping[str, int] | None = None):
+        if atoms is None:
+            space = m.space
+            atoms = {a: sum(1 << x for x in s) for a, s in m.valuation.items()}
+        else:
+            space = m
+        self.space, self._atoms = space, atoms
+        n = len(space.point_names)
+        self._width = w = n + 1
+        ones = ((1 << lanes * w) - 1) // ((1 << w) - 1)  # bit 0 of each lane
+        self._fill, self._guard = ones * ((1 << n) - 1), ones << n
+        self._index = {U: i for i, U in enumerate(space.opens)}
+        self._masks = [sum(1 << x for x in U) * ones for U in space.opens]
         self._below: list[list[int]] | None = None  # sub-open indices per open
         self._rows: dict[Formula, list[int]] = {}
 
@@ -67,7 +94,13 @@ class Evaluator:
             elif t is And:
                 row = list(map(and_, rows[g.left], rows[g.right]))
             elif t is Knows:
-                row = [u if a == u else 0 for u, a in zip(masks, rows[g.arg])]
+                # A lane's guard bit in (u ^ a) + fill is set iff a misses a
+                # point of u; k - (k >> n) covers the points of those lanes.
+                fill, guard, n = self._fill, self._guard, self._width - 1
+                row = []
+                for u, a in zip(masks, rows[g.arg]):
+                    k = ((u ^ a) + fill) & guard
+                    row.append(u & ~(k - (k >> n)))
             elif t is Box:
                 if self._below is None:
                     self._below = [[j for j, v in enumerate(masks)
@@ -77,7 +110,9 @@ class Evaluator:
                 row = [u & ~reduce(or_, [miss[j] for j in js])
                        for u, js in zip(masks, self._below)]
             elif t is Atom:
-                a = sum(1 << x for x in self.model.atom_set(g.name))
+                a = self._atoms.get(g.name)
+                if a is None:
+                    raise SpaceError(f"unknown atom {g.name!r}")
                 row = [u & a for u in masks]
             elif t is Top:
                 row = masks
@@ -102,14 +137,31 @@ class Evaluator:
     def satisfies(self, p: Pair, f: Formula) -> bool:
         return bool(self.mask(p.open, f) >> p.point & 1)
 
+    def hits(self, f: Formula, holds: bool) -> Iterator[tuple[int, Pair]]:
+        """Each lane in which the truth of f equals holds at some pair,
+        ascending, with the least such pair in `pairs_in_order`."""
+        row, masks, opens = self._row(f), self._masks, self.space.opens
+        order = sorted(range(len(opens)), key=lambda i: -len(opens[i]))
+        found = [row[i] if holds else masks[i] ^ row[i] for i in order]
+        w = self._width
+        points = (1 << w - 1) - 1
+        left, base = reduce(or_, found), 0  # bit 0 of `left` is lane `base`
+        while left:
+            lane = base + ((left & -left).bit_length() - 1) // w
+            shift = lane * w
+            for i, bits in zip(order, found):
+                bits = bits >> shift & points
+                if bits:
+                    yield lane, Pair((bits & -bits).bit_length() - 1, opens[i])
+                    break
+            left >>= (lane + 1 - base) * w
+            base = lane + 1
+
     def first_pair(self, f: Formula, holds: bool) -> Pair | None:
         """The least pair in `pairs_in_order` at which the truth of f
-        equals holds, or None."""
-        row, masks, opens = self._row(f), self._masks, self.model.space.opens
-        for i in sorted(range(len(opens)), key=lambda i: -len(opens[i])):
-            bits = row[i] if holds else masks[i] ^ row[i]
-            if bits:
-                return Pair((bits & -bits).bit_length() - 1, opens[i])
+        equals holds, in the least lane that has one, or None."""
+        for _, p in self.hits(f, holds):
+            return p
         return None
 
 

@@ -109,11 +109,13 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
 
 @dataclass
 class SplittingTable:
-    """Per-subformula stable splittings and recorded extensions."""
+    """Per-subformula stable splittings and recorded extensions, with the
+    model's evaluator that computed them."""
 
     order: tuple[Formula, ...]
     splittings: dict[Formula, Splitting]
     extensions: dict[Formula, dict[PointSet, PointSet]]
+    evaluator: Evaluator
 
     def splitting_for(self, psi: Formula) -> Splitting:
         try:
@@ -166,7 +168,7 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
         # Sorted opens, intersection-closed by construction: no check needed.
         splittings[psi] = Splitting(family, s)
         extensions[psi] = {U: ev.extension(U, psi) for U in family}
-    return SplittingTable(order, splittings, extensions)
+    return SplittingTable(order, splittings, extensions, ev)
 
 
 def fast_satisfies(table: SplittingTable, p: Pair, psi: Formula) -> bool:

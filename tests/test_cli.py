@@ -75,11 +75,17 @@ def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent.json", "A"]) == 2
 
 
-def test_split_knows(m0_file, capsys):
+def test_split_knows(m0_file, capsys, monkeypatch):
+    built = []
+    init = t.Evaluator.__init__
+    monkeypatch.setattr(t.Evaluator, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
     assert main(["split", m0_file, "K A"]) == 0
     out = capsys.readouterr().out
     assert "K A" in out
     assert "stable" in out and "UNSTABLE" not in out
+    # The stability checks read the evaluator that built the splittings.
+    assert len(built) == 1
 
 
 def test_split_atom(m0_file, capsys):

@@ -131,6 +131,10 @@ def _reference_boundary(scheme_id, b, max_opens):
     ("K A -> A", t.SearchBound(3, ("A",))),
     ("<> [] A & ~[] A", t.SearchBound(3, ("A",))),
     ("L A & L B & ~L (A & B)", t.SearchBound(2, ("B", "A"))),
+    # A, B and C at three different points of one open: at 3 points only,
+    # in a lane where all three atoms' digits are nonzero.
+    ("L A & L B & L C & ~L (A & B) & ~L (B & C) & ~L (A & C)",
+     t.SearchBound(3, ("C", "A", "B"))),
 ])
 def test_witness_order_matches_reference(text, bound):
     f = t.parse(text)
@@ -147,6 +151,51 @@ def test_witness_order_matches_reference(text, bound):
 def test_boundary_order_matches_reference(scheme_id, bound, max_opens):
     assert (t.find_subset_space_countermodel(scheme_id, bound, max_opens)
             == _reference_boundary(scheme_id, bound, max_opens))
+
+
+def _reference_sweep(b, scheme_ids, trials, seed, spaces):
+    """The sweep as a loop over models, one `ReferenceEvaluator` each,
+    drawing the same random instances."""
+    rng = random.Random(seed)
+    atom_names = list(b.atoms) or ["A"]
+    instances = []
+    for sid in scheme_ids:
+        for _ in range(trials):
+            subst = {var: t.Atom(rng.choice(atom_names)) if sid == 2
+                     else t.random_formula(rng, atom_names, 2)
+                     for var in t.semantics.AXIOM_METAVARS[sid]}
+            instances.append((sid, t.instantiate_axiom(sid, subst)))
+    checked = {sid: 0 for sid in scheme_ids}
+    violations = []
+    for space in spaces:
+        for val in t.enumerate_valuations(len(space.point_names), atom_names):
+            m = t.make_model(space, val)
+            ev = ReferenceEvaluator(m)
+            for sid, instance in instances:
+                checked[sid] += 1
+                counter = ev.find_counterexample(instance)
+                if counter is not None:
+                    violations.append((sid, instance, m, counter))
+    return checked, violations
+
+
+def test_sweep_violations_match_reference():
+    # Atoms out of sorted order; on these spaces some valuations violate
+    # both instances, so (valuation, instance) order shows.
+    b = t.SearchBound(3, ("B", "A"))
+    spaces = list(t.enumerate_subset_spaces(3, 3))
+    report = t.axiom_soundness_sweep(b, [11], 6, 4, spaces=spaces)
+    checked, violations = _reference_sweep(b, [11], 6, 4, spaces)
+    assert report.checked == checked
+    assert [(v.scheme_id, v.instance, v.model, v.pair)
+            for v in report.violations] == violations
+    assert len({v.instance for v in report.violations}) > 1
+
+
+def test_decide_valid_four_points_two_atoms():
+    v = t.decide_valid(t.parse("K A & K B -> K (A & B)"),
+                       t.SearchBound(4, ("A", "B")))
+    assert v.kind == "valid_within_bound"
 
 
 def test_sweep_clean_on_topologies():

@@ -5,6 +5,7 @@ import pytest
 import topologic as t
 from topologic import Atom, Box, Knows, Not, Pair
 from conftest import ReferenceEvaluator, random_model
+from topologic import decide
 
 F = frozenset
 X = F({0, 1, 2})
@@ -180,3 +181,53 @@ def test_desugaring_soundness_pointwise():
                 for V in m.space.opens
                 if V <= p.open and (x := p.point) in V)
             assert ev.satisfies(p, t.Diamond(f)) == dia_direct
+
+
+@pytest.mark.parametrize("cap", [decide.LANE_CAP, 5])
+def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
+    """Lane v of a pass holds the rows of the v-th valuation's model, on
+    all topologies up to 3 points and the non-topologies the boundary
+    search scans.  With 5 lanes a pass starts inside an atom's run of
+    equal subsets, and on 2 points it spans more than B's period of 4."""
+    monkeypatch.setattr(decide, "LANE_CAP", cap)
+    rng = random.Random(37)
+    names = ["A", "B"]
+    spaces = [s for n in (1, 2, 3) for s in t.enumerate_topologies(n)]
+    spaces += t.enumerate_subset_spaces(3, 4)
+    vals = {n: list(t.enumerate_valuations(n, names)) for n in (1, 2, 3)}
+    for space, lo, count, ev in decide._space_passes(spaces, names):
+        n = len(space.point_names)
+        f = t.random_formula(rng, names, 4)
+        subs = t.subformulas(f)
+        sat, fail = dict(ev.hits(f, True)), dict(ev.hits(f, False))
+        for v in range(lo, lo + count):
+            m = t.make_model(space, vals[n][v])
+            one, ref = t.Evaluator(m), ReferenceEvaluator(m)
+            for g in subs:
+                for U in space.opens:
+                    lane = ev.mask(U, g) >> (v - lo) * (n + 1) & (1 << n + 1) - 1
+                    assert lane == one.mask(U, g)
+                    assert one.extension(U, g) == ref.extension(U, g)
+            assert sat.get(v - lo) == one.first_pair(f, True)
+            assert fail.get(v - lo) == ref.find_counterexample(f)
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_searches_do_not_depend_on_lane_cap(monkeypatch, cap):
+    b = t.SearchBound(3, ("A", "B"))
+    formulas = [t.parse(text) for text in
+                ("A & ~K B", "L A & L B & ~L (A & B)", "K A -> A",
+                 "<> [] A -> [] <> B")]
+    spaces = list(t.enumerate_subset_spaces(3, 3))
+
+    def run():
+        return ([(v.kind, v.model, v.pair) for f in formulas
+                 for v in (t.decide_sat(f, b), t.decide_valid(f, b))],
+                [t.find_subset_space_countermodel(11, b),
+                 t.find_subset_space_countermodel(12, t.SearchBound(2, ()))],
+                t.axiom_soundness_sweep(b, [11, 12], 4, 4, spaces=spaces))
+
+    default = run()
+    assert default[1][0] is not None and default[2].violations
+    monkeypatch.setattr(decide, "LANE_CAP", cap)
+    assert run() == default
