@@ -114,6 +114,14 @@ def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
             yield make_space(names, set(combo) | {universe})
 
 
+def _valuation(n: int, atom_names: Sequence[str], v: int
+               ) -> dict[str, PointSet]:
+    """The v-th valuation of `enumerate_valuations`."""
+    subsets, k = _subsets_in_order(n), len(atom_names)
+    return {a: subsets[v >> n * (k - 1 - i) & (1 << n) - 1]
+            for i, a in enumerate(atom_names)}
+
+
 def enumerate_valuations(n: int, atom_names: Sequence[str]
                          ) -> Iterator[dict[str, PointSet]]:
     """Every valuation of the atoms on n points.
@@ -122,19 +130,13 @@ def enumerate_valuations(n: int, atom_names: Sequence[str]
     base 2**n, v has one digit per atom, the first atom's most significant,
     and each digit indexes the subsets in cardinality-then-members order.
     """
-    subsets = _subsets_in_order(n)
-    for choice in itertools.product(subsets, repeat=len(atom_names)):
-        yield dict(zip(atom_names, choice))
+    for v in range(1 << n * len(atom_names)):
+        yield _valuation(n, atom_names, v)
 
 
 def _lane_model(space: SubsetSpace, atom_names: Sequence[str], v: int
                 ) -> Model:
-    """The model of the space under the v-th valuation of
-    `enumerate_valuations`."""
-    n, k = len(space.point_names), len(atom_names)
-    subsets = _subsets_in_order(n)
-    return make_model(space, {a: subsets[v >> n * (k - 1 - i) & (1 << n) - 1]
-                              for i, a in enumerate(atom_names)})
+    return make_model(space, _valuation(len(space.point_names), atom_names, v))
 
 
 def _ones(count: int, step: int) -> int:

@@ -70,9 +70,15 @@ class Evaluator:
 
     def __init__(self, m: Model | SubsetSpace, lanes: int = 1,
                  atoms: Mapping[str, int] | None = None):
-        if atoms is None:
+        if isinstance(m, Model):
+            if lanes != 1 or atoms is not None:
+                raise SpaceError("a model's evaluator has one lane, valued "
+                                 "by the model")
             space = m.space
             atoms = {a: sum(1 << x for x in s) for a, s in m.valuation.items()}
+        elif atoms is None or lanes < 1:
+            raise SpaceError("an evaluator over a space needs at least one "
+                             "lane and the atoms' rows")
         else:
             space = m
         self.space, self._atoms = space, atoms

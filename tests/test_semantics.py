@@ -52,6 +52,14 @@ def test_satisfies_rejects_non_open(m0):
         t.Evaluator(m0).satisfies(Pair(1, F({1, 2})), t.parse("A"))
 
 
+def test_evaluator_rejects_mismatched_lanes(m0):
+    """A model fixes one lane and its atoms; a space needs both given."""
+    for args in ((m0, 4), (m0, 1, {"A": 1}), (m0.space,),
+                 (m0.space, 0, {"A": 1})):
+        with pytest.raises(t.SpaceError):
+            t.Evaluator(*args)
+
+
 def test_evaluator_matches_reference():
     """Every (subformula, open) cell, and the least falsifying and satisfying
     pairs, agree with the recursive evaluator on all topologies up to 3
