@@ -26,6 +26,8 @@ from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
 
 HARD_POINT_CAP = 4
 # Valuations per evaluator pass; a row then spans at most this many lanes.
+# A memory guard for four or more atoms: on 4 points a pass's rows take
+# about 0.25 KB per lane, and a pass is evaluated whole before its first hit.
 LANE_CAP = 4096
 
 
@@ -153,6 +155,8 @@ def _atom_rows(n: int, k: int, lo: int, count: int) -> tuple[int, ...]:
     gives the i-th atom.  Its subset index, a digit of v, stays put for
     `run` lanes and cycles through all 2**n subsets every `period` lanes,
     so a row is at most 2**n + 1 runs, then copies of that period.
+    Searches ask for the same passes space after space; 64 entries hold
+    the 19 passes of a 4-atom search up to 4 points with room to spare.
     """
     w = n + 1
     subsets = [sum(1 << x for x in s) for s in _subsets_in_order(n)]
