@@ -138,6 +138,86 @@ def test_quotient_emitted_model_revalidates(m0_file, tmp_path):
     t.load_model(out_path)  # must parse and validate
 
 
+# Full stdout of split and quotient on M0_DOC, pinned so that a change to
+# how splittings and quotients are stored cannot change what they print.
+SPLIT_BOX_KNOWS_A = """\
+subformula: A
+  family: {{}, {x0, x1, x2}}
+  block of {}: {{}}
+    extension: {}
+    stability: A: stable
+  block of {x0, x1, x2}: {{x0}, {x0, x1}, {x0, x1, x2}}
+    extension: {x0}
+    stability: A: stable
+subformula: K A
+  family: {{}, {x0}, {x0, x1, x2}}
+  block of {}: {{}}
+    extension: {}
+    stability: A: stable; K A: stable
+  block of {x0}: {{x0}}
+    extension: {x0}
+    stability: A: stable; K A: stable
+  block of {x0, x1, x2}: {{x0, x1}, {x0, x1, x2}}
+    extension: {}
+    stability: A: stable; K A: stable
+subformula: [] K A
+  family: {{}, {x0}, {x0, x1, x2}}
+  block of {}: {{}}
+    extension: {}
+    stability: A: stable; K A: stable; [] K A: stable
+  block of {x0}: {{x0}}
+    extension: {x0}
+    stability: A: stable; K A: stable; [] K A: stable
+  block of {x0, x1, x2}: {{x0, x1}, {x0, x1, x2}}
+    extension: {}
+    stability: A: stable; K A: stable; [] K A: stable
+"""
+
+QUOTIENT_KNOWS_A = """\
+restricted family: {{}, {x0}, {x0, x1, x2}}
+finite model: 2 points, 3 opens
+point classes:
+  x0 -> c0
+  x1 -> c1
+  x2 -> c1
+open classes:
+  {} -> {}
+  {x0} -> {c0}
+  {x0, x1, x2} -> {c0, c1}
+{
+  "points": [
+    "c0",
+    "c1"
+  ],
+  "opens": [
+    [],
+    [
+      "c0"
+    ],
+    [
+      "c0",
+      "c1"
+    ]
+  ],
+  "valuation": {
+    "A": [
+      "c0"
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("command, formula, expected", [
+    ("split", "[] K A", SPLIT_BOX_KNOWS_A),
+    ("quotient", "K A", QUOTIENT_KNOWS_A),
+])
+def test_split_and_quotient_golden_output(m0_file, capsys, command, formula,
+                                          expected):
+    assert main([command, m0_file, formula]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_basis_full_topology(m0_file, tmp_path, capsys):
     basis_path = tmp_path / "basis.json"
     basis_path.write_text(json.dumps(M0_DOC["opens"]))
