@@ -12,9 +12,9 @@ from .space import (InternalError, Model, PointSet, SpaceError, SubsetSpace,
 from .semantics import (Evaluator, Pair, SchemeError, extension,
                         find_counterexample, instantiate_axiom, model_valid,
                         pairs_in_order, satisfies)
-from .splitting import (RemainderPartition, Splitting, SplittingTable,
-                        build_splitting, classify, fast_satisfies, is_stable,
-                        make_splitting, partition, remainder, same_class)
+from .splitting import (Splitting, SplittingTable, build_splitting, classify,
+                        fast_satisfies, is_stable, make_splitting, partition,
+                        remainder)
 from .finitemodel import (ExtractionResult, QuotientMap, basis_equivalent,
                           basis_model, basis_witness, extract_finite_model,
                           minimal_neighborhood_basis, point_quotient)

@@ -78,24 +78,24 @@ def cmd_split(args) -> int:
         raise SpaceError("not a topology")
     f = _parse_formula(m, args.formula)
     table = build_splitting(m, f)
+    ev = table.evaluator
     names = m.space.point_names
-    text = {psi: print_formula(psi) for psi in table.order}
+    text = {psi: print_formula(psi) for psi in table.splittings}
     all_stable = True
-    for psi in table.order:
-        sp = table.splittings[psi]
+    for psi, sp in table.splittings.items():
         print(f"subformula: {text[psi]}")
         print(f"  family: {format_family(sp.family, names)}")
-        part = partition(sp)
+        blocks = partition(sp)
         subs = set(subformulas(psi))
-        inner = [phi for phi in table.order if phi in subs]
-        for rep in sort_family(part.blocks):
-            block = part.blocks[rep]
+        inner = [phi for phi in table.splittings if phi in subs]
+        for rep in sort_family(blocks):
+            block = blocks[rep]
             verdicts = []
             for phi in inner:
-                ok = is_stable(m, block, phi, table.evaluator)
+                ok = is_stable(m, block, phi, ev)
                 all_stable = all_stable and ok
                 verdicts.append(f"{text[phi]}: {'stable' if ok else 'UNSTABLE'}")
-            ext = table.extensions[psi][rep]
+            ext = ev.extension(rep, psi)
             print(f"  block of {format_set(rep, names)}: "
                   f"{format_family(block, names)}")
             print(f"    extension: {format_set(ext, names)}")
@@ -111,23 +111,25 @@ def cmd_quotient(args) -> int:
         raise SpaceError("not a topology")
     f = _parse_formula(m, args.formula)
     result = extract_finite_model(m, f)
+    q = result.quotient
+    restricted = result.restricted_model.space.opens
     names = m.space.point_names
-    qnames = result.model.space.point_names
-    print(f"restricted family: {format_family(result.restricted_family, names)}")
+    qnames = q.model.space.point_names
+    print(f"restricted family: {format_family(restricted, names)}")
     print(f"finite model: {len(qnames)} points, "
-          f"{len(result.model.space.opens)} opens")
+          f"{len(q.model.space.opens)} opens")
     print("point classes:")
     for x in sorted(m.space.universe):
-        print(f"  {names[x]} -> {qnames[result.quotient.point_class[x]]}")
+        print(f"  {names[x]} -> {qnames[q.point_class[x]]}")
     print("open classes:")
-    for U in result.restricted_family:
+    for U in restricted:
         print(f"  {format_set(U, names)} -> "
-              f"{format_set(result.quotient.open_class[U], qnames)}")
+              f"{format_set(q.open_class[U], qnames)}")
     if args.out:
-        save_model(result.model, args.out)
+        save_model(q.model, args.out)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(model_to_document(result.model), indent=2))
+        print(json.dumps(model_to_document(q.model), indent=2))
     return 0
 
 

@@ -10,7 +10,7 @@ extracts a finite model equivalent for that formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, model_valid
@@ -158,13 +158,12 @@ def point_quotient(m: Model, atom_list: Iterable[str]) -> QuotientMap:
 
 @dataclass
 class ExtractionResult:
-    """Finite model extracted for a formula, with the translation back."""
+    """A model restricted to a formula's stable splitting, and its point
+    quotient: `quotient.model` is the finite model, and `quotient.translate`
+    maps a pair of the restricted model into it."""
 
-    restricted_family: tuple[PointSet, ...]
     restricted_model: Model
     quotient: QuotientMap
-    model: Model
-    translate: Callable[[Pair], Pair]
 
 
 def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
@@ -188,6 +187,4 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     names = atoms(f)
     restricted = make_model(restricted_space,
                             {a: m.atom_set(a) for a in names})
-    qm = point_quotient(restricted, names)
-    return ExtractionResult(restricted_space.opens, restricted, qm, qm.model,
-                            qm.translate)
+    return ExtractionResult(restricted, point_quotient(restricted, names))

@@ -69,29 +69,13 @@ def classify(s: Splitting, V: PointSet) -> PointSet:
     return rep
 
 
-def same_class(family: Iterable[PointSet], V1: PointSet, V2: PointSet) -> bool:
-    """True iff V1 and V2 lie below exactly the same members of the family."""
-    return all((V1 <= U) == (V2 <= U) for U in family)
-
-
-@dataclass(frozen=True)
-class RemainderPartition:
-    """Assignment of each open below the family to its representative."""
-
-    assignment: dict[PointSet, PointSet]
-    blocks: dict[PointSet, frozenset[PointSet]]
-
-
-def partition(s: Splitting) -> RemainderPartition:
-    """The remainder partition of all opens below the family."""
-    assignment: dict[PointSet, PointSet] = {}
+def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
+    """The remainder partition of all opens below the family: each family
+    member's block."""
     blocks: dict[PointSet, set[PointSet]] = {U: set() for U in s.family}
     for V in s.down():
-        rep = classify(s, V)
-        assignment[V] = rep
-        blocks[rep].add(V)
-    return RemainderPartition(assignment,
-                              {U: frozenset(b) for U, b in blocks.items()})
+        blocks[classify(s, V)].add(V)
+    return {U: frozenset(b) for U, b in blocks.items()}
 
 
 def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
@@ -109,12 +93,10 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
 
 @dataclass
 class SplittingTable:
-    """Per-subformula stable splittings and recorded extensions, with the
-    model's evaluator that computed them."""
+    """Stable splittings per subformula, in post-order (the formula last),
+    with the model's evaluator that computed them."""
 
-    order: tuple[Formula, ...]
     splittings: dict[Formula, Splitting]
-    extensions: dict[Formula, dict[PointSet, PointSet]]
     evaluator: Evaluator
 
     def splitting_for(self, psi: Formula) -> Splitting:
@@ -129,19 +111,17 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
 
     Construction per connective: atoms get {X, empty}; negation reuses the
     operand's splitting; conjunction takes the intersection closure of the
-    union; K adds the interiors of the operand's extensions when they fall
-    inside the corresponding remainder; [] adds all Heyting implications
+    union; K adds the interior of the operand's extension at each member
+    when it falls inside that member's remainder; [] adds all Heyting implications
     among the operand's family members.
     """
     s = m.space
     if not is_topology(s):
         raise SpaceError("build_splitting requires a topology")
     ev = Evaluator(m)
-    order = tuple(subformulas(f))
     splittings: dict[Formula, Splitting] = {}
-    extensions: dict[Formula, dict[PointSet, PointSet]] = {}
     base = (s.universe, EMPTY)
-    for psi in order:
+    for psi in subformulas(f):
         match psi:
             case Atom(_) | Top() | Bot():
                 family: tuple[PointSet, ...] = sort_family(base)
@@ -154,8 +134,10 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
                 sub = splittings[x]
                 extra = []
                 for U in sub.family:
-                    W = interior(s, extensions[x][U])
-                    if W in remainder(sub, U):
+                    W = interior(s, ev.extension(U, x))
+                    # An open W below U is in U's remainder iff U is the
+                    # least member above it.
+                    if classify(sub, W) == U:
                         extra.append(W)
                 family = close_under_intersection(set(sub.family) | set(extra))
             case Box(x):
@@ -167,13 +149,11 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
                 raise TypeError(f"not a formula: {psi!r}")
         # Sorted opens, intersection-closed by construction: no check needed.
         splittings[psi] = Splitting(family, s)
-        extensions[psi] = {U: ev.extension(U, psi) for U in family}
-    return SplittingTable(order, splittings, extensions, ev)
+    return SplittingTable(splittings, ev)
 
 
 def fast_satisfies(table: SplittingTable, p: Pair, psi: Formula) -> bool:
-    """Answer satisfaction from the recorded extension of the block
-    representative of p's open."""
-    sp = table.splitting_for(psi)
-    rep = classify(sp, p.open)
-    return p.point in table.extensions[psi][rep]
+    """Answer satisfaction at the block representative of p's open, which
+    agrees with p's open on psi by stability."""
+    rep = classify(table.splitting_for(psi), p.open)
+    return table.evaluator.satisfies(Pair(p.point, rep), psi)

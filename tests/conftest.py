@@ -51,6 +51,12 @@ FORMULA_TEXT = st.lists(
     max_size=40).map("".join)
 
 
+def same_class(family, V1, V2) -> bool:
+    """Second characterization of the remainder partition: V1 and V2 lie
+    below exactly the same members of the family."""
+    return all((V1 <= U) == (V2 <= U) for U in family)
+
+
 def enumerate_closed_families(n: int) -> list[tuple[frozenset, ...]]:
     """Brute-force oracle: all families containing the empty set and X and
     closed under pairwise intersection and union."""

@@ -54,9 +54,9 @@ def test_criterion_2_partition_theorem_suite():
             assert family <= open_part and family <= opens
             part = t.partition(sp)
             down = set(sp.down())
-            assert set(part.assignment) == down
-            assert sum(len(b) for b in part.blocks.values()) == len(down)
-            for rep, block in part.blocks.items():
+            assert set().union(*part.values()) == down
+            assert sum(len(b) for b in part.values()) == len(down)
+            for rep, block in part.items():
                 for v1 in block:
                     for v3 in block:
                         for v2 in opens:
@@ -67,7 +67,7 @@ def test_criterion_2_partition_theorem_suite():
             for phi in t.subformulas(psi):
                 assert set(table.splittings[phi].family) <= family
             for U in sp.family:
-                assert table.extensions[psi][U] in fam_m
+                assert table.evaluator.extension(U, psi) in fam_m
         cases += 1
     _report("criterion 2: partition theorem suite", f"{cases} random cases")
 
@@ -103,11 +103,12 @@ def test_criterion_4_quotient_lemma():
         for p in t.pairs_in_order(m):
             assert ev.satisfies(p, f) == evq.satisfies(qm.translate(p), f)
         res = t.extract_finite_model(m, f)
-        ev_q = t.Evaluator(res.model)
-        for U in res.restricted_family:
+        ev_q = t.Evaluator(res.quotient.model)
+        for U in res.restricted_model.space.opens:
             for x in sorted(U):
                 p = Pair(x, U)
-                assert ev.satisfies(p, f) == ev_q.satisfies(res.translate(p), f)
+                assert (ev.satisfies(p, f)
+                        == ev_q.satisfies(res.quotient.translate(p), f))
     _report("criterion 4: quotient lemma and extraction preservation",
             "200 random models")
 
@@ -117,9 +118,10 @@ def test_criterion_5_chain_example():
                      [F(), F({0}), F({0, 1}), F({0, 1, 2}), F({0, 1, 2, 3})])
     m = t.make_model(s, {"A": F({0})})
     res = t.extract_finite_model(m, t.parse("A"))
-    assert len(res.model.space.point_names) == 2
-    assert set(res.model.space.opens) == {F(), F({0, 1})}
-    assert len(res.model.valuation["A"]) == 1
+    q = res.quotient.model
+    assert len(q.space.point_names) == 2
+    assert set(q.space.opens) == {F(), F({0, 1})}
+    assert len(q.valuation["A"]) == 1
     _report("criterion 5: chain model quotients to the 2-point model")
 
 

@@ -218,6 +218,21 @@ def test_split_and_quotient_golden_output(m0_file, capsys, command, formula,
     assert capsys.readouterr().out == expected
 
 
+def test_readme_session_runs(tmp_path, monkeypatch, capsys):
+    # Every ```python block of the README, run in order against model.json
+    # written from M0_DOC, so that removed names cannot live on in the docs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    (tmp_path / "model.json").write_text(json.dumps(M0_DOC))
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["Pair(point=0, open=frozenset({0, 1, 2}))",
+                        "('c0', 'c1')"]
+
+
 def test_basis_full_topology(m0_file, tmp_path, capsys):
     basis_path = tmp_path / "basis.json"
     basis_path.write_text(json.dumps(M0_DOC["opens"]))

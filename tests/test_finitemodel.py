@@ -123,40 +123,42 @@ def test_extract_finite_model_chain_analogue():
     s = t.make_space(["x0", "x1", "x2", "x3"],
                      [F(), F({0}), F({0, 1}), F({0, 1, 2}), F({0, 1, 2, 3})])
     m = t.make_model(s, {"A": F({0})})
-    res = t.extract_finite_model(m, t.parse("A"))
-    assert len(res.model.space.point_names) == 2
-    assert set(res.model.space.opens) == {F(), F({0, 1})}
-    assert len(res.model.valuation["A"]) == 1
+    q = t.extract_finite_model(m, t.parse("A")).quotient.model
+    assert len(q.space.point_names) == 2
+    assert set(q.space.opens) == {F(), F({0, 1})}
+    assert len(q.valuation["A"]) == 1
 
 
 def test_extract_finite_model_top(m0):
     res = t.extract_finite_model(m0, t.parse("top"))
-    assert set(res.restricted_family) == {F(), X}
-    assert len(res.model.space.point_names) == 1
+    assert set(res.restricted_model.space.opens) == {F(), X}
+    assert len(res.quotient.model.space.point_names) == 1
 
 
 def test_extract_finite_model_knows(m0):
     f = t.parse("K A")
     res = t.extract_finite_model(m0, f)
-    assert set(res.restricted_family) == {F(), F({0}), X}
+    assert set(res.restricted_model.space.opens) == {F(), F({0}), X}
     ev = t.Evaluator(m0)
-    evq = t.Evaluator(res.model)
-    for U in res.restricted_family:
+    evq = t.Evaluator(res.quotient.model)
+    for U in res.restricted_model.space.opens:
         for x in sorted(U):
             p = Pair(x, U)
-            assert ev.satisfies(p, f) == evq.satisfies(res.translate(p), f)
+            assert (ev.satisfies(p, f)
+                    == evq.satisfies(res.quotient.translate(p), f))
 
 
 def test_extract_finite_model_deep_chain(m0):
     f = not_chain(600)
     res = t.extract_finite_model(m0, f)
-    assert set(res.restricted_family) == {F(), X}
-    ev, evq = t.Evaluator(m0), t.Evaluator(res.model)
-    for U in res.restricted_family:
+    assert set(res.restricted_model.space.opens) == {F(), X}
+    ev, evq = t.Evaluator(m0), t.Evaluator(res.quotient.model)
+    for U in res.restricted_model.space.opens:
         for x in sorted(U):
             p = Pair(x, U)
             for g in (f, f.arg):
-                assert ev.satisfies(p, g) == evq.satisfies(res.translate(p), g)
+                assert (ev.satisfies(p, g)
+                        == evq.satisfies(res.quotient.translate(p), g))
 
 
 def test_extract_finite_model_preserves_subformulas():
@@ -167,14 +169,15 @@ def test_extract_finite_model_preserves_subformulas():
         res = t.extract_finite_model(m, f)
         ev_orig = t.Evaluator(m)
         ev_restr = t.Evaluator(res.restricted_model)
-        ev_q = t.Evaluator(res.model)
+        ev_q = t.Evaluator(res.quotient.model)
         for psi in t.subformulas(f):
-            for U in res.restricted_family:
+            for U in res.restricted_model.space.opens:
                 for x in sorted(U):
                     p = Pair(x, U)
                     expected = ev_orig.satisfies(p, psi)
                     assert ev_restr.satisfies(p, psi) == expected
-                    assert ev_q.satisfies(res.translate(p), psi) == expected
+                    assert (ev_q.satisfies(res.quotient.translate(p), psi)
+                            == expected)
 
 
 def test_extract_preserves_satisfiability():
@@ -195,6 +198,7 @@ def test_extract_preserves_satisfiability():
         rep = t.classify(sp, p.open)
         moved = Pair(p.point, rep)
         assert t.satisfies(m, moved, f)
-        assert t.satisfies(res.model, res.translate(moved), f)
+        assert t.satisfies(res.quotient.model,
+                           res.quotient.translate(moved), f)
         kept += 1
     assert kept > 0

@@ -4,7 +4,7 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import not_chain, random_model
+from conftest import not_chain, random_model, same_class
 
 F = frozenset
 X = F({0, 1, 2})
@@ -68,19 +68,19 @@ def test_classify_outside_ideal(m0_space):
 
 def test_same_class(m0_space):
     g = [X, F({0, 1})]
-    assert t.same_class(g, F({0}), F())
-    assert not t.same_class(g, F({0, 1}), X)
+    assert same_class(g, F({0}), F())
+    assert not same_class(g, F({0, 1}), X)
     for V in m0_space.opens:
-        assert t.same_class(g, V, V)
+        assert same_class(g, V, V)
 
 
 def test_partition_examples(split_f, m0_space):
     part = t.partition(split_f)
-    assert part.blocks == {X: frozenset({X}),
-                           F({0, 1}): frozenset({F(), F({0}), F({0, 1})})}
+    assert part == {X: frozenset({X}),
+                    F({0, 1}): frozenset({F(), F({0}), F({0, 1})})}
     full = t.make_splitting(m0_space, m0_space.opens)
     assert all(block == frozenset({rep})
-               for rep, block in t.partition(full).blocks.items())
+               for rep, block in t.partition(full).items())
 
 
 def test_partition_laws_random():
@@ -95,11 +95,11 @@ def test_partition_laws_random():
         part = t.partition(sp)
         down = set(sp.down())
         # Coverage and disjointness.
-        assert set(part.assignment) == down
-        blocks = [b for b in part.blocks.values()]
-        assert sum(len(b) for b in blocks) == len(down)
+        rep_of = {V: rep for rep, block in part.items() for V in block}
+        assert set(rep_of) == down
+        assert sum(len(b) for b in part.values()) == len(down)
         # Convexity.
-        for rep, block in part.blocks.items():
+        for rep, block in part.items():
             for v1 in block:
                 for v3 in block:
                     for v2 in opens:
@@ -108,11 +108,11 @@ def test_partition_laws_random():
         # The profile equivalence coincides with the remainder partition.
         for v1 in down:
             for v2 in down:
-                assert (t.same_class(fam, v1, v2)
-                        == (part.assignment[v1] == part.assignment[v2]))
+                assert (same_class(fam, v1, v2)
+                        == (rep_of[v1] == rep_of[v2]))
         # Each block is the remainder of its representative.  Intersection-
         # closedness admits the simpler form: below no smaller member.
-        for rep, block in part.blocks.items():
+        for rep, block in part.items():
             simplified = {V for V in opens if V <= rep
                           and not any(V <= W for W in fam if W < rep)}
             assert t.remainder(sp, rep) == block == simplified
@@ -142,10 +142,10 @@ def test_build_splitting_knows(m0):
     sp = table.splittings[f]
     assert set(sp.family) == {X, F(), F({0})}
     part = t.partition(sp)
-    assert part.blocks[X] == frozenset({X, F({0, 1})})
-    assert part.blocks[F({0})] == frozenset({F({0})})
-    assert part.blocks[F()] == frozenset({F()})
-    for block in part.blocks.values():
+    assert part[X] == frozenset({X, F({0, 1})})
+    assert part[F({0})] == frozenset({F({0})})
+    assert part[F()] == frozenset({F()})
+    for block in part.values():
         assert t.is_stable(m0, block, f)
 
 
@@ -172,12 +172,11 @@ def _check_theorem_items(m, f, table):
         sp = table.splittings[psi]
         assert m.space.universe in sp.family
         assert set(sp.family) <= open_part
-        part = t.partition(sp)
-        for block in part.blocks.values():
+        for block in t.partition(sp).values():
             for phi in t.subformulas(psi):
                 assert t.is_stable(m, block, phi, ev)
         for U in sp.family:
-            ext = table.extensions[psi][U]
+            ext = table.evaluator.extension(U, psi)
             assert ext == ev.extension(U, psi)
             assert ext in fam_m
         for phi in t.subformulas(psi):
@@ -204,7 +203,7 @@ def test_refinement_preserves_stability():
         u0 = down[rng.randrange(len(down))]
         refined = t.make_splitting(
             m.space, t.close_under_intersection(set(sp.family) | {u0}))
-        for block in t.partition(refined).blocks.values():
+        for block in t.partition(refined).values():
             assert t.is_stable(m, block, f)
 
 
@@ -222,7 +221,7 @@ def test_box_case_claim():
             for U2 in sp_box.family:
                 lhs = (U2 & U) in rem_u
                 rhs = all((V & U) in rem_u
-                          for V in part_box.blocks[U2])
+                          for V in part_box[U2])
                 assert lhs == rhs
 
 
@@ -253,6 +252,12 @@ def test_fast_satisfies_examples(m0):
         assert t.fast_satisfies(table_top, p, t.parse("top"))
 
 
+def test_fast_satisfies_rejects_non_subformula(m0):
+    table = t.build_splitting(m0, t.parse("K A"))
+    with pytest.raises(t.SpaceError, match="not a subformula"):
+        t.fast_satisfies(table, Pair(0, X), t.parse("B"))
+
+
 def test_fast_satisfies_agrees_with_satisfies():
     rng = random.Random(61)
     for _ in range(25):
@@ -269,9 +274,11 @@ def test_build_splitting_deep_chain(m0):
     # Negation reuses its operand's splitting all the way up a 600-deep chain.
     f = not_chain(600)
     table = t.build_splitting(m0, f)
-    assert len(table.order) == 601 and table.order[-1] is f
+    order = list(table.splittings)
+    assert len(order) == 601 and order[-1] is f
     atom = table.splittings[t.Atom("A")]
     assert table.splittings[f].family == atom.family
-    assert table.extensions[f] == table.extensions[t.Atom("A")]
-    assert table.extensions[f.arg] == {U: U - ext for U, ext
-                                       in table.extensions[f].items()}
+    ev = table.evaluator
+    for U in atom.family:
+        assert ev.extension(U, f) == ev.extension(U, t.Atom("A"))
+        assert ev.extension(U, f.arg) == U - ev.extension(U, f)
