@@ -112,8 +112,8 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
     Construction per connective: atoms get {X, empty}; negation reuses the
     operand's splitting; conjunction takes the intersection closure of the
     union; K adds the interior of the operand's extension at each member
-    when it falls inside that member's remainder; [] adds all Heyting implications
-    among the operand's family members.
+    when it falls inside that member's remainder; [] adds all Heyting
+    implications among the operand's family members.
     """
     s = m.space
     if not is_topology(s):
