@@ -232,21 +232,28 @@ def decide_valid(f: Formula, b: SearchBound) -> Verdict:
 
 def random_formula(rng: random.Random, atom_names: Sequence[str],
                    depth: int) -> Formula:
-    """Random core-AST formula of at most the given connective depth."""
-    if depth == 0 or rng.random() < 0.2:
-        leaves: list[Formula] = [Atom(a) for a in atom_names] or [Top()]
-        leaves += [Top(), Bot()]
-        return rng.choice(leaves)
-    kind = rng.choice(("not", "and", "knows", "box"))
-    if kind == "and":
-        return And(random_formula(rng, atom_names, depth - 1),
-                   random_formula(rng, atom_names, depth - 1))
-    child = random_formula(rng, atom_names, depth - 1)
-    if kind == "not":
-        return Not(child)
-    if kind == "knows":
-        return Knows(child)
-    return Box(child)
+    """Random core-AST formula of at most the given connective depth.  The
+    draws are made in pre-order, left operand first."""
+    leaves: list[Formula] = [Atom(a) for a in atom_names] or [Top()]
+    leaves += [Top(), Bot()]
+    prefix: list = []  # leaves and constructors, in Polish notation
+    todo = [depth]  # the depths of the operands still to draw, next last
+    while todo:
+        d = todo.pop()
+        if d == 0 or rng.random() < 0.2:
+            prefix.append(rng.choice(leaves))
+        else:
+            kind = rng.choice((Not, And, Knows, Box))
+            prefix.append(kind)
+            todo += [d - 1] * (2 if kind is And else 1)
+    built: list[Formula] = []
+    for item in reversed(prefix):
+        if item is And:
+            item = And(built.pop(), built.pop())  # left operand, then right
+        elif not isinstance(item, Formula):
+            item = item(built.pop())
+        built.append(item)
+    return built.pop()
 
 
 @dataclass

@@ -10,13 +10,21 @@ The surface syntax also offers `|`, `->`, `L` and `<>`, desugared by parse:
     p | q  ==  ~(~p & ~q)
     p -> q ==  ~(p & ~q)
 
+The grammar, loosest binding first; every binary operator groups to the
+right, and nesting depth has no limit:
+
+    f ::= f "->" f | f "|" f | f "&" f
+        | "~" f | "K" f | "L" f | "[]" f | "<>" f
+        | "(" f ")" | "top" | "bot" | IDENT
+
 The printer re-sugars these patterns, so parse(print_formula(f)) is f.
+Both read one operator table, and neither recurses.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Container, Iterator
+from typing import Callable, Container, Iterator
 from weakref import KeyedRef
 
 # Interned nodes by constructor and operands.  A key holds only what its node
@@ -58,8 +66,7 @@ class Formula:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:
-        args = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
-        return f"{type(self).__name__}({args})"
+        return _render(self, _repr_layout)
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -123,174 +130,143 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(->|\[\]|<>|[~&|()]|[A-Za-z_][A-Za-z0-9_]*)")
+# A token, or in group 1 a character that starts none.
+_TOKEN_RE = re.compile(r"->|\[\]|<>|[~&|()]|[A-Za-z_][A-Za-z0-9_]*|(\S)")
+
+# The operator table that parse and print_formula both read: token ->
+# (binding strength, constructor).  Unary operators bind tightest; the
+# binary ones all group to the right.
+_UNARY = 4
+_OPERATORS = {
+    "->": (1, Implies), "|": (2, Or), "&": (3, And),
+    "~": (_UNARY, Not), "K": (_UNARY, Knows), "L": (_UNARY, L),
+    "[]": (_UNARY, Box), "<>": (_UNARY, Diamond),
+}
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the grammar:
-
-    formula := implies
-    implies := or ("->" implies)?
-    or      := and ("|" or)?
-    and     := unary ("&" and)?
-    unary   := "~" unary | "K" unary | "L" unary | "[]" unary | "<>" unary
-             | "(" formula ")" | "top" | "bot" | IDENT
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def pos(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text)
-
-    def advance(self) -> str:
-        tok = self.tokens[self.index][0]
-        self.index += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implies()
-        if self.peek() is not None:
-            raise ParseError(f"unexpected token {self.peek()!r}", self.pos())
-        return f
-
-    def implies(self) -> Formula:
-        left = self.or_()
-        if self.peek() == "->":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def or_(self) -> Formula:
-        left = self.and_()
-        if self.peek() == "|":
-            self.advance()
-            return Or(left, self.or_())
-        return left
-
-    def and_(self) -> Formula:
-        left = self.unary()
-        if self.peek() == "&":
-            self.advance()
-            return And(left, self.and_())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
-        if tok == "~":
-            self.advance()
-            return Not(self.unary())
-        if tok == "K":
-            self.advance()
-            return Knows(self.unary())
-        if tok == "L":
-            self.advance()
-            return L(self.unary())
-        if tok == "[]":
-            self.advance()
-            return Box(self.unary())
-        if tok == "<>":
-            self.advance()
-            return Diamond(self.unary())
-        if tok == "(":
-            open_pos = self.pos()
-            self.advance()
-            f = self.implies()
-            if self.peek() != ")":
-                raise ParseError("unbalanced parenthesis", open_pos)
-            self.advance()
-            return f
-        if tok == "top":
-            self.advance()
-            return TOP
-        if tok == "bot":
-            self.advance()
-            return BOT
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            self.advance()
-            return Atom(tok)
-        raise ParseError(f"unexpected token {tok!r}", self.pos())
+def _binding(tok: str | None) -> int:
+    """Binding strength of an operator token, 0 for any other token."""
+    return _OPERATORS[tok][0] if tok in _OPERATORS else 0
 
 
 def parse(text: str) -> Formula:
-    """Parse surface syntax into the desugared core AST."""
-    try:
-        return _Parser(text).parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", 0) from None
+    """Parse surface syntax into the desugared core AST.
+
+        f ::= f "->" f | f "|" f | f "&" f        (loosest first)
+            | "~" f | "K" f | "L" f | "[]" f | "<>" f
+            | "(" f ")" | "top" | "bot" | IDENT
+
+    Every binary operator groups to the right.  Operands and pending
+    operators live on two explicit stacks, so nesting depth has no limit.
+    A syntax error raises ParseError at the offending token, or at the
+    innermost open "(" when its ")" is missing.
+    """
+    matches = list(_TOKEN_RE.finditer(text))
+    for m in matches:
+        if m[1]:
+            raise ParseError(f"unexpected character {m[1]!r}", m.start())
+    operands: list[Formula] = []
+    pending: list[tuple[str, int]] = []  # "(" and operators, with positions
+    expect_operand = True
+    for tok, pos in [(m[0], m.start()) for m in matches] + [(None, len(text))]:
+        if expect_operand:
+            if tok == "(" or _binding(tok) == _UNARY:
+                pending.append((tok, pos))
+                continue
+            if tok is None:
+                raise ParseError("unexpected end of input", pos)
+            if tok == ")" or tok in _OPERATORS:
+                raise ParseError(f"unexpected token {tok!r}", pos)
+            operands.append(TOP if tok == "top" else
+                            BOT if tok == "bot" else Atom(tok))
+        else:
+            # A binary tok reduces the operators that bind tighter, so that
+            # it groups to the right; any other token reduces back to "(".
+            prec = _binding(tok)
+            floor = prec if prec < _UNARY else 0
+            while pending and _binding(pending[-1][0]) > floor:
+                build = _OPERATORS[pending.pop()[0]][1]
+                right = operands.pop()
+                operands.append(build(operands.pop(), right))
+            if floor:
+                pending.append((tok, pos))
+                expect_operand = True
+                continue
+            if tok == ")" and pending:
+                pending.pop()
+            elif pending:
+                raise ParseError("unbalanced parenthesis", pending[-1][1])
+            elif tok is None:
+                return operands.pop()
+            else:
+                raise ParseError(f"unexpected token {tok!r}", pos)
+        # An operand is complete: apply the unary operators waiting for it.
+        while pending and _binding(pending[-1][0]) == _UNARY:
+            operands.append(_OPERATORS[pending.pop()[0]][1](operands.pop()))
+        expect_operand = False
 
 
-# Precedence levels for printing; unary operators bind tightest.
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
+def _render(f: Formula, layout: Callable[[Formula, int], list]) -> str:
+    """Join the pieces of layout(f, 0), laying out each (operand, minimum
+    binding) slot in its place.  An explicit stack keeps this linear in
+    the size of f at any depth."""
+    out: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            todo.extend(reversed(layout(*piece)))
+    return "".join(out)
 
 
-def _fmt(f: Formula, min_prec: int) -> str:
+def _print_layout(f: Formula, min_prec: int) -> list:
     match f:
         case Atom(name):
-            return name
+            return [name]
         case Top():
-            return "top"
+            return ["top"]
         case Bot():
-            return "bot"
+            return ["bot"]
         case Not(Knows(Not(x))):
-            s, prec = "L " + _fmt(x, _PREC_UNARY), _PREC_UNARY
+            tok, args = "L", (x,)
         case Not(Box(Not(x))):
-            s, prec = "<> " + _fmt(x, _PREC_UNARY), _PREC_UNARY
+            tok, args = "<>", (x,)
         case Not(And(Not(a), Not(b))):
-            s = _fmt(a, _PREC_OR + 1) + " | " + _fmt(b, _PREC_OR)
-            prec = _PREC_OR
+            tok, args = "|", (a, b)
         case Not(And(a, Not(b))):
-            s = _fmt(a, _PREC_IMPLIES + 1) + " -> " + _fmt(b, _PREC_IMPLIES)
-            prec = _PREC_IMPLIES
+            tok, args = "->", (a, b)
         case Not(x):
-            s, prec = "~" + _fmt(x, _PREC_UNARY), _PREC_UNARY
+            tok, args = "~", (x,)
         case And(a, b):
-            s = _fmt(a, _PREC_AND + 1) + " & " + _fmt(b, _PREC_AND)
-            prec = _PREC_AND
+            tok, args = "&", (a, b)
         case Knows(x):
-            s, prec = "K " + _fmt(x, _PREC_UNARY), _PREC_UNARY
+            tok, args = "K", (x,)
         case Box(x):
-            s, prec = "[] " + _fmt(x, _PREC_UNARY), _PREC_UNARY
+            tok, args = "[]", (x,)
         case _:
             raise TypeError(f"not a formula: {f!r}")
-    if prec < min_prec:
-        return "(" + s + ")"
-    return s
+    prec = _OPERATORS[tok][0]
+    if len(args) == 1:
+        pieces = [tok if tok == "~" else tok + " ", (args[0], prec)]
+    else:  # grouping to the right: a left operand binds one level tighter
+        pieces = [(args[0], prec + 1), f" {tok} ", (args[1], prec)]
+    return ["(", *pieces, ")"] if prec < min_prec else pieces
+
+
+def _repr_layout(f: Formula, _min_prec: int) -> list:
+    pieces: list = []
+    for field in f.__match_args__:
+        value = getattr(f, field)
+        pieces += [", ", (value, 0) if isinstance(value, Formula)
+                   else repr(value)]
+    return [f"{type(f).__name__}(", *pieces[1:], ")"]
 
 
 def print_formula(f: Formula) -> str:
     """Render a core AST, re-sugaring L, <>, | and ->."""
-    return _fmt(f, 0)
+    return _render(f, _print_layout)
 
 
 def post_order(f: Formula, done: Container[Formula]) -> Iterator[Formula]:

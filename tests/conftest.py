@@ -1,11 +1,14 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import strategies as st
 
 import topologic as t
-from topologic.formula import And, Atom, Bot, Box, Knows, Not, Top
+from topologic.formula import (BOT, TOP, And, Atom, Bot, Box, Diamond,
+                               Formula, Implies, Knows, L, Not, Or,
+                               ParseError, Top)
 from topologic.space import set_key
 
 F = frozenset
@@ -118,3 +121,188 @@ class ReferenceEvaluator:
             if not self.satisfies(p, f):
                 return p
         return None
+
+
+_TOKEN_RE = re.compile(r"\s*(->|\[\]|<>|[~&|()]|[A-Za-z_][A-Za-z0-9_]*)")
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", at)
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar:
+
+    formula := implies
+    implies := or ("->" implies)?
+    or      := and ("|" or)?
+    and     := unary ("&" and)?
+    unary   := "~" unary | "K" unary | "L" unary | "[]" unary | "<>" unary
+             | "(" formula ")" | "top" | "bot" | IDENT
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.index = 0
+
+    def peek(self) -> str | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][0]
+        return None
+
+    def pos(self) -> int:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][1]
+        return len(self.text)
+
+    def advance(self) -> str:
+        tok = self.tokens[self.index][0]
+        self.index += 1
+        return tok
+
+    def parse(self) -> Formula:
+        f = self.implies()
+        if self.peek() is not None:
+            raise ParseError(f"unexpected token {self.peek()!r}", self.pos())
+        return f
+
+    def implies(self) -> Formula:
+        left = self.or_()
+        if self.peek() == "->":
+            self.advance()
+            return Implies(left, self.implies())
+        return left
+
+    def or_(self) -> Formula:
+        left = self.and_()
+        if self.peek() == "|":
+            self.advance()
+            return Or(left, self.or_())
+        return left
+
+    def and_(self) -> Formula:
+        left = self.unary()
+        if self.peek() == "&":
+            self.advance()
+            return And(left, self.and_())
+        return left
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.pos())
+        if tok == "~":
+            self.advance()
+            return Not(self.unary())
+        if tok == "K":
+            self.advance()
+            return Knows(self.unary())
+        if tok == "L":
+            self.advance()
+            return L(self.unary())
+        if tok == "[]":
+            self.advance()
+            return Box(self.unary())
+        if tok == "<>":
+            self.advance()
+            return Diamond(self.unary())
+        if tok == "(":
+            open_pos = self.pos()
+            self.advance()
+            f = self.implies()
+            if self.peek() != ")":
+                raise ParseError("unbalanced parenthesis", open_pos)
+            self.advance()
+            return f
+        if tok == "top":
+            self.advance()
+            return TOP
+        if tok == "bot":
+            self.advance()
+            return BOT
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+            self.advance()
+            return Atom(tok)
+        raise ParseError(f"unexpected token {tok!r}", self.pos())
+
+
+def reference_parse(text: str) -> Formula:
+    """The recursive-descent parser that `t.parse` must agree with, on
+    inputs shallow enough for the interpreter's recursion limit."""
+    return _ReferenceParser(text).parse()
+
+
+# Precedence levels of the reference printer; unary operators bind tightest.
+_PREC_IMPLIES = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_UNARY = 4
+
+
+def reference_print(f: Formula, min_prec: int = 0) -> str:
+    """The recursive printer that `t.print_formula` must agree with."""
+    fmt = reference_print
+    match f:
+        case Atom(name):
+            return name
+        case Top():
+            return "top"
+        case Bot():
+            return "bot"
+        case Not(Knows(Not(x))):
+            s, prec = "L " + fmt(x, _PREC_UNARY), _PREC_UNARY
+        case Not(Box(Not(x))):
+            s, prec = "<> " + fmt(x, _PREC_UNARY), _PREC_UNARY
+        case Not(And(Not(a), Not(b))):
+            s = fmt(a, _PREC_OR + 1) + " | " + fmt(b, _PREC_OR)
+            prec = _PREC_OR
+        case Not(And(a, Not(b))):
+            s = fmt(a, _PREC_IMPLIES + 1) + " -> " + fmt(b, _PREC_IMPLIES)
+            prec = _PREC_IMPLIES
+        case Not(x):
+            s, prec = "~" + fmt(x, _PREC_UNARY), _PREC_UNARY
+        case And(a, b):
+            s = fmt(a, _PREC_AND + 1) + " & " + fmt(b, _PREC_AND)
+            prec = _PREC_AND
+        case Knows(x):
+            s, prec = "K " + fmt(x, _PREC_UNARY), _PREC_UNARY
+        case Box(x):
+            s, prec = "[] " + fmt(x, _PREC_UNARY), _PREC_UNARY
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    if prec < min_prec:
+        return "(" + s + ")"
+    return s
+
+
+def reference_random_formula(rng: random.Random, atom_names,
+                             depth: int) -> Formula:
+    """The recursive generator that `t.random_formula` must agree with,
+    draw for draw."""
+    if depth == 0 or rng.random() < 0.2:
+        leaves = [Atom(a) for a in atom_names] or [Top()]
+        leaves += [Top(), Bot()]
+        return rng.choice(leaves)
+    kind = rng.choice(("not", "and", "knows", "box"))
+    if kind == "and":
+        return And(reference_random_formula(rng, atom_names, depth - 1),
+                   reference_random_formula(rng, atom_names, depth - 1))
+    child = reference_random_formula(rng, atom_names, depth - 1)
+    if kind == "not":
+        return Not(child)
+    if kind == "knows":
+        return Knows(child)
+    return Box(child)

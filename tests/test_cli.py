@@ -64,9 +64,10 @@ def test_check_parse_error(m0_file, capsys):
 
 
 def test_check_deep_nesting(m0_file, capsys):
-    assert main(["check", m0_file, "(" * 300 + "A" + ")" * 300]) == 2
-    assert "nested too deeply" in capsys.readouterr().err
-    # Evaluation recurses nowhere: A behind 600 negations fails at x1.
+    # Parsing and evaluation recurse nowhere: A inside 300 parentheses, and
+    # A behind 600 negations, fail at x1.
+    assert main(["check", m0_file, "(" * 300 + "A" + ")" * 300]) == 1
+    assert capsys.readouterr().out.startswith("counterexample: point x1")
     assert main(["check", m0_file, "~" * 600 + "A"]) == 1
     assert capsys.readouterr().out.startswith("counterexample: point x1")
 
@@ -110,6 +111,30 @@ def test_quotient_deep_chain(m0_file, capsys):
     assert main(["quotient", m0_file, "~" * 600 + "A"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("restricted family: {{}, {x0, x1, x2}}")
+
+
+# 5,000 boxes, each over a parenthesised conjunction: 10,000 deep.
+DEEP = "[] (" * 5000 + "A" + " & B)" * 5000
+
+
+@pytest.mark.parametrize("command, code, first_line", [
+    ("check", 1, "counterexample: point x1, open {x0, x1, x2}"),
+    ("quotient", 0, "restricted family: {{}, {x0, x1, x2}}"),
+    ("basis", 0, "equivalent on 1 formula(s)"),
+    ("decide", 1, "invalid"),
+])
+def test_commands_on_deep_formula(m0_file, tmp_path, capsys, command, code,
+                                  first_line):
+    basis_path, formulas_path = tmp_path / "basis.json", tmp_path / "f.txt"
+    basis_path.write_text(json.dumps(M0_DOC["opens"]))
+    formulas_path.write_text(DEEP + "\n")
+    argv = {"check": ["check", m0_file, DEEP],
+            "quotient": ["quotient", m0_file, DEEP],
+            "basis": ["basis", m0_file, str(basis_path),
+                      "--formulas", str(formulas_path)],
+            "decide": ["decide", DEEP, "--points", "2"]}[command]
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 def test_split_non_topology(non_topology_file, capsys):
@@ -250,6 +275,14 @@ def test_basis_with_formula_file(m0_file, tmp_path):
                  "--formulas", str(formulas_path)]) == 0
 
 
+def test_basis_deep_random_formulas(m0_file, tmp_path, capsys):
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text(json.dumps(M0_DOC["opens"]))
+    assert main(["basis", m0_file, str(basis_path),
+                 "--depth", "1000", "--trials", "50"]) == 0
+    assert "equivalent on 50 formula(s)" in capsys.readouterr().out
+
+
 def test_decide_valid_mode(capsys):
     assert main(["decide", "K A -> A", "--points", "3"]) == 0
     assert "valid within bound" in capsys.readouterr().out
@@ -379,6 +412,41 @@ def test_check_fuzz(m0_path, text):
             code = exc.code
     assert code in (0, 1, 2)
     assert (code == 2) == bool(err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def basis_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "basis.json"
+    path.write_text(json.dumps(M0_DOC["opens"]))
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=FORMULA_TEXT)
+def test_formula_commands_fuzz(m0_path, basis_path, text):
+    """Any formula text gives exit 0, 1 or 2 from split, quotient, basis
+    and decide, never an exception."""
+    formulas_path = Path(basis_path).with_name("formulas.txt")
+    formulas_path.write_text(text + "\n")
+    commands = [["split", m0_path, text], ["quotient", m0_path, text],
+                ["basis", m0_path, basis_path,
+                 "--formulas", str(formulas_path)]]
+    try:
+        few_atoms = len(t.atoms(t.parse(text))) <= 8
+    except t.ParseError:
+        few_atoms = True
+    # decide scans 4**atoms valuations per 2-point space: 12 atoms take 6 s.
+    if few_atoms:
+        commands.append(["decide", text, "--points", "2"])
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse takes "->A" for an option
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert (code == 2) == bool(err.getvalue()), argv
 
 
 def test_internal_error_exits_3(m0_file, monkeypatch, capsys):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import topologic as t
 from topologic import And, Atom, Bot, Box, Knows, Not, Top, formula
-from conftest import FORMULA_TEXT, not_chain
+from conftest import (FORMULA_TEXT, not_chain, reference_parse,
+                      reference_print, reference_random_formula)
 
 
 def test_parse_implication_desugars():
@@ -47,10 +48,14 @@ def test_precedence_unary_over_and_over_or_over_implies():
     ("A &", 3),
     ("K", 1),
     ("A B", 2),
+    ("~(A & (B", 6),
+    ("A )", 2),
+    ("A & 1", 4),
 ])
 def test_parse_errors_carry_position(text, position_of_error):
-    with pytest.raises(t.ParseError):
+    with pytest.raises(t.ParseError) as exc:
         t.parse(text)
+    assert exc.value.position == position_of_error
 
 
 def test_reserved_words_not_idents():
@@ -89,9 +94,21 @@ def formulas(atom_names=("A", "B", "Q")):
         max_leaves=25)
 
 
+def _reference_repr(f):
+    """The recursive repr that `repr` of a formula must agree with."""
+    args = []
+    for name in f.__match_args__:
+        value = getattr(f, name)
+        args.append(_reference_repr(value) if isinstance(value, t.Formula)
+                    else repr(value))
+    return f"{type(f).__name__}({', '.join(args)})"
+
+
 @given(formulas())
 def test_roundtrip(f):
     assert t.parse(t.print_formula(f)) == f
+    assert t.print_formula(f) == reference_print(f)
+    assert repr(f) == _reference_repr(f)
 
 
 def test_subformulas_leaf():
@@ -231,3 +248,74 @@ def test_parse_fuzz(text):
         return
     assert isinstance(f, t.Formula)
     assert t.parse(t.print_formula(f)) is f
+
+
+# Text that follows the grammar, with no parentheses around binary
+# operands unless drawn, so that precedence and grouping decide the tree.
+GRAMMAR_TEXT = st.recursive(
+    st.sampled_from(["A", "B", "top", "bot"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["~", "K ", "L ", "[] ", "<> "]),
+                  sub).map("".join),
+        st.tuples(sub, st.sampled_from([" & ", " | ", " -> "]),
+                  sub).map("".join),
+        sub.map("({})".format)),
+    max_leaves=12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(FORMULA_TEXT | GRAMMAR_TEXT)
+def test_parse_matches_reference(text):
+    """parse returns the reference parser's node, or raises its message at
+    its position; print_formula and repr match the recursive versions."""
+    try:
+        expected = reference_parse(text)
+    except t.ParseError as exc:
+        with pytest.raises(t.ParseError) as got:
+            t.parse(text)
+        assert (str(got.value), got.value.position) == (str(exc),
+                                                         exc.position)
+        return
+    f = t.parse(text)
+    assert f is expected
+    assert t.print_formula(f) == reference_print(f)
+    assert repr(f) == _reference_repr(f)
+
+
+def test_random_formula_matches_reference():
+    # Same formulas and the same generator state afterwards, so seeded
+    # callers such as axiom_soundness_sweep draw the same instances.
+    for seed in range(300):
+        for depth in (0, 1, 2, 3, 5, 8):
+            for atom_names in ([], ["A"], ["A", "B", "C"]):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    f = t.random_formula(rng, atom_names, depth)
+                    assert f is reference_random_formula(ref, atom_names,
+                                                         depth)
+                assert rng.getstate() == ref.getstate()
+
+
+def test_deep_chains_round_trip():
+    n = 20000
+    f = not_chain(n)
+    assert t.print_formula(f) == "~" * n + "A"
+    assert repr(f) == "Not(" * n + "Atom('A')" + ")" * n
+    assert t.parse(t.print_formula(f)) is f
+    g = Atom("A")
+    for _ in range(n):
+        g = Box(And(g, Atom("B")))
+    assert t.print_formula(g) == "[] (" * n + "A" + " & B)" * n
+    assert repr(g) == "Box(And(" * n + "Atom('A')" + ", Atom('B')))" * n
+    assert t.parse(t.print_formula(g)) is g
+    # Every operator of the table, each side of each binary one, 20,000
+    # deep: parse inverts print.
+    a, b = Atom("A"), Atom("B")
+    steps = [lambda f: t.Or(f, b), lambda f: t.Implies(b, f),
+             lambda f: And(Knows(f), b), lambda f: t.L(t.Diamond(Not(f))),
+             lambda f: t.Implies(f, b), lambda f: t.Or(b, f),
+             lambda f: And(b, Box(f))]
+    h = a
+    for i in range(n):
+        h = steps[i % len(steps)](h)
+    assert t.parse(t.print_formula(h)) is h
