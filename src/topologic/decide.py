@@ -6,8 +6,10 @@ so the procedures here search up to a user-supplied point bound and
 report verdicts "within bound".
 
 Topologies are enumerated through preorders (opens = up-closed sets of a
-reflexive transitive relation); the tests check them against a raw
-closed-family enumeration.
+reflexive transitive relation), grown one point at a time: point p picks
+an up-set and a down-set among the earlier points that keep the relation
+transitive.  The finished spaces of each point count are built once and
+kept in a memo shared by every search.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Iterable, Iterator, Sequence
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
 from .semantics import AXIOM_METAVARS, Evaluator, Pair, instantiate_axiom
 from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
-                    make_space, set_key)
+                    make_space)
 
-HARD_POINT_CAP = 4
+HARD_POINT_CAP = 5
 # Valuations per evaluator pass; a row then spans at most this many lanes.
 # A memory guard for four or more atoms: on 4 points a pass's rows take
 # about 0.25 KB per lane, and a pass is evaluated whole before its first hit.
@@ -73,35 +75,61 @@ def _subsets_in_order(n: int) -> list[PointSet]:
     return out
 
 
-def enumerate_topologies(n: int, cap: int = HARD_POINT_CAP
-                         ) -> Iterator[SubsetSpace]:
+def _preorder_opens(n: int) -> list[list[int]]:
+    """The opens, as bitmasks, of every preorder on n points.
+
+    A preorder on points 0..p extends one on 0..p-1 by the strict up-set U
+    and down-set D of p.  It is transitive iff U is up-closed (an open), D
+    is down-closed (the complement of an open C), and each d in D lies
+    below each u in U, that is, every open that meets D contains U.  Then
+    the new opens are the old ones inside C, and the old ones containing U
+    with p added.  Each preorder arises once, so each topology does.
+    """
+    families = [[0]]  # the one preorder on no points
+    for p in range(n):
+        grown = []
+        for opens in families:
+            for U in opens:
+                outside = 0  # the points not below all of U
+                for O in opens:
+                    if O & U != U:
+                        outside |= O
+                added = [O | 1 << p for O in opens if O & U == U]
+                for C in opens:
+                    if C & outside == outside:
+                        grown.append([O for O in opens if O & C == O] + added)
+        families = grown
+    return families
+
+
+@lru_cache(maxsize=HARD_POINT_CAP)
+def _topologies(n: int) -> tuple[SubsetSpace, ...]:
+    """The labeled topologies on n points in canonical order, built once:
+    each family lists its opens in `set_key` order, and the families are
+    ordered by those lists.  Opens are taken from one table of point sets.
+    """
+    subsets = _subsets_in_order(n)
+    rank = {sum(1 << x for x in s): i for i, s in enumerate(subsets)}
+    families = sorted(tuple(sorted(rank[O] for O in opens))
+                      for opens in _preorder_opens(n))
+    names = _point_names(n)
+    return tuple(make_space(names, [subsets[i] for i in fam])
+                 for fam in families)
+
+
+def enumerate_topologies(n: int) -> Iterator[SubsetSpace]:
     """Every labeled topology on n points, exactly once, in canonical order.
 
     These are the up-set families of the reflexive transitive relations;
     finite topologies and preorders correspond one to one, so no two
-    relations give the same family.
+    relations give the same family.  The spaces are built once per point
+    count and shared by every call.
     """
     if n < 1:
         raise SpaceError("need at least one point")
-    if n > cap:
-        raise SpaceError(f"point count {n} exceeds the cap {cap}")
-    names = _point_names(n)
-    subsets = _subsets_in_order(n)
-    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
-    families = []
-    for choice in itertools.product((False, True), repeat=len(off_diagonal)):
-        rel = {(i, i) for i in range(n)}
-        rel.update(e for e, picked in zip(off_diagonal, choice) if picked)
-        if any((i, j) in rel and (j, k) in rel and (i, k) not in rel
-               for i in range(n) for j in range(n) for k in range(n)):
-            continue
-        up_sets = tuple(U for U in subsets
-                        if all(j in U for i in U for (i2, j) in rel if i2 == i))
-        families.append(up_sets)
-    # Each family lists its opens in set_key order, as `subsets` does.
-    families.sort(key=lambda fam: [set_key(U) for U in fam])
-    for fam in families:
-        yield make_space(names, fam)
+    if n > HARD_POINT_CAP:
+        raise SpaceError(f"point count {n} exceeds the cap {HARD_POINT_CAP}")
+    yield from _topologies(n)
 
 
 def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:

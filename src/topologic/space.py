@@ -83,8 +83,9 @@ def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetS
     family = sort_family(family)
     if universe not in family:
         raise SpaceError("the full point set X must be open")
-    inter_closed = all(a & b in family for a in family for b in family)
-    union_closed = all(a | b in family for a in family for b in family)
+    members = set(family)
+    inter_closed = all(a & b in members for a in family for b in family)
+    union_closed = all(a | b in members for a in family for b in family)
     return SubsetSpace(names, family, inter_closed, union_closed)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -60,9 +61,11 @@ def same_class(family, V1, V2) -> bool:
     return all((V1 <= U) == (V2 <= U) for U in family)
 
 
-def enumerate_closed_families(n: int) -> list[tuple[frozenset, ...]]:
+@functools.cache
+def enumerate_closed_families(n: int) -> tuple[tuple[frozenset, ...], ...]:
     """Brute-force oracle: all families containing the empty set and X and
-    closed under pairwise intersection and union."""
+    closed under pairwise intersection and union, in canonical order.
+    Memoized, so the tests pay for the 4-point brute force once."""
     universe = frozenset(range(n))
     middle = [frozenset(c) for k in range(1, n)
               for c in itertools.combinations(range(n), k)]
@@ -72,7 +75,7 @@ def enumerate_closed_families(n: int) -> list[tuple[frozenset, ...]]:
             fam = set(combo) | {F(), universe}
             if all(a & b in fam and a | b in fam for a in fam for b in fam):
                 out.append(t.sort_family(fam))
-    return sorted(out, key=lambda fam: tuple(set_key(U) for U in fam))
+    return tuple(sorted(out, key=lambda fam: tuple(set_key(U) for U in fam)))
 
 
 class ReferenceEvaluator:

@@ -329,7 +329,7 @@ def test_axioms_non_topology_violations(non_topology_file, capsys):
     ["axioms", "--enumerate", "2", "--schemes", "x"],
     ["decide", "K A -> A", "--points", "0"],
     ["basis", "M0", "BASIS"],
-    ["decide", "A", "--mode", "sat", "--points", "5"],
+    ["decide", "A", "--mode", "sat", "--points", "6"],
     ["basis", "M0", "OPENS", "--trials", "0"],
     ["basis", "M0", "OPENS", "--trials", "-2"],
     ["basis", "M0", "OPENS", "--formulas", "EMPTY"],

@@ -22,9 +22,32 @@ def test_enumeration_matches_brute_force():
         assert preorder_route == brute
 
 
+def test_enumeration_exact_order():
+    """The labeled order itself, not only the set of families: witnesses
+    are the least hit in this order."""
+    for n in (1, 2, 3, 4):
+        assert (tuple(s.opens for s in t.enumerate_topologies(n))
+                == enumerate_closed_families(n))
+
+
+def test_enumeration_memo_shares_spaces():
+    for n in (1, 3, 4):
+        first = list(t.enumerate_topologies(n))
+        again = list(t.enumerate_topologies(n))
+        assert len(first) == len(again)
+        assert all(a is b for a, b in zip(first, again))
+
+
+def test_enumeration_five_points():
+    spaces = list(t.enumerate_topologies(5))
+    assert len(spaces) == 6942  # OEIS A000798
+    assert len({s.opens for s in spaces}) == 6942
+    assert all(t.is_topology(s) for s in spaces)
+
+
 def test_enumeration_cap():
     with pytest.raises(t.SpaceError):
-        list(t.enumerate_topologies(5))
+        list(t.enumerate_topologies(6))
     with pytest.raises(t.SpaceError):
         list(t.enumerate_topologies(0))
 
@@ -52,7 +75,7 @@ def test_decide_rejects_bound_above_cap():
     # Rejected before any search: "A" has a witness on one point.
     for decide in (t.decide_sat, t.decide_valid):
         with pytest.raises(t.SpaceError):
-            decide(t.parse("A"), t.SearchBound(5, ("A",)))
+            decide(t.parse("A"), t.SearchBound(6, ("A",)))
 
 
 def test_decide_sat_negated_axiom():
@@ -196,6 +219,20 @@ def test_decide_valid_four_points_two_atoms():
     v = t.decide_valid(t.parse("K A & K B -> K (A & B)"),
                        t.SearchBound(4, ("A", "B")))
     assert v.kind == "valid_within_bound"
+
+
+def test_decide_valid_five_points_two_atoms():
+    v = t.decide_valid(t.parse("K A & K B -> K (A & B)"),
+                       t.SearchBound(5, ("A", "B")))
+    assert v.kind == "valid_within_bound"
+
+
+def test_decide_sat_witness_same_at_five_points():
+    f = t.parse("A & ~K A")
+    v2 = t.decide_sat(f, t.SearchBound(2, ("A",)))
+    v5 = t.decide_sat(f, t.SearchBound(5, ("A",)))
+    assert v5.kind == v2.kind == "satisfiable"
+    assert v5.model == v2.model and v5.pair == v2.pair
 
 
 def test_sweep_clean_on_topologies():
