@@ -195,18 +195,14 @@ def cmd_axioms(args) -> int:
     except ValueError:
         raise SpaceError(f"--schemes takes comma-separated scheme ids, "
                          f"not {args.schemes!r}") from None
-    for sid in schemes:
-        if sid not in AXIOM_METAVARS:
-            raise SpaceError(f"unknown axiom scheme {sid}")
     if args.model:
         m = load_model(args.model)
         spaces = [m.space]
-        atom_names = tuple(sorted(m.valuation)) or ("A",)
-        bound = SearchBound(len(m.space.point_names), atom_names)
-    elif args.enumerate:
+        bound = SearchBound(len(m.space.point_names),
+                            tuple(sorted(m.valuation)) or ("A",))
+    elif args.enumerate is not None:
         bound = SearchBound(args.enumerate, ("A",))
         spaces = None
-        atom_names = bound.atoms
     else:
         raise SpaceError("give either a model file or --enumerate N")
     report = axiom_soundness_sweep(bound, schemes, args.trials, args.seed,

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
-from .semantics import AXIOM_METAVARS, Evaluator, Pair, instantiate_axiom
+from .semantics import Evaluator, Pair, instantiate_axiom, scheme_metavars
 from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
                     make_space)
 
@@ -232,16 +232,21 @@ def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
     return None
 
 
-def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
-            no_hit_kind: VerdictKind) -> Verdict:
+def _topologies_within(b: SearchBound) -> Iterator[SubsetSpace]:
+    """The topologies on 1 to b.max_points points, the bound checked first."""
     if b.max_points > HARD_POINT_CAP:
         raise SpaceError(f"point bound {b.max_points} exceeds the cap "
                          f"{HARD_POINT_CAP}")
+    return (s for n in range(1, b.max_points + 1)
+            for s in enumerate_topologies(n))
+
+
+def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
+            no_hit_kind: VerdictKind) -> Verdict:
+    spaces = _topologies_within(b)
     if not atoms(f) <= set(b.atoms):
         raise SpaceError(f"formula atoms {sorted(atoms(f))} not covered by "
                          f"the search bound atoms {list(b.atoms)}")
-    spaces = (space for n in range(1, b.max_points + 1)
-              for space in enumerate_topologies(n))
     hit = _first_hit(spaces, sorted(set(b.atoms)), f, holds)
     return Verdict(no_hit_kind) if hit is None else Verdict(hit_kind, *hit)
 
@@ -304,8 +309,8 @@ class SweepReport:
 
 def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
                           trials: int, seed: int,
-                          spaces: Iterable[SubsetSpace] | None = None,
-                          substitution_depth: int = 2) -> SweepReport:
+                          spaces: Iterable[SubsetSpace] | None = None
+                          ) -> SweepReport:
     """Check random instances of the axiom schemes for validity over all
     enumerated topologies (or supplied spaces) up to the bound.
 
@@ -314,22 +319,17 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
     """
     if trials < 1:
         raise SpaceError("the number of trials must be at least 1")
+    metavars = [scheme_metavars(scheme_id) for scheme_id in scheme_ids]
+    if spaces is None:
+        spaces = _topologies_within(b)
     rng = random.Random(seed)
     atom_names = list(b.atoms) or ["A"]
     instances: list[tuple[int, Formula]] = []
-    for scheme_id in scheme_ids:
+    for scheme_id, names in zip(scheme_ids, metavars):
         for _ in range(trials):
-            subst: dict[str, Formula] = {}
-            for var in AXIOM_METAVARS[scheme_id]:
-                if scheme_id == 2:
-                    subst[var] = Atom(rng.choice(atom_names))
-                else:
-                    subst[var] = random_formula(rng, atom_names,
-                                                substitution_depth)
+            subst = {var: Atom(rng.choice(atom_names)) if scheme_id == 2
+                     else random_formula(rng, atom_names, 2) for var in names}
             instances.append((scheme_id, instantiate_axiom(scheme_id, subst)))
-    if spaces is None:
-        spaces = (s for n in range(1, b.max_points + 1)
-                  for s in enumerate_topologies(n))
     checked = {sid: 0 for sid in scheme_ids}
     violations: list[SchemeViolation] = []
     for space, lo, count, ev in _space_passes(spaces, atom_names):
@@ -369,7 +369,7 @@ def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
     """Search non-topological subset spaces for a falsifying instance of
     scheme 11 or 12.  Returns the least hit in the deterministic order
     (points, space, substitution, valuation), or None within the bound."""
-    if scheme_id not in (11, 12):
+    if scheme_id not in _BOUNDARY_SUBSTITUTIONS:
         raise SpaceError("boundary search applies to schemes 11 and 12 only")
     instances = [instantiate_axiom(scheme_id, subst)
                  for subst in _BOUNDARY_SUBSTITUTIONS[scheme_id]]

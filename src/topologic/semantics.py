@@ -16,6 +16,8 @@ bit operations unchanged, and an atom's row holds its set in each lane.
 adding 2**n - 1 per lane to u ^ a carries into a lane's guard bit exactly
 when a misses a point of u there, and subtracting the carries shifted
 down by n gives the mask of those lanes' points, which K clears.
+
+The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from functools import reduce
 from operator import and_, or_, xor
 from typing import Iterator, Mapping
 
-from .formula import (And, Atom, Bot, Box, Diamond, Formula, Implies, Knows, L,
-                      Not, Top, post_order)
-from .space import InternalError, Model, PointSet, SpaceError, SubsetSpace
+from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
+                      post_order, subformulas)
+from .space import Model, PointSet, SpaceError, SubsetSpace
 
 
 @dataclass(frozen=True)
@@ -193,26 +195,41 @@ def model_valid(m: Model, f: Formula,
     return find_counterexample(m, f, evaluator) is None
 
 
-class SchemeError(ValueError):
+class SchemeError(SpaceError):
     """Bad axiom-scheme id or substitution."""
 
 
-# Axiom schemes.  Scheme 1 stands in for "all propositional tautologies"
-# via the representative tautology phi -> (psi -> phi).
-AXIOM_METAVARS: dict[int, tuple[str, ...]] = {
-    1: ("phi", "psi"),
-    2: ("phi",),
-    3: ("phi", "psi"),
-    4: ("phi",),
-    5: ("phi",),
-    6: ("phi", "psi"),
-    7: ("phi",),
-    8: ("phi",),
-    9: ("phi",),
-    10: ("phi",),
-    11: ("phi",),
-    12: ("phi", "psi", "chi"),
+# The twelve axiom schemes of Moss and Parikh over the metavariables phi,
+# psi and chi.  Scheme 1 stands in for "all propositional tautologies";
+# scheme 2 is stated for atomic phi only.
+AXIOM_SCHEMES: dict[int, str] = {
+    1: "phi -> (psi -> phi)",
+    2: "(phi -> [] phi) & (~phi -> [] ~phi)",
+    3: "[] (phi -> psi) -> ([] phi -> [] psi)",
+    4: "[] phi -> phi",
+    5: "[] phi -> [] [] phi",
+    6: "K (phi -> psi) -> (K phi -> K psi)",
+    7: "K phi -> phi",
+    8: "K phi -> K K phi",
+    9: "phi -> K L phi",
+    10: "K [] phi -> [] K phi",
+    11: "<> [] phi -> [] <> phi",
+    12: "<> (K phi & psi) & L <> (K phi & chi) "
+        "-> <> (K <> phi & <> psi & L <> chi)",
 }
+_TEMPLATES = {sid: parse(text) for sid, text in AXIOM_SCHEMES.items()}
+# Metavariables in order of first occurrence, the order of the sweep's draws.
+AXIOM_METAVARS: dict[int, tuple[str, ...]] = {
+    sid: tuple(g.name for g in subformulas(f) if type(g) is Atom)
+    for sid, f in _TEMPLATES.items()}
+
+
+def scheme_metavars(scheme_id: int) -> tuple[str, ...]:
+    """The metavariables of a scheme; the one check of scheme ids."""
+    names = AXIOM_METAVARS.get(scheme_id)
+    if names is None:
+        raise SchemeError(f"unknown axiom scheme {scheme_id}")
+    return names
 
 
 def instantiate_axiom(scheme_id: int, substitution: dict[str, Formula]) -> Formula:
@@ -221,41 +238,13 @@ def instantiate_axiom(scheme_id: int, substitution: dict[str, Formula]) -> Formu
     Scheme 2 is stated for atomic formulas only and rejects any other
     substitution for phi.
     """
-    if scheme_id not in AXIOM_METAVARS:
-        raise SchemeError(f"unknown axiom scheme {scheme_id}")
-    missing = [v for v in AXIOM_METAVARS[scheme_id] if v not in substitution]
+    missing = [v for v in scheme_metavars(scheme_id) if v not in substitution]
     if missing:
         raise SchemeError(f"scheme {scheme_id} needs substitution for {missing}")
-    p = substitution.get("phi")
-    q = substitution.get("psi")
-    c = substitution.get("chi")
-    match scheme_id:
-        case 1:
-            return Implies(p, Implies(q, p))
-        case 2:
-            if not isinstance(p, (Atom, Top, Bot)):
-                raise SchemeError("scheme 2 requires an atomic substitution")
-            return And(Implies(p, Box(p)), Implies(Not(p), Box(Not(p))))
-        case 3:
-            return Implies(Box(Implies(p, q)), Implies(Box(p), Box(q)))
-        case 4:
-            return Implies(Box(p), p)
-        case 5:
-            return Implies(Box(p), Box(Box(p)))
-        case 6:
-            return Implies(Knows(Implies(p, q)), Implies(Knows(p), Knows(q)))
-        case 7:
-            return Implies(Knows(p), p)
-        case 8:
-            return Implies(Knows(p), Knows(Knows(p)))
-        case 9:
-            return Implies(p, Knows(L(p)))
-        case 10:
-            return Implies(Knows(Box(p)), Box(Knows(p)))
-        case 11:
-            return Implies(Diamond(Box(p)), Box(Diamond(p)))
-        case 12:
-            return Implies(
-                And(Diamond(And(Knows(p), q)), L(Diamond(And(Knows(p), c)))),
-                Diamond(And(Knows(Diamond(p)), And(Diamond(q), L(Diamond(c))))))
-    raise InternalError(f"scheme {scheme_id} has no construction")
+    if scheme_id == 2 and not isinstance(substitution["phi"], (Atom, Top, Bot)):
+        raise SchemeError("scheme 2 requires an atomic substitution")
+    built: dict[Formula, Formula] = {}  # template node -> its instance
+    for g in post_order(_TEMPLATES[scheme_id], built):
+        built[g] = (substitution[g.name] if type(g) is Atom else
+                    type(g)(*[built[getattr(g, f)] for f in g.__match_args__]))
+    return built[g]  # the template itself comes last

@@ -32,16 +32,11 @@ def sort_family(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     return tuple(sorted(set(family), key=set_key))
 
 
-def format_set(s: PointSet, names: tuple[str, ...] | None = None) -> str:
-    if names is None:
-        inner = ", ".join(str(i) for i in sorted(s))
-    else:
-        inner = ", ".join(names[i] for i in sorted(s))
-    return "{" + inner + "}"
+def format_set(s: PointSet, names: tuple[str, ...]) -> str:
+    return "{" + ", ".join(names[i] for i in sorted(s)) + "}"
 
 
-def format_family(family: Iterable[PointSet],
-                  names: tuple[str, ...] | None = None) -> str:
+def format_family(family: Iterable[PointSet], names: tuple[str, ...]) -> str:
     return "{" + ", ".join(format_set(s, names) for s in sort_family(family)) + "}"
 
 

@@ -309,3 +309,37 @@ def reference_random_formula(rng: random.Random, atom_names,
     if kind == "knows":
         return Knows(child)
     return Box(child)
+
+
+def reference_instantiate_axiom(scheme_id: int, substitution) -> Formula:
+    """The schemes as constructor calls, which the table of scheme texts
+    must agree with node for node."""
+    p, q, c = (substitution.get(v) for v in ("phi", "psi", "chi"))
+    match scheme_id:
+        case 1:
+            return Implies(p, Implies(q, p))
+        case 2:
+            return And(Implies(p, Box(p)), Implies(Not(p), Box(Not(p))))
+        case 3:
+            return Implies(Box(Implies(p, q)), Implies(Box(p), Box(q)))
+        case 4:
+            return Implies(Box(p), p)
+        case 5:
+            return Implies(Box(p), Box(Box(p)))
+        case 6:
+            return Implies(Knows(Implies(p, q)), Implies(Knows(p), Knows(q)))
+        case 7:
+            return Implies(Knows(p), p)
+        case 8:
+            return Implies(Knows(p), Knows(Knows(p)))
+        case 9:
+            return Implies(p, Knows(L(p)))
+        case 10:
+            return Implies(Knows(Box(p)), Box(Knows(p)))
+        case 11:
+            return Implies(Diamond(Box(p)), Box(Diamond(p)))
+        case 12:
+            return Implies(
+                And(Diamond(And(Knows(p), q)), L(Diamond(And(Knows(p), c)))),
+                Diamond(And(Knows(Diamond(p)), And(Diamond(q), L(Diamond(c))))))
+    raise ValueError(f"unknown axiom scheme {scheme_id}")

@@ -323,6 +323,31 @@ def test_axioms_non_topology_violations(non_topology_file, capsys):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["axioms", "--enumerate", "0"], "the point bound must be at least 1"),
+    (["axioms", "--enumerate", "9"], "point bound 9 exceeds the cap 5"),
+    (["axioms", "--enumerate", "2", "--schemes", "4,99"],
+     "unknown axiom scheme 99"),
+    (["axioms"], "give either a model file or --enumerate N"),
+])
+def test_axioms_bad_input_messages(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_axioms_model_file_above_cap(tmp_path, capsys):
+    """A model file is swept whatever its size; the cap bounds
+    --enumerate only."""
+    names = [f"x{i}" for i in range(7)]
+    path = tmp_path / "chain7.json"
+    path.write_text(json.dumps({"points": names,
+                                "opens": [names[:k] for k in range(8)],
+                                "valuation": {"A": names[:3]}}))
+    assert main(["axioms", str(path), "--trials", "2",
+                 "--schemes", "4,7,11"]) == 0
+    assert "scheme 11: pass  (256 instance checks)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["axioms", "--enumerate", "2", "--trials", "0"],
     ["axioms", "--enumerate", "2", "--trials", "-3"],
@@ -340,6 +365,7 @@ def test_axioms_non_topology_violations(non_topology_file, capsys):
     ["check", "DIRECTORY", "A"],
     ["check", "BINARY", "A"],
     ["check", "NO_POINTS", "A"],
+    ["axioms", "--enumerate", "0"],
 ])
 def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
     """Bad numbers, vacuous requests and malformed files exit 2."""
@@ -447,6 +473,36 @@ def test_formula_commands_fuzz(m0_path, basis_path, text):
                 code = exc.code
         assert code in (0, 1, 2), argv
         assert (code == 2) == bool(err.getvalue()), argv
+
+
+# Scheme lists: ids in and out of range, and items that are not ids.
+_SCHEME_ITEMS = st.integers(-1, 14).map(str) | st.sampled_from(
+    ["", "x", " 3", "1.5", "0x4", "1_2", "\u0663"])
+_SCHEMES = st.none() | st.lists(_SCHEME_ITEMS, min_size=1,
+                                max_size=4).map(",".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schemes=_SCHEMES,
+       # 4 and 5 points are valid but slow to sweep; the rest is fast.
+       points=st.integers(-1, 9).filter(
+           lambda n: n <= 3 or n > t.decide.HARD_POINT_CAP),
+       trials=st.integers(-1, 3))
+def test_axioms_fuzz(schemes, points, trials):
+    """Any scheme list, point bound and trial count gives exit 0, 1 or 2
+    from axioms, exit 2 with one error line, never a traceback."""
+    argv = ["axioms", f"--enumerate={points}", f"--trials={trials}"]
+    if schemes is not None:
+        argv.append(f"--schemes={schemes}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
+    else:
+        assert not lines and out.getvalue().startswith("scheme "), argv
 
 
 def test_internal_error_exits_3(m0_file, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,8 +18,8 @@ def test_enumeration_counts_small():
 
 def test_enumeration_matches_brute_force():
     for n in (1, 2, 3):
-        preorder_route = sorted(s.opens for s in t.enumerate_topologies(n))
-        brute = sorted(enumerate_closed_families(n))
+        preorder_route = Counter(s.opens for s in t.enumerate_topologies(n))
+        brute = Counter(enumerate_closed_families(n))
         assert preorder_route == brute
 
 
@@ -240,6 +241,20 @@ def test_sweep_clean_on_topologies():
     report = t.axiom_soundness_sweep(b, list(range(1, 13)), trials=5, seed=0)
     assert report.clean
     assert all(count > 0 for count in report.checked.values())
+
+
+def test_sweep_rejects_bound_above_cap_at_once(monkeypatch):
+    """The sweep checks its point bound before it enumerates anything."""
+    def no_enumeration(n):
+        raise AssertionError("enumerated before checking the bound")
+    monkeypatch.setattr(t.decide, "enumerate_topologies", no_enumeration)
+    with pytest.raises(t.SpaceError, match="point bound 9 exceeds the cap 5"):
+        t.axiom_soundness_sweep(t.SearchBound(9, ("A",)), [4], 1, 0)
+
+
+def test_boundary_search_rejects_other_schemes():
+    with pytest.raises(t.SpaceError, match="schemes 11 and 12 only"):
+        t.find_subset_space_countermodel(4, t.SearchBound(2, ()))
 
 
 def test_sweep_deterministic():

@@ -4,7 +4,8 @@ import pytest
 
 import topologic as t
 from topologic import Atom, Box, Knows, Not, Pair
-from conftest import ReferenceEvaluator, random_model
+from conftest import (ReferenceEvaluator, random_model,
+                      reference_instantiate_axiom)
 from topologic import decide
 
 F = frozenset
@@ -129,6 +130,37 @@ def test_instantiate_axiom_bad_scheme():
         t.instantiate_axiom(13, {"phi": Atom("A")})
     with pytest.raises(t.SchemeError):
         t.instantiate_axiom(3, {"phi": Atom("A")})  # psi missing
+
+
+def test_instantiate_axiom_matches_constructors():
+    """The table of scheme texts builds the very node the constructor
+    calls build, also when a substitution mentions the metavariables."""
+    rng = random.Random(11)
+    names = ["A", "B", "phi", "psi", "chi"]
+    for sid in range(1, 13):
+        for _ in range(200):
+            subst = {var: (rng.choice([Atom(rng.choice(names)), t.TOP, t.BOT])
+                           if sid == 2 else t.random_formula(rng, names, 3))
+                     for var in ("phi", "psi", "chi")}
+            assert (t.instantiate_axiom(sid, subst)
+                    is reference_instantiate_axiom(sid, subst))
+
+
+def test_axiom_metavars_pinned():
+    # The sweep draws one substitution per metavariable in this order.
+    assert t.semantics.AXIOM_METAVARS == {
+        1: ("phi", "psi"), 2: ("phi",), 3: ("phi", "psi"), 4: ("phi",),
+        5: ("phi",), 6: ("phi", "psi"), 7: ("phi",), 8: ("phi",),
+        9: ("phi",), 10: ("phi",), 11: ("phi",), 12: ("phi", "psi", "chi")}
+    assert sorted(t.semantics.AXIOM_SCHEMES) == list(range(1, 13))
+
+
+@pytest.mark.parametrize("scheme_id", [0, 13, 99, -1])
+def test_unknown_scheme_id_raises_scheme_error(scheme_id):
+    with pytest.raises(t.SchemeError, match=f"unknown axiom scheme {scheme_id}"):
+        t.semantics.scheme_metavars(scheme_id)
+    with pytest.raises(t.SchemeError, match="unknown axiom scheme"):
+        t.axiom_soundness_sweep(t.SearchBound(2, ("A",)), [4, scheme_id], 1, 0)
 
 
 def test_reflexivity_of_k_and_box():
