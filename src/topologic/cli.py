@@ -5,11 +5,16 @@ Commands: check, split, quotient, basis, decide, axioms.
 Exit codes: 0 success or positive verdict, 1 negative verdict with a
 counterexample, 2 input error, 3 internal-consistency failure (a
 construction self-check failed, which must never happen on valid input).
+
+`build_parser` is cached: the argparse tree is built once per process, on
+the first `main` call.  Its defaults are immutable and each parse returns
+a fresh namespace, so no call sees another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -190,7 +195,8 @@ def cmd_decide(args) -> int:
 
 def cmd_axioms(args) -> int:
     try:
-        schemes = ([int(x) for x in args.schemes.split(",")]
+        # A repeated id is swept and printed once, at its first place.
+        schemes = (list(dict.fromkeys(int(x) for x in args.schemes.split(",")))
                    if args.schemes else sorted(AXIOM_METAVARS))
     except ValueError:
         raise SpaceError(f"--schemes takes comma-separated scheme ids, "
@@ -219,6 +225,7 @@ def cmd_axioms(args) -> int:
     return 0 if report.clean else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topologic",

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
 from .semantics import Evaluator, Pair, instantiate_axiom, scheme_metavars
 from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
-                    make_space)
+                    make_space, to_mask)
 
 HARD_POINT_CAP = 5
 # Valuations per evaluator pass; a row then spans at most this many lanes.
@@ -109,7 +109,7 @@ def _topologies(n: int) -> tuple[SubsetSpace, ...]:
     ordered by those lists.  Opens are taken from one table of point sets.
     """
     subsets = _subsets_in_order(n)
-    rank = {sum(1 << x for x in s): i for i, s in enumerate(subsets)}
+    rank = {to_mask(s): i for i, s in enumerate(subsets)}
     families = sorted(tuple(sorted(rank[O] for O in opens))
                       for opens in _preorder_opens(n))
     names = _point_names(n)
@@ -187,7 +187,7 @@ def _atom_rows(n: int, k: int, lo: int, count: int) -> tuple[int, ...]:
     the 19 passes of a 4-atom search up to 4 points with room to spare.
     """
     w = n + 1
-    subsets = [sum(1 << x for x in s) for s in _subsets_in_order(n)]
+    subsets = list(map(to_mask, _subsets_in_order(n)))
     rows = []
     for i in range(k):
         run = 1 << n * (k - 1 - i)

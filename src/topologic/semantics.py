@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_, xor
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
                       post_order, subformulas)
-from .space import Model, PointSet, SpaceError, SubsetSpace
+from .space import Model, PointSet, SpaceError, SubsetSpace, to_mask
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Evaluator:
                 raise SpaceError("a model's evaluator has one lane, valued "
                                  "by the model")
             space = m.space
-            atoms = {a: sum(1 << x for x in s) for a, s in m.valuation.items()}
+            atoms = {a: to_mask(s) for a, s in m.valuation.items()}
         elif atoms is None or lanes < 1:
             raise SpaceError("an evaluator over a space needs at least one "
                              "lane and the atoms' rows")
@@ -89,7 +89,7 @@ class Evaluator:
         ones = ((1 << lanes * w) - 1) // ((1 << w) - 1)  # bit 0 of each lane
         self._fill, self._guard = ones * ((1 << n) - 1), ones << n
         self._index = {U: i for i, U in enumerate(space.opens)}
-        self._masks = [sum(1 << x for x in U) * ones for U in space.opens]
+        self._masks = [u * ones for u in space.masks]
         self._below: list[list[int]] | None = None  # sub-open indices per open
         self._rows: dict[Formula, list[int]] = {}
 
@@ -137,6 +137,17 @@ class Evaluator:
         if i is None:
             raise SpaceError(f"{sorted(U)} is not an open of the space")
         return (self._rows.get(f) or self._row(f))[i]  # rows are never empty
+
+    def masks_at(self, opens: Iterable[PointSet], f: Formula
+                 ) -> Iterator[tuple[int, int]]:
+        """For each open U in turn: U's mask, and the mask of the points of
+        U that satisfy f at U, both in every lane."""
+        row, masks = self._rows.get(f) or self._row(f), self._masks
+        for U in opens:
+            i = self._index.get(U)
+            if i is None:
+                raise SpaceError(f"{sorted(U)} is not an open of the space")
+            yield masks[i], row[i]
 
     def extension(self, U: PointSet, f: Formula) -> PointSet:
         bits = self.mask(U, f)

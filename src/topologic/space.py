@@ -3,11 +3,18 @@
 Points are indices into a name table; point sets are frozensets of
 indices, so equality is structural.  Wherever a deterministic iteration
 order is needed, families are sorted by (cardinality, sorted members).
+
+Frozensets are what the library takes, returns, saves and prints.  Inside,
+the hot paths use int bitmasks, bit x for point x: a space keeps each
+open's mask in `masks`, and the closure checks and closures here, the
+splitting's remainders and blocks, the quotient's point classes and the
+evaluator's rows all work on masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_, or_
 from typing import Iterable, Mapping
 
 PointSet = frozenset[int]
@@ -32,6 +39,21 @@ def sort_family(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     return tuple(sorted(set(family), key=set_key))
 
 
+def to_mask(s: Iterable[int]) -> int:
+    """The bitmask of a point set: bit x is set iff x is in s."""
+    return sum(map((1).__lshift__, s))
+
+
+def from_mask(bits: int) -> PointSet:
+    """The point set of a bitmask."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return frozenset(out)
+
+
 def format_set(s: PointSet, names: tuple[str, ...]) -> str:
     return "{" + ", ".join(names[i] for i in sorted(s)) + "}"
 
@@ -43,12 +65,14 @@ def format_family(family: Iterable[PointSet], names: tuple[str, ...]) -> str:
 @dataclass(frozen=True)
 class SubsetSpace:
     """A pair (X, opens) with X a finite point set and X itself open;
-    `make_space` lists the opens in `sort_family` order."""
+    `make_space` lists the opens in `sort_family` order, and `masks[i]` is
+    the bitmask of `opens[i]`."""
 
     point_names: tuple[str, ...]
     opens: tuple[PointSet, ...]
     is_intersection_closed: bool = field(compare=False)
     is_union_closed: bool = field(compare=False)
+    masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def universe(self) -> PointSet:
@@ -68,20 +92,23 @@ def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetS
     if len(set(names)) != len(names):
         raise SpaceError("duplicate point names")
     n = len(names)
-    universe = frozenset(range(n))
     family = []
     for raw in opens:
         s = frozenset(raw)
-        if not all(0 <= i < n for i in s):
+        if s and not (0 <= min(s) and max(s) < n):
             raise SpaceError(f"open {sorted(s)} has out-of-range points")
         family.append(s)
     family = sort_family(family)
-    if universe not in family:
+    masks = tuple(map(to_mask, family))
+    members = set(masks)
+    if (1 << n) - 1 not in members:
         raise SpaceError("the full point set X must be open")
-    members = set(family)
-    inter_closed = all(a & b in members for a in family for b in family)
-    union_closed = all(a | b in members for a in family for b in family)
-    return SubsetSpace(names, family, inter_closed, union_closed)
+    # Each pair once: both operations are commutative.
+    inter_closed = all({a & b for b in masks[i + 1:]} <= members
+                       for i, a in enumerate(masks))
+    union_closed = all({a | b for b in masks[i + 1:]} <= members
+                       for i, a in enumerate(masks))
+    return SubsetSpace(names, family, inter_closed, union_closed, masks)
 
 
 def is_topology(s: SubsetSpace) -> bool:
@@ -127,24 +154,25 @@ def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
     return interior(s, s.universe - (U - W))
 
 
+def _close(family: Iterable[PointSet], op) -> tuple[PointSet, ...]:
+    """Least superfamily closed under the pairwise mask operation op."""
+    sets = {to_mask(s): frozenset(s) for s in family}
+    result = set(sets)
+    new = result
+    while new:  # every pair with an old member was combined before
+        new = {op(a, b) for a in new for b in result} - result
+        result |= new
+    return sort_family(sets[b] if b in sets else from_mask(b) for b in result)
+
+
 def close_under_intersection(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise intersection."""
-    result = set(family)
-    while True:
-        new = {a & b for a in result for b in result} - result
-        if not new:
-            return sort_family(result)
-        result |= new
+    return _close(family, and_)
 
 
 def close_under_union(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise union."""
-    result = set(family)
-    while True:
-        new = {a | b for a in result for b in result} - result
-        if not new:
-            return sort_family(result)
-        result |= new
+    return _close(family, or_)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ refinement inductively for a formula and all its subformulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
 from .space import (EMPTY, Model, PointSet, SpaceError, SubsetSpace,
-                    close_under_intersection, heyting_implication, interior,
-                    is_topology, sort_family)
+                    close_under_intersection, from_mask, heyting_implication,
+                    interior, is_topology, sort_family, to_mask)
 from .semantics import Evaluator, Pair
 
 
@@ -32,10 +33,34 @@ class Splitting:
     family: tuple[PointSet, ...]
     space: SubsetSpace
 
+    @cached_property
+    def _by_mask(self) -> dict[int, PointSet]:
+        """The family members by bitmask, in family order."""
+        return {to_mask(U): U for U in self.family}
+
     def down(self) -> tuple[PointSet, ...]:
         """All opens below some member of the family."""
-        return tuple(V for V in self.space.opens
-                     if any(V <= U for U in self.family))
+        return tuple(V for V, _ in _classes(self))
+
+
+def _least_above(fam: Iterable[int], v: int) -> int:
+    """The intersection of the members of fam above v; -1 (all bits) when
+    there are none."""
+    rep = -1
+    for u in fam:
+        if v | u == u:
+            rep &= u
+    return rep
+
+
+def _classes(s: Splitting) -> Iterator[tuple[PointSet, int]]:
+    """Each open below some family member, in space order, with the mask of
+    the least member above it."""
+    fam = tuple(s._by_mask)
+    for V, v in zip(s.space.opens, s.space.masks):
+        rep = _least_above(fam, v)
+        if rep != -1:
+            yield V, rep
 
 
 def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
@@ -53,28 +78,28 @@ def remainder(s: Splitting, U: PointSet) -> frozenset[PointSet]:
     """Opens below U but below no member of the family not containing U."""
     if U not in s.family:
         raise SpaceError(f"{sorted(U)} is not in the splitting family")
-    return frozenset(V for V in s.space.opens
-                     if V <= U
-                     and not any(V <= W for W in s.family if not U <= W))
+    u = to_mask(U)
+    outside = [w for w in s._by_mask if u | w != w]  # members not above U
+    return frozenset(V for V, v in zip(s.space.opens, s.space.masks)
+                     if v | u == u and all(v | w != w for w in outside))
 
 
 def classify(s: Splitting, V: PointSet) -> PointSet:
     """The least family member above V; V lies in its remainder."""
-    above = [U for U in s.family if V <= U]
-    if not above:
+    rep = _least_above(s._by_mask, to_mask(V))
+    if rep == -1:
         raise SpaceError(f"{sorted(V)} is below no member of the splitting")
-    rep = s.space.universe
-    for U in above:
-        rep &= U
-    return rep
+    # The meet is a member when the family is intersection-closed.
+    return s._by_mask.get(rep) or from_mask(rep)
 
 
 def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
     """The remainder partition of all opens below the family: each family
     member's block."""
-    blocks: dict[PointSet, set[PointSet]] = {U: set() for U in s.family}
-    for V in s.down():
-        blocks[classify(s, V)].add(V)
+    blocks: dict[PointSet, list[PointSet]] = {U: [] for U in s.family}
+    by_mask = s._by_mask
+    for V, rep in _classes(s):
+        blocks[by_mask[rep]].append(V)
     return {U: frozenset(b) for U, b in blocks.items()}
 
 
@@ -83,11 +108,10 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
     """True iff f's truth at each point is constant over the block members
     containing that point."""
     ev = evaluator if evaluator is not None else Evaluator(m)
-    not_f = Not(f)
     sat = fail = 0  # points where f holds, and fails, at some member
-    for V in block:
-        sat |= ev.mask(V, f)
-        fail |= ev.mask(V, not_f)
+    for u, bits in ev.masks_at(block, f):
+        sat |= bits
+        fail |= u ^ bits
     return not sat & fail
 
 

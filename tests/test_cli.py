@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -243,6 +245,48 @@ def test_split_and_quotient_golden_output(m0_file, capsys, command, formula,
     assert capsys.readouterr().out == expected
 
 
+# sha256 of the concatenated stdout of each command over the 60 models of
+# `test_split_and_quotient_golden_hashes`, as the frozenset-based splitting
+# and quotient code printed it.
+GOLDEN_HASHES = {
+    "split": "2f5c143320ffee9882f90451be974766fd8ec079f481bc7e2319cb65f8d82057",
+    "quotient": "1fe66bb412f54271209ab35aa9666af964267b2db31a0767aa562760d37cc842",
+}
+
+
+def _golden_model(rng: random.Random, n: int) -> t.Model:
+    names = [f"x{i}" for i in range(n)]
+    subbasis = [F(i for i in range(n) if rng.random() < 0.5)
+                for _ in range(rng.randint(2, 5))]
+    valuation = {a: F(i for i in range(n) if rng.random() < 0.5)
+                 for a in ("A", "B")}
+    return t.make_model(t.generate_topology(subbasis, names), valuation)
+
+
+def _golden_formula(rng: random.Random) -> t.Formula:
+    while True:
+        f = t.random_formula(rng, ["A", "B"], 8)
+        if 10 <= len(t.subformulas(f)) <= 20:
+            return f
+
+
+def test_split_and_quotient_golden_hashes(tmp_path, capsys):
+    # Seeded random topologies of 3-7 points with a 10-20 node formula each
+    # (about half of the splittings have more than two members): the
+    # reports must not change by a byte when the point-set code changes.
+    rng = random.Random(2024)
+    digests = {command: hashlib.sha256() for command in GOLDEN_HASHES}
+    for i in range(60):
+        m = _golden_model(rng, rng.randint(3, 7))
+        text = t.print_formula(_golden_formula(rng))
+        path = tmp_path / f"model{i}.json"
+        t.save_model(m, path)
+        for command, digest in digests.items():
+            assert main([command, str(path), text]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert {c: d.hexdigest() for c, d in digests.items()} == GOLDEN_HASHES
+
+
 def test_readme_session_runs(tmp_path, monkeypatch, capsys):
     # Every ```python block of the README, run in order against model.json
     # written from M0_DOC, so that removed names cannot live on in the docs.
@@ -309,6 +353,19 @@ def test_axioms_enumerate(capsys):
                  "--schemes", "4,7,11"]) == 0
     out = capsys.readouterr().out
     assert "scheme  4: pass" in out and "scheme 11: pass" in out
+
+
+def test_axioms_repeated_scheme_ids_fold(capsys):
+    # A repeated id is swept once, at its first place: "4,4" reports what
+    # "4" does, and "7,4,7" what "7,4" does.
+    for repeated, once in (("4,4", "4"), ("7,4,7", "7,4")):
+        outs = []
+        for schemes in (repeated, once):
+            assert main(["axioms", "--enumerate", "2", "--trials", "3",
+                         "--schemes", schemes]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1] == "scheme  4: pass  (54 instance checks)"
 
 
 def test_axioms_model_file(m0_file, capsys):
@@ -503,6 +560,50 @@ def test_axioms_fuzz(schemes, points, trials):
         assert len(lines) == 1 and lines[0].startswith("error: "), argv
     else:
         assert not lines and out.getvalue().startswith("scheme "), argv
+
+
+def _main_result(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of one `main` call, argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_keeps_no_state(m0_file, tmp_path, monkeypatch):
+    """One parser serves every call in a process; calls that set options
+    and calls that leave them out, interleaved, each print what a freshly
+    built parser prints."""
+    assert cli.build_parser() is cli.build_parser()
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(M0_DOC["opens"]))
+    formulas = tmp_path / "formulas.txt"
+    formulas.write_text("K A -> A\n[] B\n")
+    witness = str(tmp_path / "witness.json")
+    calls = [
+        ["check", m0_file, "K B", "--at", "x0:x0,x1"],
+        ["check", m0_file, "K B"],
+        ["basis", m0_file, str(basis), "--trials", "3"],
+        ["basis", m0_file, str(basis), "--formulas", str(formulas)],
+        ["decide", "A & ~K A", "--mode", "sat", "--out", witness],
+        ["decide", "A & ~K A", "--mode", "sat"],
+        ["decide", "A", "--points", "many"],
+        ["check", m0_file],
+        ["--version"],
+        ["--help"],
+        ["split", "--help"],
+        ["check", m0_file, "K B"],
+    ]
+    cached = [_main_result(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_main_result(argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 0, 0, 2, 2, 0, 0,
+                                              0, 1]
 
 
 def test_internal_error_exits_3(m0_file, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import random
+from operator import and_, or_
 
 import pytest
 
 import topologic as t
-from conftest import random_model, random_topology
+from conftest import (random_model, random_topology, reference_close,
+                      reference_closure_flags)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -28,6 +30,9 @@ def test_make_space_rejects_missing_x():
 def test_make_space_rejects_out_of_range():
     with pytest.raises(t.SpaceError):
         t.make_space(["x0"], [F({0}), F({1})])
+    for bad in (F({-1}), F({0, 5})):
+        with pytest.raises(t.SpaceError, match="out-of-range"):
+            t.make_space(["x0", "x1"], [bad, F({0, 1})])
 
 
 def test_is_topology_missing_intersection():
@@ -163,3 +168,21 @@ def test_closure_family_closed_under_generators():
             for b in fam:
                 assert a & b in fam
         assert set(open_part) == fam & set(m.space.opens)
+
+
+def test_mask_closures_match_reference():
+    # make_space's flags and the closures work on bitmasks; the frozenset
+    # code they replaced must agree on random families, closed or not.
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        universe = F(range(n))
+        fam = [F(i for i in range(n) if rng.random() < 0.5)
+               for _ in range(rng.randint(0, 6))]
+        space = t.make_space([f"x{i}" for i in range(n)], fam + [universe])
+        assert ((space.is_intersection_closed, space.is_union_closed)
+                == reference_closure_flags(space.opens))
+        assert space.masks == tuple(sum(1 << x for x in U)
+                                    for U in space.opens)
+        assert t.close_under_intersection(fam) == reference_close(fam, and_)
+        assert t.close_under_union(fam) == reference_close(fam, or_)

@@ -4,7 +4,10 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import not_chain, random_model, same_class
+from conftest import (not_chain, random_model, reference_classify,
+                      reference_down, reference_is_stable,
+                      reference_partition, reference_remainder,
+                      same_class)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -282,3 +285,36 @@ def test_build_splitting_deep_chain(m0):
     for U in atom.family:
         assert ev.extension(U, f) == ev.extension(U, t.Atom("A"))
         assert ev.extension(U, f.arg) == U - ev.extension(U, f)
+
+
+def test_mask_helpers_match_reference():
+    # The splitting helpers compare bitmasks; the frozenset code they
+    # replaced must agree on every stable splitting of random formulas over
+    # topologies of 1-5 points, on a random intersection-closed family that
+    # may miss X, and on random blocks, which need not be stable.
+    rng = random.Random(97)
+    for _ in range(300):
+        m = random_model(rng, rng.randint(1, 5))
+        opens = m.space.opens
+        f = t.random_formula(rng, ["A", "B"], 4)
+        subs = t.subformulas(f)
+        ev = t.Evaluator(m)
+        sampled = t.make_splitting(m.space, t.close_under_intersection(
+            rng.sample(opens, rng.randint(1, len(opens)))))
+        for sp in [*t.build_splitting(m, f).splittings.values(), sampled]:
+            assert sp.down() == reference_down(sp)
+            assert t.partition(sp) == reference_partition(sp)
+            for U in sp.family:
+                assert t.remainder(sp, U) == reference_remainder(sp, U)
+            for V in opens:
+                if any(V <= U for U in sp.family):
+                    assert t.classify(sp, V) == reference_classify(sp, V)
+                else:
+                    with pytest.raises(t.SpaceError):
+                        t.classify(sp, V)
+            blocks = [*t.partition(sp).values(),
+                      F(rng.sample(opens, rng.randint(0, len(opens))))]
+            for block in blocks:
+                for phi in subs:
+                    assert (t.is_stable(m, block, phi, ev)
+                            == reference_is_stable(ev, block, phi))
