@@ -16,7 +16,7 @@ from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, model_valid
 from .space import (EMPTY, InternalError, Model, PointSet, SpaceError,
                     close_under_union, is_topology, make_model, make_space,
-                    sort_family, to_mask)
+                    sort_family)
 from .splitting import build_splitting
 
 
@@ -140,24 +140,17 @@ def point_quotient(m: Model, atom_list: Iterable[str]) -> QuotientMap:
     """
     names = tuple(sorted(set(atom_list)))
     s = m.space
-    atom_masks = [to_mask(m.atom_set(a)) for a in names]
-    # Split the points by each open and atom set in turn; number the
-    # classes by their least points.
-    classes = [(1 << len(s.point_names)) - 1]
-    for u in (*s.masks, *atom_masks):
-        classes = [part for c in classes for part in (c & u, c & ~u) if part]
-    classes.sort(key=lambda c: c & -c)
-    point_class = {x: i for x in range(len(s.point_names))
-                   for i, c in enumerate(classes) if c >> x & 1}
-
-    def image(u: int) -> PointSet:
-        # Each class lies inside u or outside it.
-        return frozenset(i for i, c in enumerate(classes) if c & u)
-
-    open_class = {U: image(u) for U, u in zip(s.opens, s.masks)}
-    class_names = tuple(f"c{i}" for i in range(len(classes)))
+    profiles: dict[tuple, int] = {}
+    point_class: dict[int, int] = {}
+    for x in sorted(s.universe):
+        profile = (tuple(x in U for U in s.opens),
+                   tuple(x in m.atom_set(a) for a in names))
+        point_class[x] = profiles.setdefault(profile, len(profiles))
+    open_class = {U: frozenset(point_class[x] for x in U) for U in s.opens}
+    class_names = tuple(f"c{i}" for i in range(len(profiles)))
     qspace = make_space(class_names, set(open_class.values()))
-    qval = dict(zip(names, map(image, atom_masks)))
+    # Class members agree on every atom: the profile contains the atoms.
+    qval = {a: frozenset(point_class[x] for x in m.atom_set(a)) for a in names}
     if is_topology(s) and not is_topology(qspace):
         raise InternalError("the quotient of a topology is not a topology")
     return QuotientMap(point_class, open_class, make_model(qspace, qval))

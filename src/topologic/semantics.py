@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_, xor
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
                       post_order, subformulas)
@@ -137,17 +137,6 @@ class Evaluator:
         if i is None:
             raise SpaceError(f"{sorted(U)} is not an open of the space")
         return (self._rows.get(f) or self._row(f))[i]  # rows are never empty
-
-    def masks_at(self, opens: Iterable[PointSet], f: Formula
-                 ) -> Iterator[tuple[int, int]]:
-        """For each open U in turn: U's mask, and the mask of the points of
-        U that satisfy f at U, both in every lane."""
-        row, masks = self._rows.get(f) or self._row(f), self._masks
-        for U in opens:
-            i = self._index.get(U)
-            if i is None:
-                raise SpaceError(f"{sorted(U)} is not an open of the space")
-            yield masks[i], row[i]
 
     def extension(self, U: PointSet, f: Formula) -> PointSet:
         bits = self.mask(U, f)

@@ -4,17 +4,18 @@ Points are indices into a name table; point sets are frozensets of
 indices, so equality is structural.  Wherever a deterministic iteration
 order is needed, families are sorted by (cardinality, sorted members).
 
-Frozensets are what the library takes, returns, saves and prints.  Inside,
-the hot paths use int bitmasks, bit x for point x: a space keeps each
-open's mask in `masks`, and the closure checks and closures here, the
-splitting's remainders and blocks, the quotient's point classes and the
-evaluator's rows all work on masks.
+Frozensets are what the library takes, returns, saves and prints.  A few
+hot paths use int bitmasks inside, bit x for point x: a space keeps each
+open's mask in `masks`, and `make_space`'s closure checks, the
+splitting's `classify`, `partition` and `is_stable`, and the evaluator's
+rows work on masks.  The family closures and the quotient's point
+classes stay on frozensets: on the small families they see, mask
+versions measured slower.  `remainder` and `down` have no hot caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import and_, or_
 from typing import Iterable, Mapping
 
 PointSet = frozenset[int]
@@ -42,16 +43,6 @@ def sort_family(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
 def to_mask(s: Iterable[int]) -> int:
     """The bitmask of a point set: bit x is set iff x is in s."""
     return sum(map((1).__lshift__, s))
-
-
-def from_mask(bits: int) -> PointSet:
-    """The point set of a bitmask."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return frozenset(out)
 
 
 def format_set(s: PointSet, names: tuple[str, ...]) -> str:
@@ -154,25 +145,24 @@ def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
     return interior(s, s.universe - (U - W))
 
 
-def _close(family: Iterable[PointSet], op) -> tuple[PointSet, ...]:
-    """Least superfamily closed under the pairwise mask operation op."""
-    sets = {to_mask(s): frozenset(s) for s in family}
-    result = set(sets)
-    new = result
-    while new:  # every pair with an old member was combined before
-        new = {op(a, b) for a in new for b in result} - result
-        result |= new
-    return sort_family(sets[b] if b in sets else from_mask(b) for b in result)
-
-
 def close_under_intersection(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise intersection."""
-    return _close(family, and_)
+    result = set(family)
+    while True:
+        new = {a & b for a in result for b in result} - result
+        if not new:
+            return sort_family(result)
+        result |= new
 
 
 def close_under_union(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise union."""
-    return _close(family, or_)
+    result = set(family)
+    while True:
+        new = {a | b for a in result for b in result} - result
+        if not new:
+            return sort_family(result)
+        result |= new
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
 from .space import (EMPTY, Model, PointSet, SpaceError, SubsetSpace,
-                    close_under_intersection, from_mask, heyting_implication,
-                    interior, is_topology, sort_family, to_mask)
+                    close_under_intersection, heyting_implication, interior,
+                    is_topology, sort_family, to_mask)
 from .semantics import Evaluator, Pair
 
 
@@ -40,7 +40,8 @@ class Splitting:
 
     def down(self) -> tuple[PointSet, ...]:
         """All opens below some member of the family."""
-        return tuple(V for V, _ in _classes(self))
+        return tuple(V for V in self.space.opens
+                     if any(V <= U for U in self.family))
 
 
 def _least_above(fam: Iterable[int], v: int) -> int:
@@ -51,16 +52,6 @@ def _least_above(fam: Iterable[int], v: int) -> int:
         if v | u == u:
             rep &= u
     return rep
-
-
-def _classes(s: Splitting) -> Iterator[tuple[PointSet, int]]:
-    """Each open below some family member, in space order, with the mask of
-    the least member above it."""
-    fam = tuple(s._by_mask)
-    for V, v in zip(s.space.opens, s.space.masks):
-        rep = _least_above(fam, v)
-        if rep != -1:
-            yield V, rep
 
 
 def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
@@ -78,10 +69,9 @@ def remainder(s: Splitting, U: PointSet) -> frozenset[PointSet]:
     """Opens below U but below no member of the family not containing U."""
     if U not in s.family:
         raise SpaceError(f"{sorted(U)} is not in the splitting family")
-    u = to_mask(U)
-    outside = [w for w in s._by_mask if u | w != w]  # members not above U
-    return frozenset(V for V, v in zip(s.space.opens, s.space.masks)
-                     if v | u == u and all(v | w != w for w in outside))
+    return frozenset(V for V in s.space.opens
+                     if V <= U
+                     and not any(V <= W for W in s.family if not U <= W))
 
 
 def classify(s: Splitting, V: PointSet) -> PointSet:
@@ -90,7 +80,8 @@ def classify(s: Splitting, V: PointSet) -> PointSet:
     if rep == -1:
         raise SpaceError(f"{sorted(V)} is below no member of the splitting")
     # The meet is a member when the family is intersection-closed.
-    return s._by_mask.get(rep) or from_mask(rep)
+    return s._by_mask.get(rep) or frozenset(
+        x for x in s.space.universe if rep >> x & 1)
 
 
 def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
@@ -98,8 +89,11 @@ def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
     member's block."""
     blocks: dict[PointSet, list[PointSet]] = {U: [] for U in s.family}
     by_mask = s._by_mask
-    for V, rep in _classes(s):
-        blocks[by_mask[rep]].append(V)
+    fam = tuple(by_mask)
+    for V, v in zip(s.space.opens, s.space.masks):
+        rep = _least_above(fam, v)
+        if rep != -1:  # V is below a member, and rep is classify(s, V)
+            blocks[by_mask[rep]].append(V)
     return {U: frozenset(b) for U, b in blocks.items()}
 
 
@@ -108,10 +102,12 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
     """True iff f's truth at each point is constant over the block members
     containing that point."""
     ev = evaluator if evaluator is not None else Evaluator(m)
+    top = Top()  # its row holds each open's own mask
     sat = fail = 0  # points where f holds, and fails, at some member
-    for u, bits in ev.masks_at(block, f):
+    for V in block:
+        bits = ev.mask(V, f)
         sat |= bits
-        fail |= u ^ bits
+        fail |= ev.mask(V, top) ^ bits
     return not sat & fail
 
 

@@ -355,28 +355,6 @@ def reference_closure_flags(family) -> tuple[bool, bool]:
             all(a | b in members for a in family for b in family))
 
 
-def reference_close(family, op) -> tuple[frozenset, ...]:
-    """Least superfamily closed under op (`operator.and_` or `or_`)."""
-    result = set(family)
-    while True:
-        new = {op(a, b) for a in result for b in result} - result
-        if not new:
-            return t.sort_family(result)
-        result |= new
-
-
-def reference_down(s: t.Splitting) -> tuple[frozenset, ...]:
-    return tuple(V for V in s.space.opens if any(V <= U for U in s.family))
-
-
-def reference_remainder(s: t.Splitting, U) -> frozenset:
-    if U not in s.family:
-        raise t.SpaceError(f"{sorted(U)} is not in the splitting family")
-    return frozenset(V for V in s.space.opens
-                     if V <= U
-                     and not any(V <= W for W in s.family if not U <= W))
-
-
 def reference_classify(s: t.Splitting, V) -> frozenset:
     above = [U for U in s.family if V <= U]
     if not above:
@@ -389,7 +367,7 @@ def reference_classify(s: t.Splitting, V) -> frozenset:
 
 def reference_partition(s: t.Splitting) -> dict:
     blocks = {U: set() for U in s.family}
-    for V in reference_down(s):
+    for V in s.down():
         blocks[reference_classify(s, V)].add(V)
     return {U: frozenset(b) for U, b in blocks.items()}
 
@@ -400,16 +378,3 @@ def reference_is_stable(ev: t.Evaluator, block, f: Formula) -> bool:
         sat |= ev.mask(V, f)
         fail |= ev.mask(V, Not(f))
     return not sat & fail
-
-
-def reference_point_classes(m: t.Model, atom_list) -> tuple[dict, dict]:
-    """`point_quotient`'s point and open classes, numbered by profile."""
-    names = tuple(sorted(set(atom_list)))
-    profiles, point_class = {}, {}
-    for x in sorted(m.space.universe):
-        profile = (tuple(x in U for U in m.space.opens),
-                   tuple(x in m.atom_set(a) for a in names))
-        point_class[x] = profiles.setdefault(profile, len(profiles))
-    open_class = {U: frozenset(point_class[x] for x in U)
-                  for U in m.space.opens}
-    return point_class, open_class

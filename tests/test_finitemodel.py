@@ -4,7 +4,7 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import not_chain, random_model, reference_point_classes
+from conftest import not_chain, random_model
 
 F = frozenset
 X = F({0, 1, 2})
@@ -202,16 +202,3 @@ def test_extract_preserves_satisfiability():
                            res.quotient.translate(moved), f)
         kept += 1
     assert kept > 0
-
-
-def test_point_quotient_matches_reference():
-    # The classes are found by splitting bitmasks; the profile numbering of
-    # the frozenset code must come out the same, point for point.
-    rng = random.Random(37)
-    for _ in range(200):
-        m = random_model(rng, rng.randint(1, 8), ("A", "B", "C"))
-        names = rng.sample(sorted(m.valuation), rng.randint(0, 3))
-        qm = t.point_quotient(m, names)
-        point_class, open_class = reference_point_classes(m, names)
-        assert list(qm.point_class.items()) == list(point_class.items())
-        assert qm.open_class == open_class

@@ -5,9 +5,7 @@ import pytest
 import topologic as t
 from topologic import Pair
 from conftest import (not_chain, random_model, reference_classify,
-                      reference_down, reference_is_stable,
-                      reference_partition, reference_remainder,
-                      same_class)
+                      reference_is_stable, reference_partition, same_class)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -288,10 +286,12 @@ def test_build_splitting_deep_chain(m0):
 
 
 def test_mask_helpers_match_reference():
-    # The splitting helpers compare bitmasks; the frozenset code they
-    # replaced must agree on every stable splitting of random formulas over
-    # topologies of 1-5 points, on a random intersection-closed family that
-    # may miss X, and on random blocks, which need not be stable.
+    # classify, partition and is_stable compare bitmasks; the frozenset
+    # code they replaced must agree on every stable splitting of random
+    # formulas over topologies of 1-5 points, on a random
+    # intersection-closed family that may miss X, on a raw family whose
+    # meets need not be members (classify only), and on random blocks,
+    # which need not be stable.
     rng = random.Random(97)
     for _ in range(300):
         m = random_model(rng, rng.randint(1, 5))
@@ -301,20 +301,26 @@ def test_mask_helpers_match_reference():
         ev = t.Evaluator(m)
         sampled = t.make_splitting(m.space, t.close_under_intersection(
             rng.sample(opens, rng.randint(1, len(opens)))))
-        for sp in [*t.build_splitting(m, f).splittings.values(), sampled]:
-            assert sp.down() == reference_down(sp)
-            assert t.partition(sp) == reference_partition(sp)
-            for U in sp.family:
-                assert t.remainder(sp, U) == reference_remainder(sp, U)
+        raw = t.Splitting(t.sort_family(
+            rng.sample(opens, rng.randint(1, len(opens)))), m.space)
+        for sp in [*t.build_splitting(m, f).splittings.values(), sampled,
+                   raw]:
             for V in opens:
                 if any(V <= U for U in sp.family):
                     assert t.classify(sp, V) == reference_classify(sp, V)
                 else:
                     with pytest.raises(t.SpaceError):
                         t.classify(sp, V)
+            if sp is raw:
+                continue
+            assert t.partition(sp) == reference_partition(sp)
             blocks = [*t.partition(sp).values(),
                       F(rng.sample(opens, rng.randint(0, len(opens))))]
             for block in blocks:
                 for phi in subs:
                     assert (t.is_stable(m, block, phi, ev)
                             == reference_is_stable(ev, block, phi))
+    # An empty block is stable for any formula: it asks the evaluator
+    # nothing, so an atom the model does not value is no error.
+    assert t.is_stable(m, [], t.Atom("Z"), ev)
+    assert t.is_stable(m, (), t.Not(t.Atom("Z")))
