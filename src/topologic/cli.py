@@ -49,15 +49,25 @@ def _parse_pair(m: Model, spec: str) -> Pair:
     point = m.space.index_of(point_part.strip())
     members = frozenset(m.space.index_of(n.strip())
                         for n in open_part.split(",") if n.strip())
+    names = m.space.point_names
     if members not in m.space.opens:
-        raise SpaceError(f"{format_set(members, m.space.point_names)} "
-                         "is not an open of the model")
+        raise SpaceError(f"{format_set(members, names)} is not an open of the model")
+    if point not in members:
+        raise SpaceError(f"point {names[point]} not in open {format_set(members, names)}")
     return Pair(point, members)
 
 
 def _pair_str(m: Model, p: Pair) -> str:
     names = m.space.point_names
     return f"point {names[p.point]}, open {format_set(p.open, names)}"
+
+
+def _write_model(m: Model, out: str | None) -> None:
+    if out:
+        save_model(m, out)
+        print(f"wrote {out}")
+    else:
+        print(json.dumps(model_to_document(m), indent=2))
 
 
 def cmd_check(args) -> int:
@@ -130,11 +140,7 @@ def cmd_quotient(args) -> int:
     for U in restricted:
         print(f"  {format_set(U, names)} -> "
               f"{format_set(q.open_class[U], qnames)}")
-    if args.out:
-        save_model(q.model, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(model_to_document(q.model), indent=2))
+    _write_model(q.model, args.out)
     return 0
 
 
@@ -185,11 +191,7 @@ def cmd_decide(args) -> int:
     print(verdict.kind.value.replace("_", " "))
     if verdict.model is not None:
         print(f"at {_pair_str(verdict.model, verdict.pair)}")
-        if args.out:
-            save_model(verdict.model, args.out)
-            print(f"wrote {args.out}")
-        else:
-            print(json.dumps(model_to_document(verdict.model), indent=2))
+        _write_model(verdict.model, args.out)
     return 0 if verdict.positive else 1
 
 

@@ -21,7 +21,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms
+from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
+                      parse)
 from .semantics import Evaluator, Pair, instantiate_axiom, scheme_metavars
 from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
                     make_space, to_mask)
@@ -353,14 +354,9 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
 # subset-space axiomatization need a non-atomic operand to fail, since for
 # atomic A the effort modality collapses ([]A is equivalent to A).
 _BOUNDARY_SUBSTITUTIONS: dict[int, list[dict[str, Formula]]] = {
-    11: [{"phi": Knows(Atom("A"))},
-         {"phi": Not(Knows(Atom("A")))},
-         {"phi": Not(Knows(Not(Atom("A"))))}],
-    12: [{"phi": Atom("A"), "psi": Atom("B"), "chi": Atom("C")},
-         {"phi": Knows(Atom("A")), "psi": Atom("B"), "chi": Atom("C")},
-         {"phi": Not(Knows(Not(Atom("A")))), "psi": Atom("B"),
-          "chi": Atom("C")}],
-}
+    11: [{"phi": parse(phi)} for phi in ("K A", "~K A", "L A")],
+    12: [{"phi": parse(phi), "psi": parse("B"), "chi": parse("C")}
+         for phi in ("A", "K A", "L A")]}
 
 
 def find_subset_space_countermodel(scheme_id: int, b: SearchBound,

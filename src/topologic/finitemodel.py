@@ -10,29 +10,31 @@ extracts a finite model equivalent for that formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Sequence
 
 from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, model_valid
 from .space import (EMPTY, InternalError, Model, PointSet, SpaceError,
-                    close_under_union, is_topology, make_model, make_space,
-                    sort_family)
+                    close_under_union, format_set, is_closed, is_topology,
+                    make_model, make_space, sort_family, to_mask)
 from .splitting import build_splitting
 
 
 def _check_basis(m: Model, basis: Sequence[PointSet]) -> None:
-    opens = set(m.space.opens)
-    fam = set(basis)
-    for B in fam:
-        if B not in opens:
-            raise SpaceError(f"basis member {sorted(B)} is not open")
-    for a in fam:
-        for b in fam:
-            if a | b not in fam:
-                raise SpaceError("basis is not closed under union")
-    for U in opens:
-        if U and frozenset().union(*[B for B in fam if B <= U] or [EMPTY]) != U:
-            raise SpaceError(f"basis does not generate the open {sorted(U)}")
+    names = m.space.point_names
+    for B in basis:
+        if B not in m.space.opens:
+            raise SpaceError(f"basis member {format_set(B, names)} is not open")
+    masks = tuple(map(to_mask, set(basis)))
+    members = set(masks)
+    if not is_closed(masks, members, or_):
+        raise SpaceError("basis is not closed under union")
+    # The union of the members inside an open is itself a member, so a
+    # union-closed basis generates a nonempty open iff the open is a member.
+    for U, u in zip(m.space.opens, m.space.masks):
+        if u and u not in members:
+            raise SpaceError(f"basis does not generate the open {format_set(U, names)}")
 
 
 def basis_witness(m: Model, basis: Sequence[PointSet], F: Iterable[PointSet],
@@ -176,10 +178,9 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     if not is_topology(m.space):
         raise SpaceError("extract_finite_model requires a topology")
     table = build_splitting(m, f)
-    family = set(table.splittings[f].family)
-    family.add(EMPTY)
-    restricted_space = make_space(m.space.point_names,
-                                  close_under_union(family))
+    restricted_space = make_space(
+        m.space.point_names,
+        close_under_union((*table.splittings[f].family, EMPTY)))
     # Union closure of an intersection-closed family of opens stays
     # intersection-closed (the open-set lattice is distributive).
     if not is_topology(restricted_space):

@@ -28,9 +28,7 @@ def model_from_document(doc: dict) -> Model:
     if (not isinstance(points, list)
             or not all(isinstance(p, str) for p in points)):
         raise SpaceError("'points' must be a list of identifiers")
-    index = {name: i for i, name in enumerate(points)}
-    if len(index) != len(points):
-        raise SpaceError("duplicate point names")
+    index = {name: i for i, name in enumerate(points)}  # make_space rejects repeats
 
     def to_set(raw, where: str) -> PointSet:
         if (not isinstance(raw, list)

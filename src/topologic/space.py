@@ -4,19 +4,21 @@ Points are indices into a name table; point sets are frozensets of
 indices, so equality is structural.  Wherever a deterministic iteration
 order is needed, families are sorted by (cardinality, sorted members).
 
-Frozensets are what the library takes, returns, saves and prints.  A few
-hot paths use int bitmasks inside, bit x for point x: a space keeps each
-open's mask in `masks`, and `make_space`'s closure checks, the
-splitting's `classify`, `partition` and `is_stable`, and the evaluator's
-rows work on masks.  The family closures and the quotient's point
-classes stay on frozensets: on the small families they see, mask
-versions measured slower.  `remainder` and `down` have no hot caller.
+Frozensets are what the library takes, returns, saves and prints.  Inside,
+a space keeps each open's int bitmask (bit x for point x) in `masks`, read
+by `is_closed`, `classify`, `partition`, `is_stable` and the evaluator.
+Families are closed and checked here only: `_close` closes under & or | in
+one pass, as both are associative, commutative and idempotent (on
+frozensets, which measured faster on the small families it sees);
+`closure_family` runs a worklist; `is_closed` is the one closure check, for
+`make_space`, `make_splitting` and bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import and_, or_
+from typing import Callable, Iterable, Mapping, Sequence
 
 PointSet = frozenset[int]
 
@@ -94,12 +96,14 @@ def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetS
     members = set(masks)
     if (1 << n) - 1 not in members:
         raise SpaceError("the full point set X must be open")
-    # Each pair once: both operations are commutative.
-    inter_closed = all({a & b for b in masks[i + 1:]} <= members
-                       for i, a in enumerate(masks))
-    union_closed = all({a | b for b in masks[i + 1:]} <= members
-                       for i, a in enumerate(masks))
-    return SubsetSpace(names, family, inter_closed, union_closed, masks)
+    return SubsetSpace(names, family, is_closed(masks, members, and_),
+                       is_closed(masks, members, or_), masks)
+
+
+def is_closed(masks: Sequence[int], members: set[int], op: Callable) -> bool:
+    """True iff op(a, b) is in members for all masks a, b (op commutes)."""
+    return all({op(a, b) for b in masks[i + 1:]} <= members
+               for i, a in enumerate(masks))
 
 
 def is_topology(s: SubsetSpace) -> bool:
@@ -145,24 +149,27 @@ def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
     return interior(s, s.universe - (U - W))
 
 
+def _close(family: Iterable[PointSet], op: Callable) -> tuple[PointSet, ...]:
+    """Least superfamily closed under op, in one pass.  As op (& or |) is
+    associative, commutative and idempotent, adding a and each op(a, r) to
+    closed kept members r keeps them closed: op(a, op(a, r)) = op(a, r), and
+    op(op(a, r), r') = op(op(a, r), op(a, r')) = op(a, op(r, r'))."""
+    result: set[PointSet] = set()
+    for a in family:
+        if a not in result:
+            result |= {op(a, r) for r in result}
+            result.add(a)
+    return sort_family(result)
+
+
 def close_under_intersection(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise intersection."""
-    result = set(family)
-    while True:
-        new = {a & b for a in result for b in result} - result
-        if not new:
-            return sort_family(result)
-        result |= new
+    return _close(family, and_)
 
 
 def close_under_union(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise union."""
-    result = set(family)
-    while True:
-        new = {a | b for a in result for b in result} - result
-        if not new:
-            return sort_family(result)
-        result |= new
+    return _close(family, or_)
 
 
 @dataclass(frozen=True)
@@ -203,26 +210,14 @@ def closure_family(m: Model, atom_list: Iterable[str]
     if not is_topology(s):
         raise SpaceError("closure_family requires a topology")
     universe = s.universe
-    cap = 2 ** len(universe)
-    family = {universe, EMPTY}
-    for name in atom_list:
-        family.add(m.atom_set(name))
-    while True:
-        new = set()
-        for a in family:
-            c = universe - a
-            if c not in family:
-                new.add(c)
-            i = interior(s, a)
-            if i not in family:
-                new.add(i)
-            for b in family:
-                if a & b not in family:
-                    new.add(a & b)
-        if not new:
-            break
-        family |= new
-        if len(family) > cap:
+    family = {universe, EMPTY, *map(m.atom_set, atom_list)}
+    todo = list(family)
+    while todo:  # each member is popped once, and meets every other then
+        a = todo.pop()
+        for b in (universe - a, interior(s, a), *(a & c for c in family)):
+            if b not in family:
+                family.add(b)
+                todo.append(b)
+        if len(family) > 2 ** len(universe):
             raise InternalError("closure family exceeded the powerset bound")
-    open_part = sort_family(interior(s, a) for a in family)
-    return sort_family(family), open_part
+    return sort_family(family), sort_family(interior(s, a) for a in family)

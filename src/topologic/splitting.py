@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import and_
 from typing import Iterable
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
 from .space import (EMPTY, Model, PointSet, SpaceError, SubsetSpace,
                     close_under_intersection, heyting_implication, interior,
-                    is_topology, sort_family, to_mask)
+                    is_closed, is_topology, sort_family, to_mask)
 from .semantics import Evaluator, Pair
 
 
@@ -59,8 +60,8 @@ def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
     for U in fam:
         if U not in space.opens:
             raise SpaceError(f"{sorted(U)} is not an open of the space")
-    members = set(fam)
-    if any(a & b not in members for a in fam for b in fam):
+    masks = tuple(map(to_mask, fam))
+    if not is_closed(masks, set(masks), and_):
         raise SpaceError("splitting family is not intersection-closed")
     return Splitting(fam, space)
 
@@ -119,12 +120,6 @@ class SplittingTable:
     splittings: dict[Formula, Splitting]
     evaluator: Evaluator
 
-    def splitting_for(self, psi: Formula) -> Splitting:
-        try:
-            return self.splittings[psi]
-        except KeyError:
-            raise SpaceError(f"{psi} is not a subformula of the table's formula") from None
-
 
 def build_splitting(m: Model, f: Formula) -> SplittingTable:
     """Stable splittings for f and all its subformulas.
@@ -149,7 +144,7 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
                 family = splittings[x].family
             case And(a, b):
                 family = close_under_intersection(
-                    set(splittings[a].family) | set(splittings[b].family))
+                    splittings[a].family + splittings[b].family)
             case Knows(x):
                 sub = splittings[x]
                 extra = []
@@ -159,12 +154,12 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
                     # least member above it.
                     if classify(sub, W) == U:
                         extra.append(W)
-                family = close_under_intersection(set(sub.family) | set(extra))
+                family = close_under_intersection((*sub.family, *extra))
             case Box(x):
                 sub = splittings[x]
-                extra = [heyting_implication(s, U, V)
-                         for U in sub.family for V in sub.family]
-                family = close_under_intersection(set(sub.family) | set(extra))
+                family = close_under_intersection((*sub.family, *(
+                    heyting_implication(s, U, V)
+                    for U in sub.family for V in sub.family)))
             case _:
                 raise TypeError(f"not a formula: {psi!r}")
         # Sorted opens, intersection-closed by construction: no check needed.
@@ -175,5 +170,8 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
 def fast_satisfies(table: SplittingTable, p: Pair, psi: Formula) -> bool:
     """Answer satisfaction at the block representative of p's open, which
     agrees with p's open on psi by stability."""
-    rep = classify(table.splitting_for(psi), p.open)
+    sp = table.splittings.get(psi)
+    if sp is None:
+        raise SpaceError(f"{psi} is not a subformula of the table's formula")
+    rep = classify(sp, p.open)
     return table.evaluator.satisfies(Pair(p.point, rep), psi)

@@ -378,3 +378,64 @@ def reference_is_stable(ev: t.Evaluator, block, f: Formula) -> bool:
         sat |= ev.mask(V, f)
         fail |= ev.mask(V, Not(f))
     return not sat & fail
+
+
+# The fixpoint closures, and the pairwise basis check, that the library's
+# single-pass closures, worklist and `is_closed` must agree with.
+
+def _reference_close(family, op) -> tuple:
+    result = set(family)
+    while True:
+        new = {op(a, b) for a in result for b in result} - result
+        if not new:
+            return t.sort_family(result)
+        result |= new
+
+
+def reference_close_under_intersection(family) -> tuple:
+    return _reference_close(family, frozenset.__and__)
+
+
+def reference_close_under_union(family) -> tuple:
+    return _reference_close(family, frozenset.__or__)
+
+
+def reference_closure_family(m: t.Model, atom_list) -> tuple[tuple, tuple]:
+    s = m.space
+    universe = s.universe
+    family = {universe, F()}
+    for name in atom_list:
+        family.add(m.atom_set(name))
+    while True:
+        new = set()
+        for a in family:
+            c = universe - a
+            if c not in family:
+                new.add(c)
+            i = t.interior(s, a)
+            if i not in family:
+                new.add(i)
+            for b in family:
+                if a & b not in family:
+                    new.add(a & b)
+        if not new:
+            break
+        family |= new
+    open_part = t.sort_family(t.interior(s, a) for a in family)
+    return t.sort_family(family), open_part
+
+
+def reference_check_basis(m: t.Model, basis) -> None:
+    """The pairwise basis check, with its messages naming point indices."""
+    opens = set(m.space.opens)
+    fam = set(basis)
+    for B in fam:
+        if B not in opens:
+            raise t.SpaceError(f"basis member {sorted(B)} is not open")
+    for a in fam:
+        for b in fam:
+            if a | b not in fam:
+                raise t.SpaceError("basis is not closed under union")
+    for U in opens:
+        if U and F().union(*[B for B in fam if B <= U] or [F()]) != U:
+            raise t.SpaceError(f"basis does not generate the open {sorted(U)}")

@@ -61,6 +61,21 @@ def test_check_at_pair(m0_file, capsys):
     assert "satisfied" in capsys.readouterr().out
 
 
+def test_check_at_point_outside_open(m0_file, capsys):
+    assert main(["check", m0_file, "A", "--at", "x1:x0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: point x1 not in open {x0}\n"
+    assert captured.out == ""
+
+
+def test_duplicate_point_names_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"points": ["x0", "x1", "x0"],
+                                "opens": [["x0", "x1"]], "valuation": {}}))
+    assert main(["check", str(path), "top"]) == 2
+    assert capsys.readouterr().err == "error: duplicate point names\n"
+
+
 def test_check_parse_error(m0_file, capsys):
     assert main(["check", m0_file, "(A & B"]) == 2
 
@@ -308,6 +323,20 @@ def test_basis_full_topology(m0_file, tmp_path, capsys):
     assert main(["basis", m0_file, str(basis_path),
                  "--trials", "20", "--seed", "1"]) == 0
     assert "equivalent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("basis, message", [
+    # The first open in the model's order that the basis misses.
+    ([[]], "basis does not generate the open {x0}"),
+    ([["x0"], ["x1"], ["x0", "x1", "x2"]], "basis member {x1} is not open"),
+])
+def test_basis_errors_name_points(m0_file, tmp_path, capsys, basis, message):
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text(json.dumps(basis))
+    assert main(["basis", m0_file, str(basis_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_basis_with_formula_file(m0_file, tmp_path):

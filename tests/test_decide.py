@@ -135,6 +135,23 @@ def _reference_search(f, b, holds):
     return None
 
 
+def test_boundary_substitutions_match_constructors():
+    # The substitution texts parse to the very nodes the constructors give.
+    A, B, C = t.Atom("A"), t.Atom("B"), t.Atom("C")
+    expected = {
+        11: [{"phi": t.Knows(A)}, {"phi": t.Not(t.Knows(A))},
+             {"phi": t.Not(t.Knows(t.Not(A)))}],
+        12: [{"phi": phi, "psi": B, "chi": C}
+             for phi in (A, t.Knows(A), t.Not(t.Knows(t.Not(A))))],
+    }
+    assert _BOUNDARY_SUBSTITUTIONS.keys() == expected.keys()
+    for sid, substs in expected.items():
+        assert len(_BOUNDARY_SUBSTITUTIONS[sid]) == len(substs)
+        for got, want in zip(_BOUNDARY_SUBSTITUTIONS[sid], substs):
+            assert got.keys() == want.keys()
+            assert all(got[v] is want[v] for v in want)
+
+
 def _reference_boundary(scheme_id, b, max_opens):
     for n in range(1, b.max_points + 1):
         for space in t.enumerate_subset_spaces(n, max_opens):

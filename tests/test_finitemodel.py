@@ -3,8 +3,8 @@ import random
 import pytest
 
 import topologic as t
-from topologic import Pair
-from conftest import not_chain, random_model
+from topologic import Pair, finitemodel
+from conftest import not_chain, random_model, reference_check_basis
 
 F = frozenset
 X = F({0, 1, 2})
@@ -52,6 +52,34 @@ def test_basis_witness_randomized():
 def test_basis_witness_rejects_bad_basis(m0):
     with pytest.raises(t.SpaceError):
         t.basis_witness(m0, [F({0}), F({0, 1})], [X], X, 0)  # no X coverage
+
+
+def _basis_verdict(check, m, basis) -> str:
+    try:
+        check(m, basis)
+    except t.SpaceError as exc:
+        return next(kind for kind in ("not open", "not closed", "generate")
+                    if kind in str(exc))
+    return "ok"
+
+
+def test_check_basis_matches_reference():
+    # _check_basis accepts exactly the bases the pairwise check accepted,
+    # and rejects the others for the same reason.
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = random_model(rng, n)
+        basis = [U for U in m.space.opens if rng.random() < 0.6]
+        if rng.random() < 0.5:
+            basis = list(t.close_under_union(basis))
+        if rng.random() < 0.1:
+            basis.append(F(i for i in range(n) if rng.random() < 0.5))
+        verdict = _basis_verdict(finitemodel._check_basis, m, basis)
+        assert verdict == _basis_verdict(reference_check_basis, m, basis)
+        verdicts.add(verdict)
+    assert verdicts == {"ok", "not open", "not closed", "generate"}
 
 
 def test_basis_equivalent_full_topology(m0):

@@ -3,7 +3,9 @@ import random
 import pytest
 
 import topologic as t
-from conftest import random_model, random_topology, reference_closure_flags
+from conftest import (random_model, random_topology, reference_closure_family,
+                      reference_close_under_intersection,
+                      reference_close_under_union, reference_closure_flags)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -23,6 +25,11 @@ def test_make_space_minimal():
 def test_make_space_rejects_missing_x():
     with pytest.raises(t.SpaceError):
         t.make_space(["x0", "x1"], [F({0})])
+
+
+def test_make_space_rejects_duplicate_names():
+    with pytest.raises(t.SpaceError, match="^duplicate point names$"):
+        t.make_space(["x0", "x1", "x0"], [F({0, 1, 2})])
 
 
 def test_make_space_rejects_out_of_range():
@@ -182,3 +189,32 @@ def test_make_space_mask_flags_match_reference():
                 == reference_closure_flags(space.opens))
         assert space.masks == tuple(sum(1 << x for x in U)
                                     for U in space.opens)
+
+
+def test_closures_match_reference():
+    # The single-pass closures against the parent's fixpoints, on families
+    # of 0-8 members over 1-6 points, with repeats, the empty family too.
+    rng = random.Random(29)
+    sizes = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        fam = [F(i for i in range(n) if rng.random() < 0.4)
+               for _ in range(rng.randint(0, 8))]
+        fam += rng.sample(fam, min(len(fam), rng.randint(0, 2)))
+        assert (t.close_under_intersection(fam)
+                == reference_close_under_intersection(fam))
+        assert t.close_under_union(fam) == reference_close_under_union(fam)
+        sizes.add(len(fam))
+    assert 0 in sizes and max(sizes) >= 8
+
+
+def test_closure_family_matches_reference():
+    # Both outputs of the worklist against the parent's fixpoint, on
+    # random models of 1-5 points with 0-3 atoms.
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = random_model(rng, n, ("A", "B", "C")[:rng.randint(0, 3)])
+        atom_list = sorted(m.valuation)
+        assert (t.closure_family(m, atom_list)
+                == reference_closure_family(m, atom_list))

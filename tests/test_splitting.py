@@ -4,7 +4,8 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import (not_chain, random_model, reference_classify,
+from conftest import (not_chain, random_model, random_topology,
+                      reference_classify, reference_closure_flags,
                       reference_is_stable, reference_partition, same_class)
 
 F = frozenset
@@ -37,6 +38,26 @@ def test_splitting_requires_intersection_closed(m0_space):
     s = t.generate_topology([F({0, 1}), F({0, 2})], ["x0", "x1", "x2"])
     with pytest.raises(t.SpaceError):
         t.make_splitting(s, [F({0, 1}), F({0, 2}), X])
+
+
+def test_make_splitting_check_matches_reference():
+    # make_splitting accepts exactly the families of opens that the
+    # pairwise frozenset check accepted.
+    rng = random.Random(37)
+    verdicts = set()
+    for _ in range(300):
+        s = random_topology(rng, rng.randint(1, 5))
+        fam = [U for U in s.opens if rng.random() < 0.5]
+        closed = reference_closure_flags(fam)[0]
+        try:
+            t.make_splitting(s, fam + fam[:1])
+            accepted = True
+        except t.SpaceError as exc:
+            assert str(exc) == "splitting family is not intersection-closed"
+            accepted = False
+        assert accepted == closed
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def test_splitting_requires_opens(m0_space):
