@@ -92,7 +92,11 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     and its basis model on the given formulas.
 
     Returns None when everything agrees (the expected outcome) or the
-    first disagreement found.
+    first disagreement found.  On a finite topology it cannot disagree:
+    `_check_basis` accepts only opens, closed under union, that include
+    every nonempty open, so an accepted basis is the nonempty opens, with
+    or without the empty set.  The basis model differs at most by the
+    empty open, which holds no point and so is in no pair.
     """
     _check_basis(m, basis)
     mb = basis_model(m, basis)

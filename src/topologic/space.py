@@ -218,6 +218,4 @@ def closure_family(m: Model, atom_list: Iterable[str]
             if b not in family:
                 family.add(b)
                 todo.append(b)
-        if len(family) > 2 ** len(universe):
-            raise InternalError("closure family exceeded the powerset bound")
     return sort_family(family), sort_family(interior(s, a) for a in family)

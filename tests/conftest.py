@@ -439,3 +439,20 @@ def reference_check_basis(m: t.Model, basis) -> None:
     for U in opens:
         if U and F().union(*[B for B in fam if B <= U] or [F()]) != U:
             raise t.SpaceError(f"basis does not generate the open {sorted(U)}")
+
+
+def reference_labeled_decide(f: Formula, b: t.SearchBound, holds: bool):
+    """The labeled search that `decide_sat` and `decide_valid` ran before
+    they scanned one topology per homeomorphism class: the least
+    (model, pair) over every labeled topology on 1 to b.max_points points
+    at which f has the truth value holds, or None."""
+    return t.decide._first_hit(t.decide._topologies_within(b),
+                               sorted(set(b.atoms)), f, holds)
+
+
+def homeomorphism_class(s: t.SubsetSpace) -> tuple:
+    """Brute-force canonical form: the least image of the opens, as sorted
+    point tuples, under every permutation of the points."""
+    perms = itertools.permutations(range(len(s.point_names)))
+    return min(tuple(sorted(tuple(sorted(perm[x] for x in U))
+                            for U in s.opens)) for perm in perms)

@@ -302,6 +302,50 @@ def test_split_and_quotient_golden_hashes(tmp_path, capsys):
     assert {c: d.hexdigest() for c, d in digests.items()} == GOLDEN_HASHES
 
 
+# Formulas for `test_decide_golden_hash`: least witnesses on 2 to 5 points,
+# some past the first labeled topology on their count, and formulas valid
+# up to 5 points (full scans in both modes once negated).
+DECIDE_GOLDEN_TEXTS = [
+    "L (A & [] L ~A) & L (~A & <> K ~A)",
+    "L (A & [] L ~A) & L (A & <> K A)",
+    "L (A & B) & L (A & ~B) & L (~A & B) & L (~A & ~B)",
+    "L (A & B & [] L ~A) & L (A & B & <> K A) & L (~A & B) & L (~A & ~B)",
+    "L (A & B & [] L ~A) & L (A & B & <> K A) & L (A & ~B) & L (~A & B)"
+    " & L (~A & ~B)",
+    "L (A & [] L ~A) & L (A & <> K A) & L (~A & <> K ~A) & L (~A & [] L A)",
+    "K A & K B -> K (A & B)",
+    "<> [] A -> [] <> A",
+    "[] (K A -> A)",
+    "K [] A -> [] A",
+]
+# sha256 of `decide` stdout and witness files over those formulas, their
+# negations and ten seeded random ones, as the labeled search printed them.
+DECIDE_GOLDEN_HASH = (
+    "e92d6d3f1667e8b5f2aa6a77ee878e50eeb7408f7165438c1242a83cf49b70d0")
+
+
+def test_decide_golden_hash(tmp_path, capsys):
+    # Searching one topology per homeomorphism class must report the very
+    # verdicts, pairs and witness models of the scan over every labeled one.
+    rng = random.Random(1414)
+    texts = DECIDE_GOLDEN_TEXTS + [f"~({text})" for text in DECIDE_GOLDEN_TEXTS]
+    texts += [t.print_formula(t.random_formula(rng, ["A", "B"], 4))
+              for _ in range(10)]
+    out = tmp_path / "witness.json"
+    digest = hashlib.sha256()
+    for text in texts:
+        for points in ("3", "4", "5"):
+            for mode in ("sat", "valid"):
+                code = main(["decide", text, "--mode", mode, "--points", points,
+                             "--out", str(out)])
+                stdout = capsys.readouterr().out.replace(str(out), "OUT")
+                digest.update(f"{code}\n{stdout}".encode())
+                if out.exists():
+                    digest.update(out.read_bytes())
+                    out.unlink()
+    assert digest.hexdigest() == DECIDE_GOLDEN_HASH
+
+
 def test_readme_session_runs(tmp_path, monkeypatch, capsys):
     # Every ```python block of the README, run in order against model.json
     # written from M0_DOC, so that removed names cannot live on in the docs.

@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 
 import topologic as t
-from conftest import ReferenceEvaluator, enumerate_closed_families
-from topologic.decide import _BOUNDARY_SUBSTITUTIONS
+from conftest import (ReferenceEvaluator, enumerate_closed_families,
+                      homeomorphism_class, reference_labeled_decide)
+from topologic.decide import _BOUNDARY_SUBSTITUTIONS, _representatives
 
 F = frozenset
 
@@ -57,6 +58,97 @@ def test_enumeration_all_are_topologies():
     for n in (1, 2, 3):
         for s in t.enumerate_topologies(n):
             assert t.is_topology(s)
+
+
+def test_representatives_counts_and_order():
+    # One topology per homeomorphism class (OEIS A001930), an ordered
+    # subsequence of the labeled spaces, starting with the first.
+    counts = []
+    for n in range(1, 6):
+        position = {id(s): i for i, s in enumerate(t.enumerate_topologies(n))}
+        indices = [position[id(s)] for s in _representatives(n)]
+        assert indices == sorted(indices) and indices[0] == 0
+        counts.append(len(indices))
+    assert counts == [1, 3, 9, 33, 139]
+
+
+def test_representatives_first_of_each_class():
+    """The representatives are, as the very objects, the first labeled
+    space of each homeomorphism class in labeled order, so each labeled
+    space is homeomorphic to exactly one of them."""
+    for n in (1, 2, 3, 4):
+        first = {}
+        for s in t.enumerate_topologies(n):
+            first.setdefault(homeomorphism_class(s), s)
+        reps = _representatives(n)
+        assert len(reps) == len(first)
+        assert all(a is b for a, b in zip(reps, first.values()))
+
+
+def _random_search_formulas():
+    """Seeded 2-atom formulas, and formulas whose least witness lies on
+    2 to 4 points, some past the first labeled space, or that have none."""
+    rng = random.Random(1407)
+    texts = ["L (A & [] L ~A) & L (~A & <> K ~A)",
+             "L (A & [] L ~A) & L (A & <> K A)",
+             "L (A & B) & L (A & ~B) & L (~A & B)",
+             "L (A & B) & L (A & ~B) & L (~A & B) & L (~A & ~B)",
+             "L (A & B & [] L ~A) & L (A & B & <> K A) & L (~A & B) & L (~A & ~B)",
+             "L (A & [] L ~A) & L (A & <> K A) & L (~A & <> K ~A) & L (~A & [] L A)",
+             "K A & K B -> K (A & B)", "<> [] A -> [] <> A"]
+    fixed = [t.parse(text) for text in texts]
+    return (fixed + [t.Not(f) for f in fixed]
+            + [t.random_formula(rng, ["A", "B"], rng.randint(2, 5))
+               for _ in range(40)])
+
+
+def test_reduced_search_matches_labeled():
+    seen = Counter()
+    for points in (3, 4):
+        b = t.SearchBound(points, ("B", "A"))
+        for f in _random_search_formulas():
+            for decide, holds in ((t.decide_sat, True),
+                                  (t.decide_valid, False)):
+                v = decide(f, b)
+                hit = reference_labeled_decide(f, b, holds)
+                assert v.positive == ((hit is not None) == holds)
+                assert (v.model, v.pair) == (hit if hit else (None, None))
+                if v.model is None:
+                    seen["none"] += 1
+                else:
+                    n = len(v.model.space.point_names)
+                    seen[n] += 1
+                    first = next(t.enumerate_topologies(n))
+                    seen["past first"] += v.model.space is not first
+    # Hits on 1 to 4 points, some past the first labeled space on their
+    # count, and searches with none were all compared.
+    assert all(seen[key] for key in (1, 2, 3, 4, "past first", "none"))
+
+
+def test_searches_scan_representatives_only(monkeypatch):
+    """Full scans and early hits alike pass `_first_hit` representatives
+    only, never the labeled spaces."""
+    reps = {id(s) for n in range(1, 5) for s in _representatives(n)}
+    first_hit = t.decide._first_hit
+    passed = []
+
+    def spy(spaces, *args):
+        def recorded():
+            for s in spaces:
+                passed.append(s)
+                yield s
+        return first_hit(recorded(), *args)
+
+    monkeypatch.setattr(t.decide, "_first_hit", spy)
+    b = t.SearchBound(4, ("A", "B"))
+    for text in ("K A & K B -> K (A & B)", "~(K A & K B -> K (A & B))",
+                 "L (A & B) & L (A & ~B) & L (~A & B) & L (~A & ~B)"):
+        for decide in (t.decide_valid, t.decide_sat):
+            decide(t.parse(text), b)
+    # Two full scans of 1 + 3 + 9 + 33 classes, three hits on one point and
+    # one on the first class on four points.
+    assert len(passed) == 2 * 46 + 3 + (1 + 3 + 9 + 1)
+    assert all(id(s) in reps for s in passed)
 
 
 def test_decide_sat_positive():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -80,6 +81,29 @@ def test_check_basis_matches_reference():
         assert verdict == _basis_verdict(reference_check_basis, m, basis)
         verdicts.add(verdict)
     assert verdicts == {"ok", "not open", "not closed", "generate"}
+
+
+def test_accepted_bases_are_the_nonempty_opens():
+    # Why `basis_equivalent` cannot disagree on a finite topology: every
+    # basis `_check_basis` accepts is the model's nonempty opens, with or
+    # without the empty set.
+    rng = random.Random(43)
+    accepted = Counter()
+    for _ in range(600):
+        m = random_model(rng, rng.randint(1, 5))
+        basis = list(t.minimal_neighborhood_basis(m))
+        if rng.random() < 0.5:
+            basis = list(t.close_under_union(
+                U for U in m.space.opens if rng.random() < 0.7))
+        if rng.random() < 0.5:
+            basis.append(F())
+        try:
+            finitemodel._check_basis(m, basis)
+        except t.SpaceError:
+            continue
+        assert set(basis) - {F()} == set(m.space.opens) - {F()}
+        accepted[F() in basis] += 1
+    assert accepted[True] >= 100 and accepted[False] >= 100
 
 
 def test_basis_equivalent_full_topology(m0):
