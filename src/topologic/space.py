@@ -92,7 +92,9 @@ def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetS
             raise SpaceError(f"open {sorted(s)} has out-of-range points")
         family.append(s)
     family = sort_family(family)
-    masks = tuple(map(to_mask, family))
+    # From a list, the tuple is made at its size; tuple() of an iterator
+    # shrinks an oversized one, which then sits on the tuple free list.
+    masks = tuple([to_mask(s) for s in family])
     members = set(masks)
     if (1 << n) - 1 not in members:
         raise SpaceError("the full point set X must be open")

@@ -346,6 +346,25 @@ def test_decide_golden_hash(tmp_path, capsys):
     assert digest.hexdigest() == DECIDE_GOLDEN_HASH
 
 
+# sha256 of `axioms` stdout over every topology up to 4 and 5 points, as
+# the sweep printed it with one evaluator per labeled space: the counts of
+# instance checks and the verdicts must not change when spaces share passes.
+AXIOMS_GOLDEN_HASHES = {
+    ("--enumerate", "4"):
+        "8eefb638362a11230518c1f75c2814cc81752713f882f6f4d6865c17b8a9e9e5",
+    ("--enumerate", "5", "--trials", "2"):
+        "77f2d15a66378c37d2fa45f5335ab3bd24116a912686a425f8e4d1d540894c11",
+}
+
+
+@pytest.mark.parametrize("args", list(AXIOMS_GOLDEN_HASHES))
+def test_axioms_golden_hash(capsys, args):
+    assert main(["axioms", *args]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": pass  (") == 12
+    assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_GOLDEN_HASHES[args]
+
+
 def test_readme_session_runs(tmp_path, monkeypatch, capsys):
     # Every ```python block of the README, run in order against model.json
     # written from M0_DOC, so that removed names cannot live on in the docs.

@@ -145,9 +145,19 @@ def test_searches_scan_representatives_only(monkeypatch):
                  "L (A & B) & L (A & ~B) & L (~A & B) & L (~A & ~B)"):
         for decide in (t.decide_valid, t.decide_sat):
             decide(t.parse(text), b)
-    # Two full scans of 1 + 3 + 9 + 33 classes, three hits on one point and
-    # one on the first class on four points.
-    assert len(passed) == 2 * 46 + 3 + (1 + 3 + 9 + 1)
+    t.decide_valid(t.parse("<> K A -> K <> A"), t.SearchBound(4, ("A",)))
+    # Each search draws the classes of one point count in passes.  A space
+    # on n points takes 2**(n*atoms) lanes, and spaces of at most 64 lanes
+    # share a pass, up to 4096 lanes: with two atoms the 1, 3 and 9 classes
+    # on 1 to 3 points (4, 16, 64 lanes) take one pass per point count, and
+    # each of the 33 classes on 4 points (256 lanes) a pass of its own.
+    # Two full scans draw 1 + 3 + 9 + 33 classes each, three hits on one
+    # point its one class each, and the hit on the first class on four
+    # points the 1 + 3 + 9 classes below and that class.  With one atom the
+    # hit on the first class on two points draws the one 1-point class and
+    # the whole 2-point pass of 3.
+    assert len(passed) == (2 * (1 + 3 + 9 + 33) + 3 * 1 + (1 + 3 + 9 + 1)
+                           + (1 + 3))
     assert all(id(s) in reps for s in passed)
 
 

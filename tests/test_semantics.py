@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -59,6 +60,14 @@ def test_evaluator_rejects_mismatched_lanes(m0):
                  (m0.space, 0, {"A": 1})):
         with pytest.raises(t.SpaceError):
             t.Evaluator(*args)
+
+
+def test_evaluator_spaces_need_one_point_count(m0):
+    """A pass's lanes have one width, so its spaces share a point count."""
+    two = next(t.enumerate_topologies(2))
+    for spaces in ([], [m0.space, two]):
+        with pytest.raises(t.SpaceError, match="one point count"):
+            t.Evaluator(spaces, 1, {"A": 1})
 
 
 def test_evaluator_matches_reference():
@@ -223,33 +232,124 @@ def test_desugaring_soundness_pointwise():
             assert ev.satisfies(p, t.Diamond(f)) == dia_direct
 
 
+# Formulas whose [] reads an operand that changes from an open to the opens
+# below it, so that a sub-open missing from a slot's list shows.
+LANE_PROBES = [t.parse(text) for text in
+               ("[] L A", "<> K B", "K <> (A & ~B)", "[] (K A | L B)")]
+
+
 @pytest.mark.parametrize("cap", [decide.LANE_CAP, 5])
 def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
-    """Lane v of a pass holds the rows of the v-th valuation's model, on
-    all topologies up to 3 points and the non-topologies the boundary
-    search scans.  With 5 lanes a pass starts inside an atom's run of
-    equal subsets, and on 2 points it spans more than B's period of 4."""
+    """Lane k*count + v of a pass is valuation lo + v on group[k]: on that
+    space's opens it holds the rows of the model's one-lane evaluator, and
+    on the pass's other slots 0.  The passes run over all topologies up to
+    3 points and the non-topologies the boundary search scans, every
+    (space, valuation) once and in order, and each answers two formulas, a
+    random one and a probe.  At the default cap a pass holds up to 64
+    spaces; with 5 lanes a space spans several passes, a pass starts inside
+    an atom's run of equal subsets, and on 2 points it spans more than B's
+    period of 4."""
     monkeypatch.setattr(decide, "LANE_CAP", cap)
     rng = random.Random(37)
     names = ["A", "B"]
     spaces = [s for n in (1, 2, 3) for s in t.enumerate_topologies(n)]
     spaces += t.enumerate_subset_spaces(3, 4)
+    probes = itertools.cycle(LANE_PROBES)
+    seen = []  # (space, valuation) per lane, pass after pass
+    for group, lo, count, ev in decide._space_passes(spaces, names):
+        w = len(group[0].point_names) + 1
+        slots = {U for s in group for U in s.opens}
+        lanes = range(len(group) * count)
+        models = [decide._lane_model(group, lo, count, names, lane)
+                  for lane in lanes]
+        seen += [(m.space, m.valuation) for m in models]
+        ones = [t.Evaluator(m) for m in models]
+        refs = [ReferenceEvaluator(m) for m in models]
+        for f in (t.random_formula(rng, names, 4), next(probes)):
+            for g in t.subformulas(f):
+                for U in slots:
+                    row = ev.mask(U, g)
+                    for k, space in enumerate(group):
+                        block = row >> k * count * w & (1 << count * w) - 1
+                        for v, one in enumerate(ones[k * count:][:count]):
+                            bits = block >> v * w & (1 << w) - 1
+                            assert bits == (one.mask(U, g) if U in space.opens
+                                            else 0)
+                for m, one, ref in zip(models, ones, refs):
+                    for U in m.space.opens:
+                        assert one.extension(U, g) == ref.extension(U, g)
+            sat, fail = dict(ev.hits(f, True)), dict(ev.hits(f, False))
+            for lane, one, ref in zip(lanes, ones, refs):
+                assert sat.get(lane) == one.first_pair(f, True)
+                assert fail.get(lane) == ref.find_counterexample(f)
     vals = {n: list(t.enumerate_valuations(n, names)) for n in (1, 2, 3)}
-    for space, lo, count, ev in decide._space_passes(spaces, names):
-        n = len(space.point_names)
-        f = t.random_formula(rng, names, 4)
-        subs = t.subformulas(f)
-        sat, fail = dict(ev.hits(f, True)), dict(ev.hits(f, False))
-        for v in range(lo, lo + count):
-            m = t.make_model(space, vals[n][v])
-            one, ref = t.Evaluator(m), ReferenceEvaluator(m)
-            for g in subs:
-                for U in space.opens:
-                    lane = ev.mask(U, g) >> (v - lo) * (n + 1) & (1 << n + 1) - 1
-                    assert lane == one.mask(U, g)
-                    assert one.extension(U, g) == ref.extension(U, g)
-            assert sat.get(v - lo) == one.first_pair(f, True)
-            assert fail.get(v - lo) == ref.find_counterexample(f)
+    expected = [(s, v) for s in spaces for v in vals[len(s.point_names)]]
+    assert len(seen) == len(expected)
+    assert all(a is s and b == v for (a, b), (s, v) in zip(seen, expected))
+
+
+def test_search_pass_keeps_only_asked_rows():
+    """A search pass drops each operand's row after its last parent, so
+    it holds rows for the formulas asked only, among them a row that a
+    later formula reads; a model's evaluator keeps every row."""
+    ka, f, g = t.parse("K A"), t.parse("K A -> [] K A"), t.parse("~K A & [] B")
+    spaces = list(t.enumerate_topologies(3))
+    for group, lo, count, ev in decide._space_passes(spaces, ["A", "B"]):
+        list(ev.hits(f, False))
+        assert set(ev._rows) == {f}
+        list(ev.hits(g, True))
+        assert set(ev._rows) == {f, g}
+        top = ev.mask(group[0].opens[-1], ka)
+        assert set(ev._rows) == {f, g, ka}
+        list(ev.hits(Not(ka), True))  # reads the kept row of K A
+        assert set(ev._rows) == {f, g, ka, Not(ka)}
+        assert ev.mask(group[0].opens[-1], ka) == top
+    m = t.make_model(spaces[5], {"A": F({0}), "B": F({0, 1})})
+    ev = t.Evaluator(m)
+    ev.first_pair(f, False)
+    assert set(ev._rows) == set(t.subformulas(f))
+
+
+@pytest.mark.parametrize("search_pass", [False, True])
+def test_failed_walk_leaves_evaluator_consistent(search_pass):
+    """An unknown atom ends a walk with SpaceError halfway: the evaluator
+    keeps no row of the failed formula that is not whole, loses no row of
+    an earlier formula, raises the same error when asked again, and then
+    evaluates valid formulas as a fresh evaluator does."""
+    space = list(t.enumerate_topologies(3))[7]
+    names = ["A", "B"]
+
+    def fresh():
+        if search_pass:
+            return next(decide._space_passes([space], names))[3]
+        return t.Evaluator(t.make_model(space, {"A": F({0}), "B": F({1, 2})}))
+
+    ka = t.parse("K A")
+    bad = t.parse("K A & [] (B & ~C)")  # K A and B are computed before C
+    later = t.parse("K A & [] (B & ~A)")
+    ev, X3 = fresh(), space.opens[-1]
+    before = ev.mask(X3, ka)
+    for _ in range(2):
+        with pytest.raises(t.SpaceError, match="unknown atom 'C'"):
+            ev.mask(X3, bad)
+        with pytest.raises(t.SpaceError, match="unknown atom 'C'"):
+            ev.first_pair(bad, False)
+        assert all(type(r) is list and len(r) == len(space.opens)
+                   for r in ev._rows.values())
+        if search_pass:
+            assert set(ev._rows) == {ka}
+    assert ev.mask(X3, ka) == before
+    other = fresh()
+    for U in space.opens:
+        assert ev.mask(U, later) == other.mask(U, later)
+    assert list(ev.hits(later, True)) == list(other.hits(later, True))
+    # A walk that fails on a pass's first formula leaves no row at all.
+    if search_pass:
+        ev = fresh()
+        with pytest.raises(t.SpaceError, match="unknown atom 'C'"):
+            ev.mask(X3, bad)
+        assert not ev._rows
+        assert ev.mask(X3, later) == other.mask(X3, later)
 
 
 @pytest.mark.parametrize("cap", [1, 3])
