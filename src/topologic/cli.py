@@ -30,8 +30,8 @@ from .modelfile import load_model, model_to_document, save_model
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
                         find_counterexample)
 from .space import (InternalError, Model, SpaceError, format_family,
-                    format_set, is_topology, sort_family)
-from .splitting import build_splitting, is_stable, partition
+                    format_set, is_topology)
+from .splitting import build_splitting, partition
 
 
 def _parse_formula(m: Model, text: str) -> Formula:
@@ -95,25 +95,30 @@ def cmd_split(args) -> int:
     table = build_splitting(m, f)
     ev = table.evaluator
     names = m.space.point_names
+    # By slot: the slots of a model's evaluator are its opens.
+    label = [format_set(U, names) for U in m.space.opens]
+
+    def listing(slots: list[int]) -> str:
+        return "{" + ", ".join([label[i] for i in slots]) + "}"
+
     text = {psi: print_formula(psi) for psi in table.splittings}
     all_stable = True
     for psi, sp in table.splittings.items():
+        fam = ev.slots(sp.family)
         print(f"subformula: {text[psi]}")
-        print(f"  family: {format_family(sp.family, names)}")
-        blocks = partition(sp)
+        print(f"  family: {listing(fam)}")
         subs = set(subformulas(psi))
         inner = [phi for phi in table.splittings if phi in subs]
-        for rep in sort_family(blocks):
-            block = blocks[rep]
+        # Blocks come in family order, which is slot order.
+        for r, (rep, block) in zip(fam, partition(sp).items()):
+            slots = ev.slots(block)
             verdicts = []
             for phi in inner:
-                ok = is_stable(m, block, phi, ev)
+                ok = ev.stable(slots, phi)
                 all_stable = all_stable and ok
                 verdicts.append(f"{text[phi]}: {'stable' if ok else 'UNSTABLE'}")
-            ext = ev.extension(rep, psi)
-            print(f"  block of {format_set(rep, names)}: "
-                  f"{format_family(block, names)}")
-            print(f"    extension: {format_set(ext, names)}")
+            print(f"  block of {label[r]}: {listing(slots)}")
+            print(f"    extension: {format_set(ev.extension(rep, psi), names)}")
             print(f"    stability: {'; '.join(verdicts)}")
     if not all_stable:
         raise InternalError("unstable block in a stable splitting")

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_, xor
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
@@ -192,6 +192,26 @@ class Evaluator:
         if i is None:
             raise SpaceError(f"{sorted(U)} is not an open of the space")
         return (self._rows.get(f) or self._row(f))[i]  # rows are never empty
+
+    def slots(self, opens: Iterable[PointSet]) -> list[int]:
+        """The slots of the given opens, ascending: in `sort_family` order."""
+        try:
+            return sorted([self._index[U] for U in opens])
+        except KeyError as exc:
+            raise SpaceError(f"{sorted(exc.args[0])} is not an open of the "
+                             "space") from None
+
+    def stable(self, slots: Sequence[int], f: Formula) -> bool:
+        """True iff f's truth at each point is constant over the given slots
+        whose opens contain it.  No slots ask for no row."""
+        if not slots:
+            return True
+        row, masks = self._rows.get(f) or self._row(f), self._masks
+        sat = fail = 0  # points where f holds, and fails, at some slot
+        for i in slots:
+            sat |= row[i]
+            fail |= masks[i] ^ row[i]
+        return not sat & fail
 
     def extension(self, U: PointSet, f: Formula) -> PointSet:
         bits = self.mask(U, f)

@@ -6,7 +6,8 @@ order is needed, families are sorted by (cardinality, sorted members).
 
 Frozensets are what the library takes, returns, saves and prints.  Inside,
 a space keeps each open's int bitmask (bit x for point x) in `masks`, read
-by `is_closed`, `classify`, `partition`, `is_stable` and the evaluator.
+by `is_closed`, `classify`, `partition` and the evaluator, whose rows also
+give block stability (`Evaluator.stable`, over a block's slots).
 Families are closed and checked here only: `_close` closes under & or | in
 one pass, as both are associative, commutative and idempotent (on
 frozensets, which measured faster on the small families it sees);

@@ -39,11 +39,6 @@ class Splitting:
         """The family members by bitmask, in family order."""
         return {to_mask(U): U for U in self.family}
 
-    def down(self) -> tuple[PointSet, ...]:
-        """All opens below some member of the family."""
-        return tuple(V for V in self.space.opens
-                     if any(V <= U for U in self.family))
-
 
 def _least_above(fam: Iterable[int], v: int) -> int:
     """The intersection of the members of fam above v; -1 (all bits) when
@@ -87,7 +82,7 @@ def classify(s: Splitting, V: PointSet) -> PointSet:
 
 def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
     """The remainder partition of all opens below the family: each family
-    member's block."""
+    member's block, in family order."""
     blocks: dict[PointSet, list[PointSet]] = {U: [] for U in s.family}
     by_mask = s._by_mask
     fam = tuple(by_mask)
@@ -100,16 +95,10 @@ def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
 
 def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
               evaluator: Evaluator | None = None) -> bool:
-    """True iff f's truth at each point is constant over the block members
-    containing that point."""
+    """`Evaluator.stable` over the block's slots: True iff f's truth at each
+    point is constant over the block members containing that point."""
     ev = evaluator if evaluator is not None else Evaluator(m)
-    top = Top()  # its row holds each open's own mask
-    sat = fail = 0  # points where f holds, and fails, at some member
-    for V in block:
-        bits = ev.mask(V, f)
-        sat |= bits
-        fail |= ev.mask(V, top) ^ bits
-    return not sat & fail
+    return ev.stable(ev.slots(block), f)
 
 
 @dataclass

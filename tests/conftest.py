@@ -365,9 +365,15 @@ def reference_classify(s: t.Splitting, V) -> frozenset:
     return rep
 
 
+def down(s: t.Splitting) -> tuple:
+    """All opens below some member of the family, in the space's order."""
+    return tuple(V for V in s.space.opens
+                 if any(V <= U for U in s.family))
+
+
 def reference_partition(s: t.Splitting) -> dict:
     blocks = {U: set() for U in s.family}
-    for V in s.down():
+    for V in down(s):
         blocks[reference_classify(s, V)].add(V)
     return {U: frozenset(b) for U, b in blocks.items()}
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import topologic as t
 from topologic import Pair
-from conftest import enumerate_closed_families, random_model
+from conftest import down, enumerate_closed_families, random_model
 
 F = frozenset
 
@@ -54,9 +54,9 @@ def test_criterion_2_partition_theorem_suite():
             assert m.space.universe in family
             assert family <= open_part and family <= opens
             part = t.partition(sp)
-            down = set(sp.down())
-            assert set().union(*part.values()) == down
-            assert sum(len(b) for b in part.values()) == len(down)
+            below = set(down(sp))
+            assert set().union(*part.values()) == below
+            assert sum(len(b) for b in part.values()) == len(below)
             for rep, block in part.items():
                 for v1 in block:
                     for v3 in block:

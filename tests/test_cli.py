@@ -302,6 +302,43 @@ def test_split_and_quotient_golden_hashes(tmp_path, capsys):
     assert {c: d.hexdigest() for c, d in digests.items()} == GOLDEN_HASHES
 
 
+# sha256 of the concatenated `split` stdout over the models of
+# `test_split_golden_hash_at_benchmark_sizes`, as printed before `split`
+# read block stability from each block's slots.
+SPLIT_BENCH_HASH = (
+    "f924d67f80410bbd95153083d4e56121bdc74601a6d37050365f6a3c6f8a0173")
+
+
+def _sized_formula(rng: random.Random, size: int) -> t.Formula:
+    """A random formula over A and B with exactly `size` connectives."""
+    if size == 0:
+        return t.Atom(rng.choice("AB"))
+    kind = rng.choice((t.Not, t.And, t.Knows, t.Box))
+    if kind is not t.And:
+        return kind(_sized_formula(rng, size - 1))
+    left = rng.randint(0, size - 1)
+    return t.And(_sized_formula(rng, left),
+                 _sized_formula(rng, size - 1 - left))
+
+
+def test_split_golden_hash_at_benchmark_sizes(tmp_path, capsys):
+    # The sizes of the benchmark's `models` workload: 8-9 points, 10-18
+    # opens, formulas of 10-12 connectives over A and B.
+    rng = random.Random(77)
+    digest = hashlib.sha256()
+    for i in range(12):
+        while True:
+            m = _golden_model(rng, rng.randint(8, 9))
+            if 10 <= len(m.space.opens) <= 18:
+                break
+        text = t.print_formula(_sized_formula(rng, rng.randint(10, 12)))
+        path = tmp_path / f"model{i}.json"
+        t.save_model(m, path)
+        assert main(["split", str(path), text]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SPLIT_BENCH_HASH
+
+
 # Formulas for `test_decide_golden_hash`: least witnesses on 2 to 5 points,
 # some past the first labeled topology on their count, and formulas valid
 # up to 5 points (full scans in both modes once negated).
@@ -709,7 +746,7 @@ def test_internal_error_exits_3(m0_file, monkeypatch, capsys):
 
 
 def test_split_unstable_block_exits_3(m0_file, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "is_stable", lambda *args: False)
+    monkeypatch.setattr(t.Evaluator, "stable", lambda *args: False)
     assert main(["split", m0_file, "K A"]) == 3
     captured = capsys.readouterr()
     assert "UNSTABLE" in captured.out

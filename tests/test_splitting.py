@@ -4,7 +4,7 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import (not_chain, random_model, random_topology,
+from conftest import (down, not_chain, random_model, random_topology,
                       reference_classify, reference_closure_flags,
                       reference_is_stable, reference_partition, same_class)
 
@@ -115,11 +115,11 @@ def test_partition_laws_random():
         fam = t.close_under_intersection(seed)
         sp = t.make_splitting(m.space, fam)
         part = t.partition(sp)
-        down = set(sp.down())
+        below = set(down(sp))
         # Coverage and disjointness.
         rep_of = {V: rep for rep, block in part.items() for V in block}
-        assert set(rep_of) == down
-        assert sum(len(b) for b in part.values()) == len(down)
+        assert set(rep_of) == below
+        assert sum(len(b) for b in part.values()) == len(below)
         # Convexity.
         for rep, block in part.items():
             for v1 in block:
@@ -128,8 +128,8 @@ def test_partition_laws_random():
                         if v1 <= v2 <= v3:
                             assert v2 in block
         # The profile equivalence coincides with the remainder partition.
-        for v1 in down:
-            for v2 in down:
+        for v1 in below:
+            for v2 in below:
                 assert (same_class(fam, v1, v2)
                         == (rep_of[v1] == rep_of[v2]))
         # Each block is the remainder of its representative.  Intersection-
@@ -221,8 +221,8 @@ def test_refinement_preserves_stability():
         f = t.random_formula(rng, ["A"], 2)
         table = t.build_splitting(m, f)
         sp = table.splittings[f]
-        down = sp.down()
-        u0 = down[rng.randrange(len(down))]
+        below = down(sp)
+        u0 = below[rng.randrange(len(below))]
         refined = t.make_splitting(
             m.space, t.close_under_intersection(set(sp.family) | {u0}))
         for block in t.partition(refined).values():
@@ -312,8 +312,10 @@ def test_mask_helpers_match_reference():
     # formulas over topologies of 1-5 points, on a random
     # intersection-closed family that may miss X, on a raw family whose
     # meets need not be members (classify only), and on random blocks,
-    # which need not be stable.
+    # which need not be stable.  `Evaluator.stable` over a block's slots
+    # must agree too.
     rng = random.Random(97)
+    unstable = 0
     for _ in range(300):
         m = random_model(rng, rng.randint(1, 5))
         opens = m.space.opens
@@ -338,10 +340,24 @@ def test_mask_helpers_match_reference():
             blocks = [*t.partition(sp).values(),
                       F(rng.sample(opens, rng.randint(0, len(opens))))]
             for block in blocks:
+                slots = ev.slots(block)
+                assert [opens[i] for i in slots] == list(t.sort_family(block))
                 for phi in subs:
-                    assert (t.is_stable(m, block, phi, ev)
-                            == reference_is_stable(ev, block, phi))
+                    want = reference_is_stable(ev, block, phi)
+                    assert t.is_stable(m, block, phi, ev) == want
+                    assert ev.stable(slots, phi) == want
+                    unstable += not want
+    assert unstable > 100  # 202 of about 31,000 verdicts
     # An empty block is stable for any formula: it asks the evaluator
     # nothing, so an atom the model does not value is no error.
     assert t.is_stable(m, [], t.Atom("Z"), ev)
     assert t.is_stable(m, (), t.Not(t.Atom("Z")))
+    assert ev.slots([]) == [] and ev.stable([], t.Atom("Z"))
+    # A member that is not an open is an error, raised before any row is
+    # asked for, so before the unvalued atom Z could be.
+    m0 = t.make_model(t.make_space(["x0", "x1", "x2"], [F(), F({0}), X]), {})
+    for block in ([F({0, 1})], [X, F({0, 1})]):
+        with pytest.raises(t.SpaceError, match=r"\[0, 1\] is not an open"):
+            t.is_stable(m0, block, t.Atom("Z"))
+        with pytest.raises(t.SpaceError, match=r"\[0, 1\] is not an open"):
+            t.Evaluator(m0).slots(block)
