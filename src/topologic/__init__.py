@@ -13,10 +13,9 @@ from .semantics import (Evaluator, Pair, SchemeError, extension,
                         find_counterexample, instantiate_axiom, model_valid,
                         pairs_in_order, satisfies)
 from .splitting import (Splitting, SplittingTable, build_splitting, classify,
-                        fast_satisfies, is_stable, make_splitting, partition,
-                        remainder)
+                        is_stable, make_splitting, partition)
 from .finitemodel import (ExtractionResult, QuotientMap, basis_equivalent,
-                          basis_model, basis_witness, extract_finite_model,
+                          basis_witness, extract_finite_model,
                           minimal_neighborhood_basis, point_quotient)
 from .decide import (SearchBound, SweepReport, Verdict, VerdictKind,
                      axiom_soundness_sweep, decide_sat, decide_valid,

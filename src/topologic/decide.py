@@ -11,9 +11,10 @@ an up-set and a down-set among the earlier points that keep the relation
 transitive.  The finished spaces of each point count are built once and
 kept in a memo shared by every search.
 
-A search evaluates a formula once per pass of up to LANE_CAP lanes, one
-lane per model: consecutive spaces of one point count, with every
-valuation of each, side by side (`_space_passes`).
+A search evaluates its formulas once per pass of up to LANE_CAP lanes,
+one lane per model: consecutive spaces of one point count, with every
+valuation of each, side by side (`_space_passes`).  It reports the least
+hit by space, formula, valuation and pair (`_first_hit`).
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
 1, 3, 9, 33 and 139 of them on 1 to 5 points (OEIS A001930), against 1, 4,
@@ -25,6 +26,10 @@ count.  So the first labeled space with a hit is the first representative
 with one, and the reported witness is the least labeled hit: the one a
 scan over every labeled space would report, at no rescan.  The axiom
 sweep stays labeled, as its report counts labeled lanes.
+
+The boundary search scans subset spaces in the same passes: a scheme's
+instances share their atoms, and the least hit is by (points, space,
+substitution, valuation).  Its inputs are built once per process.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
                       parse)
 from .semantics import (Evaluator, Pair, _ones, instantiate_axiom,
                         scheme_metavars)
-from .space import (Model, PointSet, SpaceError, SubsetSpace, make_model,
-                    make_space, to_mask)
+from .space import (InternalError, Model, PointSet, SpaceError,
+                    SubsetSpace, make_model, make_space, to_mask)
 
 HARD_POINT_CAP = 5
 # Lanes per evaluator pass, over one space or several of one point count;
@@ -178,8 +183,7 @@ def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
 
     Only X is required to be a member; no closure conditions."""
     names = _point_names(n)
-    universe = frozenset(range(n))
-    others = [s for s in _subsets_in_order(n) if s != universe]
+    *others, universe = _subsets_in_order(n)  # X comes last
     for k in range(min(max_opens, len(others) + 1)):
         for combo in itertools.combinations(others, k):
             yield make_space(names, set(combo) | {universe})
@@ -279,14 +283,26 @@ def _lane_model(group: Sequence[SubsetSpace], lo: int, count: int,
 
 
 def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
-               f: Formula, holds: bool) -> tuple[Model, Pair] | None:
-    """The least (model, pair), models by space and then valuation in
-    `enumerate_valuations` order, pairs in `pairs_in_order`, at which the
-    truth of f equals holds; None if there is none."""
+               formulas: Sequence[Formula], holds: bool
+               ) -> tuple[Model, Formula, Pair] | None:
+    """The least (model, formula, pair) at which the truth of a formula
+    equals holds, by space, formula, valuation and `pairs_in_order`, or
+    None.  Each pass serves every formula in turn, one row held at a time.
+    A formula's first hit lane is its least (space, valuation), so only the
+    least (space, formula) among those is kept, until its space is done."""
+    best = None  # (space k of the group, formula j, model, pair)
     for group, lo, count, ev in _space_passes(spaces, atom_names):
-        for lane, pair in ev.hits(f, holds):
-            return _lane_model(group, lo, count, atom_names, lane), pair
-    return None
+        for j in range(best[1] if best else len(formulas)):
+            for lane, pair in ev.hits(formulas[j], holds):
+                if best is None or (lane // count, j) < best[:2]:
+                    m = _lane_model(group, lo, count, atom_names, lane)
+                    best = (lane // count, j, m, pair)
+                break
+            ev.forget(formulas[j])
+        if best and (best[1] == 0 or lo + count
+                     == 1 << len(group[0].point_names) * len(atom_names)):
+            break
+    return None if best is None else (best[2], formulas[best[1]], best[3])
 
 
 def _point_counts(b: SearchBound) -> range:
@@ -295,11 +311,6 @@ def _point_counts(b: SearchBound) -> range:
         raise SpaceError(f"point bound {b.max_points} exceeds the cap "
                          f"{HARD_POINT_CAP}")
     return range(1, b.max_points + 1)
-
-
-def _topologies_within(b: SearchBound) -> Iterator[SubsetSpace]:
-    """The topologies on 1 to b.max_points points, the bound checked first."""
-    return (s for n in _point_counts(b) for s in enumerate_topologies(n))
 
 
 def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
@@ -313,9 +324,9 @@ def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
     # hit (see the module docstring).  One search per point count, so that
     # a hit builds no space on more points.
     for n in counts:
-        hit = _first_hit(_representatives(n), names, f, holds)
+        hit = _first_hit(_representatives(n), names, (f,), holds)
         if hit is not None:
-            return Verdict(hit_kind, *hit)
+            return Verdict(hit_kind, hit[0], hit[2])
     return Verdict(no_hit_kind)
 
 
@@ -388,8 +399,8 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
     if trials < 1:
         raise SpaceError("the number of trials must be at least 1")
     metavars = [scheme_metavars(scheme_id) for scheme_id in scheme_ids]
-    if spaces is None:
-        spaces = _topologies_within(b)
+    if spaces is None:  # the bound is checked here, before any enumeration
+        spaces = (s for n in _point_counts(b) for s in enumerate_topologies(n))
     rng = random.Random(seed)
     atom_names = list(b.atoms) or ["A"]
     instances: list[tuple[int, Formula]] = []
@@ -419,11 +430,27 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
 
 # Curated substitutions for the boundary search: the schemes beyond the
 # subset-space axiomatization need a non-atomic operand to fail, since for
-# atomic A the effort modality collapses ([]A is equivalent to A).
+# atomic A the effort modality collapses ([]A is equivalent to A).  Each
+# scheme's instances share their atoms (A; A, B, C), and so their passes.
 _BOUNDARY_SUBSTITUTIONS: dict[int, list[dict[str, Formula]]] = {
     11: [{"phi": parse(phi)} for phi in ("K A", "~K A", "L A")],
     12: [{"phi": parse(phi), "psi": parse("B"), "chi": parse("C")}
          for phi in ("A", "K A", "L A")]}
+
+
+@lru_cache(maxsize=None)
+def _boundary_instances(sid: int) -> tuple[Sequence[str], Sequence[Formula]]:
+    """The atoms that a scheme's instances share, and the instances, built
+    once so that their plans stay in `semantics._PLANS`."""
+    fs = tuple(instantiate_axiom(sid, s) for s in _BOUNDARY_SUBSTITUTIONS[sid])
+    if len({frozenset(atoms(f)) for f in fs}) != 1:
+        raise InternalError(f"scheme {sid}'s instances differ in atoms")
+    return tuple(sorted(atoms(fs[0]))), fs
+
+
+@lru_cache(maxsize=32)
+def _subset_spaces(n: int, max_opens: int) -> tuple[SubsetSpace, ...]:
+    return tuple(enumerate_subset_spaces(n, max_opens))
 
 
 def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
@@ -431,16 +458,16 @@ def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
                                    ) -> tuple[Model, Formula, Pair] | None:
     """Search non-topological subset spaces for a falsifying instance of
     scheme 11 or 12.  Returns the least hit in the deterministic order
-    (points, space, substitution, valuation), or None within the bound."""
+    (points, space, substitution, valuation), or None within the bound.
+    The instances share their atoms and so every pass; they and each list
+    of spaces are built once per process."""
     if scheme_id not in _BOUNDARY_SUBSTITUTIONS:
         raise SpaceError("boundary search applies to schemes 11 and 12 only")
-    instances = [instantiate_axiom(scheme_id, subst)
-                 for subst in _BOUNDARY_SUBSTITUTIONS[scheme_id]]
-    atom_names = [sorted(atoms(instance)) for instance in instances]
-    for n in range(1, b.max_points + 1):
-        for space in enumerate_subset_spaces(n, max_opens):
-            for instance, names in zip(instances, atom_names):
-                hit = _first_hit([space], names, instance, False)
-                if hit is not None:
-                    return hit[0], instance, hit[1]
+    if max_opens < 1:
+        raise SpaceError("the open bound must be at least 1")
+    for n in _point_counts(b):
+        hit = _first_hit(_subset_spaces(n, min(max_opens, 1 << n)),
+                         *_boundary_instances(scheme_id), False)
+        if hit is not None:
+            return hit
     return None

@@ -80,11 +80,6 @@ class BasisCounterexample:
     pair: Pair | None  # None means whole-model validity disagreed
 
 
-def basis_model(m: Model, basis: Sequence[PointSet]) -> Model:
-    """The model over the same points whose opens are the basis members."""
-    return make_model(make_space(m.space.point_names, basis), dict(m.valuation))
-
-
 def basis_equivalent(m: Model, basis: Sequence[PointSet],
                      formulas: Iterable[Formula]
                      ) -> BasisCounterexample | None:
@@ -99,7 +94,7 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     empty open, which holds no point and so is in no pair.
     """
     _check_basis(m, basis)
-    mb = basis_model(m, basis)
+    mb = make_model(make_space(m.space.point_names, basis), dict(m.valuation))
     ev_t = Evaluator(m)
     ev_b = Evaluator(mb)
     for f in formulas:

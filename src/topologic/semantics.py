@@ -213,6 +213,10 @@ class Evaluator:
             fail |= masks[i] ^ row[i]
         return not sat & fail
 
+    def forget(self, f: Formula) -> None:
+        """Drop f's row, if held; it is computed again when asked."""
+        self._rows.pop(f, None)
+
     def extension(self, U: PointSet, f: Formula) -> PointSet:
         bits = self.mask(U, f)
         return frozenset(x for x in U if bits >> x & 1)

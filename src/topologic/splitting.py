@@ -20,7 +20,7 @@ from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
 from .space import (EMPTY, Model, PointSet, SpaceError, SubsetSpace,
                     close_under_intersection, heyting_implication, interior,
                     is_closed, is_topology, sort_family, to_mask)
-from .semantics import Evaluator, Pair
+from .semantics import Evaluator
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,6 @@ def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
     if not is_closed(masks, set(masks), and_):
         raise SpaceError("splitting family is not intersection-closed")
     return Splitting(fam, space)
-
-
-def remainder(s: Splitting, U: PointSet) -> frozenset[PointSet]:
-    """Opens below U but below no member of the family not containing U."""
-    if U not in s.family:
-        raise SpaceError(f"{sorted(U)} is not in the splitting family")
-    return frozenset(V for V in s.space.opens
-                     if V <= U
-                     and not any(V <= W for W in s.family if not U <= W))
 
 
 def classify(s: Splitting, V: PointSet) -> PointSet:
@@ -154,13 +145,3 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
         # Sorted opens, intersection-closed by construction: no check needed.
         splittings[psi] = Splitting(family, s)
     return SplittingTable(splittings, ev)
-
-
-def fast_satisfies(table: SplittingTable, p: Pair, psi: Formula) -> bool:
-    """Answer satisfaction at the block representative of p's open, which
-    agrees with p's open on psi by stability."""
-    sp = table.splittings.get(psi)
-    if sp is None:
-        raise SpaceError(f"{psi} is not a subformula of the table's formula")
-    rep = classify(sp, p.open)
-    return table.evaluator.satisfies(Pair(p.point, rep), psi)

@@ -371,6 +371,26 @@ def down(s: t.Splitting) -> tuple:
                  if any(V <= U for U in s.family))
 
 
+def remainder(s: t.Splitting, U) -> frozenset:
+    """The paper's remainder of U in the family: the opens below U but
+    below no member of the family not containing U."""
+    if U not in s.family:
+        raise t.SpaceError(f"{sorted(U)} is not in the splitting family")
+    return frozenset(V for V in s.space.opens
+                     if V <= U
+                     and not any(V <= W for W in s.family if not U <= W))
+
+
+def fast_satisfies(table: t.SplittingTable, p: t.Pair, psi: Formula) -> bool:
+    """Satisfaction read at the block representative of p's open, which
+    agrees with p's open on psi when the splitting is stable."""
+    sp = table.splittings.get(psi)
+    if sp is None:
+        raise t.SpaceError(f"{psi} is not a subformula of the table's formula")
+    rep = t.classify(sp, p.open)
+    return table.evaluator.satisfies(t.Pair(p.point, rep), psi)
+
+
 def reference_partition(s: t.Splitting) -> dict:
     blocks = {U: set() for U in s.family}
     for V in down(s):
@@ -452,8 +472,10 @@ def reference_labeled_decide(f: Formula, b: t.SearchBound, holds: bool):
     they scanned one topology per homeomorphism class: the least
     (model, pair) over every labeled topology on 1 to b.max_points points
     at which f has the truth value holds, or None."""
-    return t.decide._first_hit(t.decide._topologies_within(b),
-                               sorted(set(b.atoms)), f, holds)
+    spaces = (s for n in range(1, b.max_points + 1)
+              for s in t.enumerate_topologies(n))
+    hit = t.decide._first_hit(spaces, sorted(set(b.atoms)), (f,), holds)
+    return hit and (hit[0], hit[2])
 
 
 def homeomorphism_class(s: t.SubsetSpace) -> tuple:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -6,7 +7,8 @@ import pytest
 import topologic as t
 from conftest import (ReferenceEvaluator, enumerate_closed_families,
                       homeomorphism_class, reference_labeled_decide)
-from topologic.decide import _BOUNDARY_SUBSTITUTIONS, _representatives
+from topologic.decide import (_BOUNDARY_SUBSTITUTIONS, _boundary_instances,
+                              _first_hit, _representatives, _subset_spaces)
 
 F = frozenset
 
@@ -290,10 +292,149 @@ def test_witness_order_matches_reference(text, bound):
 @pytest.mark.parametrize("scheme_id, bound, max_opens", [
     (11, t.SearchBound(3, ()), 4),
     (12, t.SearchBound(2, ()), 4),
+    (11, t.SearchBound(2, ()), 4),  # no hit
+    (11, t.SearchBound(3, ()), 3),
+    (11, t.SearchBound(3, ()), 1),  # X alone: no hit
+    (12, t.SearchBound(2, ()), 5),
 ])
 def test_boundary_order_matches_reference(scheme_id, bound, max_opens):
     assert (t.find_subset_space_countermodel(scheme_id, bound, max_opens)
             == _reference_boundary(scheme_id, bound, max_opens))
+
+
+def _boundary_digest() -> str:
+    """sha256 over schemes 11 and 12, 1 to 3 points and 2 to 5 opens of
+    each boundary result: (opens, valuation, instance text, pair) or None."""
+    h = hashlib.sha256()
+    for sid in (11, 12):
+        for n in (1, 2, 3):
+            for max_opens in (2, 3, 4, 5):
+                hit = t.find_subset_space_countermodel(
+                    sid, t.SearchBound(n, ()), max_opens)
+                row = None
+                if hit is not None:
+                    m, inst, p = hit
+                    row = ([sorted(U) for U in m.space.opens],
+                           sorted((a, sorted(s))
+                                  for a, s in m.valuation.items()),
+                           t.print_formula(inst), (p.point, sorted(p.open)))
+                h.update(repr((sid, n, max_opens, row)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_boundary_golden_hash():
+    # Computed with the search that built one evaluator per (space,
+    # substitution); a shared pass must report the same hits.
+    assert _boundary_digest() == (
+        "e131bcd7a43077bcce656909299d8779dcfca1d119fba3be7648140787358e41")
+
+
+def _reference_least_failure(spaces, formulas, names):
+    """The least (model, formula, pair) at which a formula fails, by space,
+    formula and valuation, then pair: a plain loop, one
+    `ReferenceEvaluator` per model."""
+    for space in spaces:
+        n = len(space.point_names)
+        models = [t.make_model(space, val)
+                  for val in t.enumerate_valuations(n, names)]
+        evaluators = [ReferenceEvaluator(m) for m in models]
+        for f in formulas:
+            for m, ev in zip(models, evaluators):
+                counter = ev.find_counterexample(f)
+                if counter is not None:
+                    return m, f, counter
+    return None
+
+
+# One-atom formulas and the (space, valuation) of their first failure over
+# enumerate_subset_spaces(3, 4): see test_order_cases_fail_first_as_stated.
+LATE = "<> [] K A -> [] <> K A"  # space 26, valuation 4
+LATE_L = "<> [] L A -> [] <> L A"  # space 26, valuation 2
+MIDDLE = "<> K A -> K A"  # space 2, valuation 1
+ALL_A = "~K A"  # space 0, valuation 7
+NOT_A = "[] A"  # space 0, valuation 0
+VALID = "K A -> [] K A"  # none
+FIRST_FAILURES = {LATE: (26, 4), LATE_L: (26, 2), MIDDLE: (2, 1),
+                  ALL_A: (0, 7), NOT_A: (0, 0), VALID: None}
+
+
+def test_order_cases_fail_first_as_stated():
+    spaces = list(t.enumerate_subset_spaces(3, 4))
+    valuations = list(t.enumerate_valuations(3, ["A"]))
+    for text, where in FIRST_FAILURES.items():
+        hit = _reference_least_failure(spaces, [t.parse(text)], ["A"])
+        assert where == (hit and (spaces.index(hit[0].space),
+                                  valuations.index(hit[0].valuation)))
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3])
+@pytest.mark.parametrize("texts", [
+    # A later formula fails in an earlier space: space comes first.
+    [LATE, MIDDLE, "A"], [LATE, MIDDLE], [MIDDLE, LATE], [VALID, LATE],
+    # Two formulas fail in one space, the later one at an earlier
+    # valuation: the formula comes before the valuation.  With 1 or 3
+    # lanes a pass, the two valuations lie in different passes.
+    [LATE, LATE_L], [VALID, LATE_L, LATE], [VALID, LATE, LATE_L],
+    [ALL_A, NOT_A], [VALID],
+])
+def test_first_hit_order_matches_reference(monkeypatch, cap, texts):
+    if cap is not None:  # a space's 8 valuations span passes
+        monkeypatch.setattr(t.decide, "LANE_CAP", cap)
+    formulas = [t.parse(text) for text in texts]
+    for spaces in (list(t.enumerate_subset_spaces(3, 4)),
+                   [*t.enumerate_subset_spaces(2, 4),
+                    *t.enumerate_subset_spaces(3, 4)]):
+        assert (_first_hit(spaces, ["A"], formulas, False)
+                == _reference_least_failure(spaces, formulas, ["A"]))
+
+
+def test_first_hit_holds_one_asked_row(monkeypatch):
+    """Each formula of a pass is asked with no other asked row held."""
+    hits = t.Evaluator.hits
+    asked = []
+
+    def spy(ev, f, holds):
+        assert not ev._rows
+        asked.append(f)
+        return hits(ev, f, holds)
+
+    monkeypatch.setattr(t.Evaluator, "hits", spy)
+    for sid in (11, 12):
+        assert t.find_subset_space_countermodel(sid, t.SearchBound(3, ()))
+    assert len(set(asked)) == 6
+
+
+def test_boundary_instances_share_atoms_and_are_kept(monkeypatch):
+    for sid, names in ((11, ("A",)), (12, ("A", "B", "C"))):
+        got_names, instances = _boundary_instances(sid)
+        assert tuple(got_names) == names
+        assert all(t.atoms(f) == set(names) for f in instances)
+        assert _boundary_instances(sid)[1] is instances
+    # Instances that differ in atoms cannot share passes.
+    monkeypatch.setitem(_BOUNDARY_SUBSTITUTIONS, 7,
+                        [{"phi": t.Atom("A")}, {"phi": t.Atom("B")}])
+    with pytest.raises(t.InternalError, match="differ in atoms"):
+        t.find_subset_space_countermodel(7, t.SearchBound(1, ()))
+
+
+def test_subset_spaces_memo():
+    for n, max_opens in ((1, 4), (2, 2), (3, 4)):
+        spaces = _subset_spaces(n, max_opens)
+        assert spaces is _subset_spaces(n, max_opens)
+        assert spaces == tuple(t.enumerate_subset_spaces(n, max_opens))
+
+
+def test_boundary_search_checks_bounds_first(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before checking the bounds")
+    monkeypatch.setattr(t.decide, "enumerate_subset_spaces", no_enumeration)
+    monkeypatch.setattr(t.decide, "_subset_spaces", no_enumeration)
+    with pytest.raises(t.SpaceError, match="point bound 6 exceeds the cap 5"):
+        t.find_subset_space_countermodel(11, t.SearchBound(6, ()))
+    for max_opens in (0, -1):
+        with pytest.raises(t.SpaceError, match="open bound must be at least"):
+            t.find_subset_space_countermodel(12, t.SearchBound(2, ()),
+                                             max_opens)
 
 
 def _reference_sweep(b, scheme_ids, trials, seed, spaces):

@@ -310,6 +310,23 @@ def test_search_pass_keeps_only_asked_rows():
     assert set(ev._rows) == set(t.subformulas(f))
 
 
+def test_forget_drops_one_row():
+    """`forget` drops one held row, or nothing; asked again, the formula
+    gets the same hits."""
+    f, g = t.parse("K A -> [] K A"), t.parse("~K A & [] B")
+    spaces = list(t.enumerate_subset_spaces(3, 3))
+    for group, lo, count, ev in decide._space_passes(spaces, ["A", "B"]):
+        first = list(ev.hits(f, False))
+        list(ev.hits(g, True))
+        ev.forget(f)
+        assert set(ev._rows) == {g}
+        ev.forget(f)
+        ev.forget(g)
+        assert not ev._rows
+        assert list(ev.hits(f, False)) == first
+        assert set(ev._rows) == {f}
+
+
 @pytest.mark.parametrize("search_pass", [False, True])
 def test_failed_walk_leaves_evaluator_consistent(search_pass):
     """An unknown atom ends a walk with SpaceError halfway: the evaluator

@@ -4,9 +4,10 @@ import pytest
 
 import topologic as t
 from topologic import Pair
-from conftest import (down, not_chain, random_model, random_topology,
-                      reference_classify, reference_closure_flags,
-                      reference_is_stable, reference_partition, same_class)
+from conftest import (down, fast_satisfies, not_chain, random_model,
+                      random_topology, reference_classify,
+                      reference_closure_flags, reference_is_stable,
+                      reference_partition, remainder, same_class)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -18,18 +19,18 @@ def split_f(m0_space):
 
 
 def test_remainder(split_f):
-    assert t.remainder(split_f, X) == {X}
-    assert t.remainder(split_f, F({0, 1})) == {F(), F({0}), F({0, 1})}
+    assert remainder(split_f, X) == {X}
+    assert remainder(split_f, F({0, 1})) == {F(), F({0}), F({0, 1})}
 
 
 def test_remainder_singleton_family(m0_space):
     s = t.make_splitting(m0_space, [X])
-    assert t.remainder(s, X) == set(m0_space.opens)
+    assert remainder(s, X) == set(m0_space.opens)
 
 
 def test_remainder_rejects_non_member(split_f):
     with pytest.raises(t.SpaceError):
-        t.remainder(split_f, F({0}))
+        remainder(split_f, F({0}))
 
 
 def test_splitting_requires_intersection_closed(m0_space):
@@ -137,7 +138,7 @@ def test_partition_laws_random():
         for rep, block in part.items():
             simplified = {V for V in opens if V <= rep
                           and not any(V <= W for W in fam if W < rep)}
-            assert t.remainder(sp, rep) == block == simplified
+            assert remainder(sp, rep) == block == simplified
 
 
 def test_is_stable_atom_block(m0):
@@ -239,7 +240,7 @@ def test_box_case_claim():
         sp_box = table.splittings[f]
         part_box = t.partition(sp_box)
         for U in sp_phi.family:
-            rem_u = t.remainder(sp_phi, U)
+            rem_u = remainder(sp_phi, U)
             for U2 in sp_box.family:
                 lhs = (U2 & U) in rem_u
                 rhs = all((V & U) in rem_u
@@ -258,7 +259,7 @@ def test_box_extension_identity():
         ev = t.Evaluator(m)
         for U in table.splittings[f].family:
             vs = [V for V in sp_phi.family
-                  if (U & V) in t.remainder(sp_phi, V)]
+                  if (U & V) in remainder(sp_phi, V)]
             union = frozenset().union(*[ev.extension(V, t.Not(phi))
                                         for V in vs]) if vs else F()
             assert ev.extension(U, t.Not(f)) == U & union
@@ -267,17 +268,17 @@ def test_box_extension_identity():
 def test_fast_satisfies_examples(m0):
     f = t.parse("K A")
     table = t.build_splitting(m0, f)
-    assert not t.fast_satisfies(table, Pair(0, F({0, 1})), f)
-    assert t.fast_satisfies(table, Pair(0, F({0})), f)
+    assert not fast_satisfies(table, Pair(0, F({0, 1})), f)
+    assert fast_satisfies(table, Pair(0, F({0})), f)
     table_top = t.build_splitting(m0, t.parse("top"))
     for p in t.pairs_in_order(m0):
-        assert t.fast_satisfies(table_top, p, t.parse("top"))
+        assert fast_satisfies(table_top, p, t.parse("top"))
 
 
 def test_fast_satisfies_rejects_non_subformula(m0):
     table = t.build_splitting(m0, t.parse("K A"))
     with pytest.raises(t.SpaceError, match="not a subformula"):
-        t.fast_satisfies(table, Pair(0, X), t.parse("B"))
+        fast_satisfies(table, Pair(0, X), t.parse("B"))
 
 
 def test_fast_satisfies_agrees_with_satisfies():
@@ -289,7 +290,7 @@ def test_fast_satisfies_agrees_with_satisfies():
         ev = t.Evaluator(m)
         for psi in t.subformulas(f):
             for p in t.pairs_in_order(m):
-                assert t.fast_satisfies(table, p, psi) == ev.satisfies(p, psi)
+                assert fast_satisfies(table, p, psi) == ev.satisfies(p, psi)
 
 
 def test_build_splitting_deep_chain(m0):
