@@ -14,7 +14,11 @@ kept in a memo shared by every search.
 A search evaluates its formulas once per pass of up to LANE_CAP lanes,
 one lane per model: consecutive spaces of one point count, with every
 valuation of each, side by side (`_space_passes`).  It reports the least
-hit by space, formula, valuation and pair (`_first_hit`).
+hit by space, formula, valuation and pair (`_first_hit`).  A pass's frame
+(its slots, lane masks and atoms' rows; see `semantics.PassFrame`) is
+fixed by its spaces, atoms and lanes alone, so the frames of recent passes
+are kept once per process (`_pass_frame`).  The rows are per search: each
+search's evaluators start empty, and no verdict or hit is kept.
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
 1, 3, 9, 33 and 139 of them on 1 to 5 points (OEIS A001930), against 1, 4,
@@ -43,8 +47,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
                       parse)
-from .semantics import (Evaluator, Pair, _ones, instantiate_axiom,
-                        scheme_metavars)
+from .semantics import (Evaluator, Pair, PassFrame, _ones,
+                        instantiate_axiom, scheme_metavars)
 from .space import (InternalError, Model, PointSet, SpaceError,
                     SubsetSpace, make_model, make_space, to_mask)
 
@@ -261,17 +265,34 @@ def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
     packed, full scans ran up to 3.3 times slower from 256 lanes per space
     on, and up to 4.8 times faster at 64 or fewer.
     """
-    k = len(atom_names)
+    k, names = len(atom_names), tuple(atom_names)
     for n, run in itertools.groupby(spaces, lambda s: len(s.point_names)):
         total = 1 << n * k
         count = min(total, LANE_CAP)
-        size = LANE_CAP // count if count * count <= LANE_CAP else 1
+        grouped = count * count <= LANE_CAP
+        size = LANE_CAP // count if grouped else 1
+        frame = _pass_frame if grouped else _pass_frame.__wrapped__
         # A list, not tuple(): see the masks in `space.make_space`.
         while group := list(itertools.islice(run, size)):
+            key = tuple(group)
             for lo in range(0, total, count):
                 c = min(count, total - lo)
-                rows = dict(zip(atom_names, _atom_rows(n, k, lo, c)))
-                yield group, lo, c, Evaluator(group, c, rows)
+                yield group, lo, c, Evaluator(frame(key, names, lo, c))
+
+
+@lru_cache(maxsize=64)
+def _pass_frame(group: tuple[SubsetSpace, ...], atom_names: tuple[str, ...],
+                lo: int, count: int) -> PassFrame:
+    """The frame of `_space_passes`' pass (group, lo, count), kept while
+    held.  A frame holds no row, so searches share it and each starts from
+    empty rows.  Only passes over groups are kept: the 187 passes of a round
+    of the benchmark's `decide` searches are 7 distinct ones, and its sweep
+    asks for 1 pass 25 times.  A space with more than 64 valuations passes
+    alone, so a search asks for one frame per space, 139 on 5 points with
+    two atoms; such frames are built afresh, as kept ones cycled through the
+    bound and made the 5-point search slower."""
+    rows = _atom_rows(len(group[0].point_names), len(atom_names), lo, count)
+    return PassFrame(group, count, dict(zip(atom_names, rows)))
 
 
 def _lane_model(group: Sequence[SubsetSpace], lo: int, count: int,

@@ -22,16 +22,23 @@ carries shifted down by n gives the mask of those lanes' points, which K
 clears.  Sorted by size, a space's opens keep their `pairs_in_order` order
 among the slots, so the least pair of each lane is read off in one scan.
 
-A model's evaluator keeps every row it computes, as splittings and
-quotients ask it about many formulas.  A search pass keeps only the rows
-of the formulas it is asked for: each operand's row goes right after its
-last parent in the walk, so a wide pass holds few rows at a time.
+What a pass fixes before any formula is its `PassFrame`: the slots and
+their masks over the lanes, each open's slot, `K`'s per-lane constants,
+the atoms' rows, and, built at first use, the slot order of `hits` and the
+sub-open slots of `[]`.  An evaluator owns only its rows, kept per search:
+`decide` keeps the frames of recent passes, and every search over one
+starts from empty rows.  A model's evaluator keeps every row it computes,
+as splittings and quotients ask it about many formulas.  A search pass
+keeps only the rows of the formulas it is asked for: each operand's row
+goes right after its last parent in the walk, so a wide pass holds few
+rows at a time.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_, xor
@@ -67,6 +74,85 @@ def pairs_in_order(m: Model) -> Iterator[Pair]:
             yield Pair(x, U)
 
 
+class PassFrame:
+    """What a pass fixes before any formula: its slots, lanes and atoms.
+
+    `PassFrame(spaces, lanes, atoms)` has `lanes` lanes per space: lane
+    k*lanes + v is valuation v of spaces[k], and atoms[a] is atom a's row
+    over one space's lanes, bit v*(n+1) + x set when x is in a's set under
+    valuation v.  It holds the slots (the spaces' opens, merged in
+    `sort_family` order, and their point masks), each slot's mask over the
+    lanes, 0 in the lanes of a space without that open, the slot index of
+    each open, the per-lane constants of `K`, and the atoms' rows spread
+    over every space.  The slot order of `hits` and the sub-open slots of
+    `[]` are built at their first use.  A frame holds no formula's row, so
+    many searches may share one.
+    """
+
+    __slots__ = ("width", "fill", "guard", "opens", "slots", "masks",
+                 "atoms", "_index", "_below", "_order")
+
+    def __init__(self, spaces: Sequence[SubsetSpace], lanes: int,
+                 atoms: Mapping[str, int] | None):
+        if atoms is None or lanes < 1:
+            raise SpaceError("an evaluator over spaces needs at least one "
+                             "lane and the atoms' rows")
+        spaces = tuple(spaces)
+        if len(spaces) != 1 and len({len(s.point_names)
+                                     for s in spaces}) != 1:
+            raise SpaceError("an evaluator's spaces need one point count")
+        n = len(spaces[0].point_names)
+        self.width = w = n + 1
+        ones = _ones(lanes * len(spaces), w)  # bit 0 of each lane
+        self.fill, self.guard = ones * ((1 << n) - 1), ones << n
+        if len(spaces) == 1:
+            self.opens, self.slots = spaces[0].opens, spaces[0].masks
+            # One lane: the space's own masks, no copy.
+            self.masks = (self.slots if ones == 1
+                          else [u * ones for u in self.slots])
+        else:
+            slot = {U: u for s in spaces for U, u in zip(s.opens, s.masks)}
+            self.opens = sort_family(slot)
+            self.slots = [slot[U] for U in self.opens]
+            # own[U]: bit k*lanes*w set iff U is an open of spaces[k].
+            own = dict.fromkeys(self.opens, 0)
+            for k, s in enumerate(spaces):
+                for U in s.opens:
+                    own[U] |= 1 << k * lanes * w
+            lane_ones = _ones(lanes, w)
+            self.masks = [u * lane_ones * o
+                          for u, o in zip(self.slots, own.values())]
+            spread = _ones(len(spaces), lanes * w)
+            atoms = {a: row * spread for a, row in atoms.items()}
+        self.atoms = atoms
+        self._index = self._below = self._order = None
+
+    @property
+    def index(self) -> dict[PointSet, int]:
+        """Each open's slot; searches, which read rows whole, never ask."""
+        if self._index is None:
+            self._index = {U: i for i, U in enumerate(self.opens)}
+        return self._index
+
+    @property
+    def below(self) -> list[list[int]]:
+        """Each slot's sub-open slots, by the slots' own point sets."""
+        if self._below is None:
+            slots = self.slots
+            self._below = [[j for j, v in enumerate(slots) if v & ~u == 0]
+                           for u in slots]
+        return self._below
+
+    @property
+    def order(self) -> list[int]:
+        """The slots largest open first, as `pairs_in_order` takes them."""
+        if self._order is None:
+            opens = self.opens
+            self._order = sorted(range(len(opens)),
+                                 key=lambda i: -len(opens[i]))
+        return self._order
+
+
 class Evaluator:
     """Extension table of one model, or of many valuations of spaces with
     one point count, shared by every formula it evaluates.
@@ -78,60 +164,33 @@ class Evaluator:
     subformulas of different formulas share a row.
 
     `Evaluator(m)` has one lane, valued by the model m, and keeps every row
-    it computes.  `Evaluator(spaces, lanes, atoms)` has `lanes` lanes per
-    space: lane k*lanes + v is valuation v of spaces[k], and atoms[a] is
-    atom a's row over one space's lanes, bit v*(n+1) + x set when x is in
-    a's set under valuation v.  A slot that is not an open of spaces[k] is
-    0 in that space's lanes.  Such a search pass keeps only the rows of the
-    formulas it was asked for: an operand's row goes after its last parent.
-    `mask` returns every lane; `extension` and `satisfies` read lane 0.
+    it computes.  `Evaluator(frame)` evaluates over a `PassFrame`, and
+    `Evaluator(spaces, lanes, atoms)` over a new one.  Such a search pass
+    owns only its rows, and keeps only the rows of the formulas it was
+    asked for: an operand's row goes after its last parent.  `mask`
+    returns every lane; `extension` and `satisfies` read lane 0.
     """
 
-    def __init__(self, m: Model | Sequence[SubsetSpace], lanes: int = 1,
-                 atoms: Mapping[str, int] | None = None):
+    __slots__ = ("_keep", "_frame", "_rows")
+
+    def __init__(self, m: Model | PassFrame | Sequence[SubsetSpace],
+                 lanes: int = 1, atoms: Mapping[str, int] | None = None):
         self._keep = isinstance(m, Model)
-        if self._keep:
+        if self._keep or isinstance(m, PassFrame):
             if lanes != 1 or atoms is not None:
-                raise SpaceError("a model's evaluator has one lane, valued "
-                                 "by the model")
-            spaces: Sequence[SubsetSpace] = (m.space,)
-            atoms = {a: to_mask(s) for a, s in m.valuation.items()}
-        elif atoms is None or lanes < 1:
-            raise SpaceError("an evaluator over spaces needs at least one "
-                             "lane and the atoms' rows")
+                raise SpaceError("a model or a frame fixes the lanes and "
+                                 "the atoms")
+            if self._keep:
+                m = PassFrame((m.space,), 1, {a: to_mask(s) for a, s
+                                              in m.valuation.items()})
         else:
-            spaces = tuple(m)
-            if len(spaces) != 1 and len({len(s.point_names)
-                                         for s in spaces}) != 1:
-                raise SpaceError("an evaluator's spaces need one point count")
-        n = len(spaces[0].point_names)
-        self._width = w = n + 1
-        ones = _ones(lanes * len(spaces), w)  # bit 0 of each lane
-        self._fill, self._guard = ones * ((1 << n) - 1), ones << n
-        if len(spaces) == 1:
-            self._opens, self._slots = spaces[0].opens, spaces[0].masks
-            self._masks = [u * ones for u in self._slots]
-        else:
-            slot = {U: u for s in spaces for U, u in zip(s.opens, s.masks)}
-            self._opens = sort_family(slot)
-            self._slots = [slot[U] for U in self._opens]
-            # own[U]: bit k*lanes*w set iff U is an open of spaces[k].
-            own = dict.fromkeys(self._opens, 0)
-            for k, s in enumerate(spaces):
-                for U in s.opens:
-                    own[U] |= 1 << k * lanes * w
-            lane_ones = _ones(lanes, w)
-            self._masks = [u * lane_ones * o
-                           for u, o in zip(self._slots, own.values())]
-            spread = _ones(len(spaces), lanes * w)
-            atoms = {a: row * spread for a, row in atoms.items()}
-        self._atoms = atoms
-        self._index = {U: i for i, U in enumerate(self._opens)}
-        self._below: list[list[int]] | None = None  # sub-open slots per slot
+            m = PassFrame(m, lanes, atoms)
+        self._frame = m
         self._rows: dict[Formula, list[int]] = {}
 
     def _row(self, f: Formula) -> list[int]:
-        rows, masks = self._rows, self._masks
+        rows, fr = self._rows, self._frame
+        masks = fr.masks
         if self._keep:
             walk, drops = post_order(f, rows), None
         else:  # a search pass: drop each operand's row after its last use
@@ -149,23 +208,19 @@ class Evaluator:
                     # A lane's guard bit in (u ^ a) + fill is set iff a misses
                     # a point of u; k - (k >> n) covers the points of those
                     # lanes.  A slot of 0 never carries.
-                    fill, guard, n = self._fill, self._guard, self._width - 1
+                    fill, guard, n = fr.fill, fr.guard, fr.width - 1
                     row = []
                     for u, a in zip(masks, rows[g.arg]):
                         k = ((u ^ a) + fill) & guard
                         row.append(u & ~(k - (k >> n)))
                 elif t is Box:
-                    if self._below is None:  # by the slots' own point sets
-                        slots = self._slots
-                        self._below = [[j for j, v in enumerate(slots)
-                                        if v & ~u == 0] for u in slots]
                     # miss[j]: the points of slot j at which the operand
                     # fails, none in the lanes of a space without slot j.
                     miss = list(map(xor, masks, rows[g.arg]))
                     row = [u & ~reduce(or_, [miss[j] for j in js])
-                           for u, js in zip(masks, self._below)]
+                           for u, js in zip(masks, fr.below)]
                 elif t is Atom:
-                    a = self._atoms.get(g.name)
+                    a = fr.atoms.get(g.name)
                     if a is None:
                         raise SpaceError(f"unknown atom {g.name!r}")
                     row = [u & a for u in masks]
@@ -188,7 +243,7 @@ class Evaluator:
 
     def mask(self, U: PointSet, f: Formula) -> int:
         """The points of the open U that satisfy f at U, as a bitmask."""
-        i = self._index.get(U)
+        i = self._frame.index.get(U)
         if i is None:
             raise SpaceError(f"{sorted(U)} is not an open of the space")
         return (self._rows.get(f) or self._row(f))[i]  # rows are never empty
@@ -196,7 +251,7 @@ class Evaluator:
     def slots(self, opens: Iterable[PointSet]) -> list[int]:
         """The slots of the given opens, ascending: in `sort_family` order."""
         try:
-            return sorted([self._index[U] for U in opens])
+            return sorted([self._frame.index[U] for U in opens])
         except KeyError as exc:
             raise SpaceError(f"{sorted(exc.args[0])} is not an open of the "
                              "space") from None
@@ -206,7 +261,7 @@ class Evaluator:
         whose opens contain it.  No slots ask for no row."""
         if not slots:
             return True
-        row, masks = self._rows.get(f) or self._row(f), self._masks
+        row, masks = self._rows.get(f) or self._row(f), self._frame.masks
         sat = fail = 0  # points where f holds, and fails, at some slot
         for i in slots:
             sat |= row[i]
@@ -226,24 +281,40 @@ class Evaluator:
 
     def hits(self, f: Formula, holds: bool) -> Iterator[tuple[int, Pair]]:
         """Each lane in which the truth of f equals holds at some pair,
-        ascending, with the least such pair in `pairs_in_order`."""
+        ascending, with the least such pair in `pairs_in_order`.
+
+        Each row is read once, into bytes: the union of the rows when a
+        lane has a hit, and a slot's row when a lane first asks it.  A
+        lane's bits lie in one or two bytes, so it costs no shift of a row.
+        """
         row = self._rows.get(f) or self._row(f)
-        masks, opens = self._masks, self._opens
-        order = sorted(range(len(opens)), key=lambda i: -len(opens[i]))
+        fr = self._frame
+        masks, order = fr.masks, fr.order
         found = [row[i] if holds else masks[i] ^ row[i] for i in order]
-        w = self._width
-        points = (1 << w - 1) - 1
-        left, base = reduce(or_, found), 0  # bit 0 of `left` is lane `base`
-        while left:
-            lane = base + ((left & -left).bit_length() - 1) // w
-            shift = lane * w
-            for i, bits in zip(order, found):
-                bits = bits >> shift & points
+        left = reduce(or_, found)
+        if not left:
+            return
+        # Room for the two bytes of each lane up to the last with a hit.
+        size, w = (left.bit_length() >> 3) + 2, fr.width
+        union = left.to_bytes(size, "little")
+        points, last = (1 << w - 1) - 1, (left.bit_length() - 1) // w
+        lane = 0
+        while lane <= last:
+            i, shift = lane * w >> 3, lane * w & 7
+            if not (union[i] | union[i + 1] << 8) >> shift & points:
+                # A later lane hits: skip to the first byte with a bit set.
+                lane = max(lane + 1, _NONZERO.search(
+                    union, (lane + 1) * w >> 3).start() * 8 // w)
+                continue
+            for k, data in enumerate(found):
+                if type(data) is int:  # read when a lane first asks it
+                    data = found[k] = data.to_bytes(size, "little")
+                bits = (data[i] | data[i + 1] << 8) >> shift & points
                 if bits:
-                    yield lane, Pair((bits & -bits).bit_length() - 1, opens[i])
+                    yield lane, Pair((bits & -bits).bit_length() - 1,
+                                     fr.opens[order[k]])
                     break
-            left >>= (lane + 1 - base) * w
-            base = lane + 1
+            lane += 1
 
     def first_pair(self, f: Formula, holds: bool) -> Pair | None:
         """The least pair in `pairs_in_order` at which the truth of f
@@ -251,6 +322,9 @@ class Evaluator:
         for _, p in self.hits(f, holds):
             return p
         return None
+
+
+_NONZERO = re.compile(rb"[^\x00]")  # a byte with a bit set
 
 
 def _ones(count: int, step: int) -> int:
