@@ -15,8 +15,7 @@ from .semantics import (Evaluator, Pair, SchemeError, extension,
 from .splitting import (Splitting, SplittingTable, build_splitting, classify,
                         is_stable, make_splitting, partition)
 from .finitemodel import (ExtractionResult, QuotientMap, basis_equivalent,
-                          basis_witness, extract_finite_model,
-                          minimal_neighborhood_basis, point_quotient)
+                          extract_finite_model, point_quotient)
 from .decide import (SearchBound, SweepReport, Verdict, VerdictKind,
                      axiom_soundness_sweep, decide_sat, decide_valid,
                      enumerate_subset_spaces, enumerate_topologies,

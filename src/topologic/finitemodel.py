@@ -17,7 +17,7 @@ from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, model_valid
 from .space import (EMPTY, InternalError, Model, PointSet, SpaceError,
                     close_under_union, format_set, is_closed, is_topology,
-                    make_model, make_space, sort_family, to_mask)
+                    make_model, make_space, to_mask)
 from .splitting import build_splitting
 
 
@@ -35,43 +35,6 @@ def _check_basis(m: Model, basis: Sequence[PointSet]) -> None:
     for U, u in zip(m.space.opens, m.space.masks):
         if u and u not in members:
             raise SpaceError(f"basis does not generate the open {format_set(U, names)}")
-
-
-def basis_witness(m: Model, basis: Sequence[PointSet], F: Iterable[PointSet],
-                  V: PointSet, x: int) -> PointSet:
-    """A basis member U with x in U, U below V and U in the remainder of V.
-
-    Built as in the underlying existence argument: a basic neighborhood of
-    x inside V, joined with one basic set per family member that fails to
-    contain V, hitting the difference.
-    """
-    _check_basis(m, basis)
-    fam = sort_family(F)
-    if V not in fam:
-        raise SpaceError("V must belong to the family")
-    if x not in V:
-        raise SpaceError("x must belong to V")
-    sorted_basis = sort_family(basis)
-
-    def basic_neighborhood(point: int, inside: PointSet) -> PointSet:
-        for B in sorted_basis:
-            if point in B and B <= inside:
-                return B
-        raise SpaceError("basis does not generate the topology")
-
-    witness = basic_neighborhood(x, V)
-    for Vi in fam:
-        if not V <= Vi:
-            xi = min(V - Vi)
-            witness |= basic_neighborhood(xi, V)
-    # Direct remainder membership: below V, below no family member that
-    # fails to contain V.
-    if not (x in witness and witness <= V
-            and not any(witness <= Vi for Vi in fam if not V <= Vi)
-            and witness in sorted_basis):
-        raise InternalError("basis witness is not a basis member containing "
-                            "x in the remainder of V")
-    return witness
 
 
 @dataclass
@@ -106,19 +69,6 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
         if model_valid(m, f, ev_t) != model_valid(mb, f, ev_b):
             return BasisCounterexample(f, None)
     return None
-
-
-def minimal_neighborhood_basis(m: Model) -> tuple[PointSet, ...]:
-    """Union closure of the minimal open neighborhoods of all points."""
-    s = m.space
-    seeds = []
-    for x in s.universe:
-        nbhd = s.universe
-        for U in s.opens:
-            if x in U:
-                nbhd &= U
-        seeds.append(nbhd)
-    return close_under_union(seeds)
 
 
 @dataclass

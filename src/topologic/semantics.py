@@ -23,8 +23,8 @@ clears.  Sorted by size, a space's opens keep their `pairs_in_order` order
 among the slots, so the least pair of each lane is read off in one scan.
 
 What a pass fixes before any formula is its `PassFrame`: the slots and
-their masks over the lanes, each open's slot, `K`'s per-lane constants,
-the atoms' rows, and, built at first use, the slot order of `hits` and the
+their masks over the lanes, `K`'s per-lane constants, the atoms' rows, and,
+built at first use, each open's slot, the slot order of `hits` and the
 sub-open slots of `[]`.  An evaluator owns only its rows, kept per search:
 `decide` keeps the frames of recent passes, and every search over one
 starts from empty rows.  A model's evaluator keeps every row it computes,
@@ -82,11 +82,11 @@ class PassFrame:
     over one space's lanes, bit v*(n+1) + x set when x is in a's set under
     valuation v.  It holds the slots (the spaces' opens, merged in
     `sort_family` order, and their point masks), each slot's mask over the
-    lanes, 0 in the lanes of a space without that open, the slot index of
-    each open, the per-lane constants of `K`, and the atoms' rows spread
-    over every space.  The slot order of `hits` and the sub-open slots of
-    `[]` are built at their first use.  A frame holds no formula's row, so
-    many searches may share one.
+    lanes, 0 in the lanes of a space without that open, the per-lane
+    constants of `K`, and the atoms' rows spread over every space.  Each
+    open's slot, the slot order of `hits` and the sub-open slots of `[]`
+    are built at their first use.  A frame holds no formula's row, so many
+    searches may share one.
     """
 
     __slots__ = ("width", "fill", "guard", "opens", "slots", "masks",

@@ -10,6 +10,7 @@ import topologic as t
 from topologic.formula import (BOT, TOP, And, Atom, Bot, Box, Diamond,
                                Formula, Implies, Knows, L, Not, Or,
                                ParseError, Top)
+from topologic.finitemodel import _check_basis
 from topologic.space import set_key
 
 F = frozenset
@@ -398,6 +399,25 @@ def reference_partition(s: t.Splitting) -> dict:
     return {U: frozenset(b) for U, b in blocks.items()}
 
 
+def reference_hits(ev: t.Evaluator, f: Formula, holds: bool,
+                   lanes: int) -> list:
+    """`Evaluator.hits` one lane at a time: in each lane, the opens largest
+    first and the points ascending, each slot's row shifted to the lane."""
+    frame = ev._frame
+    w = frame.width
+    out = []
+    for lane in range(lanes):
+        for U in sorted(frame.opens, key=len, reverse=True):
+            row = ev.mask(U, f)
+            if not holds:
+                row ^= frame.masks[frame.index[U]]
+            bits = row >> lane * w & (1 << w - 1) - 1
+            if bits:
+                out.append((lane, t.Pair((bits & -bits).bit_length() - 1, U)))
+                break
+    return out
+
+
 def reference_is_stable(ev: t.Evaluator, block, f: Formula) -> bool:
     sat = fail = 0  # points where f holds, and fails, at some member
     for V in block:
@@ -465,6 +485,56 @@ def reference_check_basis(m: t.Model, basis) -> None:
     for U in opens:
         if U and F().union(*[B for B in fam if B <= U] or [F()]) != U:
             raise t.SpaceError(f"basis does not generate the open {sorted(U)}")
+
+
+def minimal_neighborhood_basis(m: t.Model) -> tuple:
+    """Union closure of the minimal open neighborhoods of all points: the
+    least basis of a finite topology closed under union."""
+    s = m.space
+    seeds = []
+    for x in s.universe:
+        nbhd = s.universe
+        for U in s.opens:
+            if x in U:
+                nbhd &= U
+        seeds.append(nbhd)
+    return t.close_under_union(seeds)
+
+
+def basis_witness(m: t.Model, basis, family, V, x: int) -> frozenset:
+    """The basis lemma's witness: a basis member U with x in U, U below V
+    and U in the remainder of V in the family.
+
+    Built as in the existence argument: a basic neighborhood of x inside V,
+    joined with one basic set per family member that fails to contain V,
+    hitting the difference.  The basis is checked as the library checks it.
+    """
+    _check_basis(m, basis)
+    fam = t.sort_family(family)
+    if V not in fam:
+        raise t.SpaceError("V must belong to the family")
+    if x not in V:
+        raise t.SpaceError("x must belong to V")
+    sorted_basis = t.sort_family(basis)
+
+    def basic_neighborhood(point: int, inside) -> frozenset:
+        for B in sorted_basis:
+            if point in B and B <= inside:
+                return B
+        raise t.SpaceError("basis does not generate the topology")
+
+    witness = basic_neighborhood(x, V)
+    for Vi in fam:
+        if not V <= Vi:
+            witness |= basic_neighborhood(min(V - Vi), V)
+    # Direct remainder membership: below V, below no family member that
+    # fails to contain V.
+    if not (x in witness and witness <= V
+            and not any(witness <= Vi for Vi in fam if not V <= Vi)
+            and witness in sorted_basis):
+        raise t.InternalError("basis witness is not a basis member "
+                              "containing x in the remainder of V")
+    return witness
 
 
 def reference_labeled_decide(f: Formula, b: t.SearchBound, holds: bool):

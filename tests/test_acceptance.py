@@ -10,8 +10,8 @@ from collections import Counter
 
 import topologic as t
 from topologic import Pair
-from conftest import (down, enumerate_closed_families, fast_satisfies,
-                      random_model)
+from conftest import (basis_witness, down, enumerate_closed_families,
+                      fast_satisfies, minimal_neighborhood_basis, random_model)
 
 F = frozenset
 
@@ -133,7 +133,7 @@ def test_criterion_6_basis_theorem():
     for _ in range(100):
         n = rng.randint(2, 5)
         m = random_model(rng, n)
-        basis = t.minimal_neighborhood_basis(m)
+        basis = minimal_neighborhood_basis(m)
         formulas = [t.random_formula(rng, ["A", "B"], 3) for _ in range(5)]
         assert t.basis_equivalent(m, basis, formulas) is None
         opens = list(m.space.opens)
@@ -141,7 +141,7 @@ def test_criterion_6_basis_theorem():
                              for _ in range(rng.randint(1, 3))])
         for V in fam:
             for x in sorted(V):
-                u = t.basis_witness(m, basis, fam, V, x)
+                u = basis_witness(m, basis, fam, V, x)
                 assert x in u and u <= V and u in basis
                 assert not any(u <= Vi for Vi in fam if not V <= Vi)
                 witness_checks += 1

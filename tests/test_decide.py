@@ -404,6 +404,91 @@ def test_first_hit_holds_one_asked_row(monkeypatch):
     assert len(set(asked)) == 6
 
 
+def _mixed_searches():
+    """Searches of every kind over different points, atoms and schemes."""
+    formulas = [t.parse(text) for text in
+                ("A & ~K B", "K A -> [] K A", "L A & L B & ~L (A & B)",
+                 "<> [] A -> [] <> A")]
+    subset = list(t.enumerate_subset_spaces(3, 3))
+    calls = [lambda f=f, b=b, d=d: (lambda v: (v.kind, v.model, v.pair))(d(f, b))
+             for f in formulas
+             for b in (t.SearchBound(3, ("A", "B")), t.SearchBound(2, ("A", "B", "C")))
+             for d in (t.decide_sat, t.decide_valid)]
+    calls += [lambda: t.decide_valid(t.parse("K A -> A"),
+                                     t.SearchBound(4, ("A",))).kind,
+              lambda: t.find_subset_space_countermodel(11, t.SearchBound(3, ())),
+              lambda: t.find_subset_space_countermodel(12, t.SearchBound(2, ())),
+              lambda: t.axiom_soundness_sweep(t.SearchBound(3, ("A",)),
+                                              [7, 11], 2, 1),
+              lambda: t.axiom_soundness_sweep(t.SearchBound(2, ("A", "B")),
+                                              [3, 8], 2, 2),
+              lambda: t.axiom_soundness_sweep(t.SearchBound(3, ("A", "B")),
+                                              [11, 12], 4, 4, spaces=subset)]
+    return calls
+
+
+def test_kept_frames_change_no_result(monkeypatch):
+    """Searches repeated and interleaved over kept frames, at the default
+    lane cap and at a patched one, return what they return when every
+    frame is built afresh."""
+    calls = _mixed_searches()
+    fresh = {}
+    for cap in (None, 5):
+        if cap is not None:
+            monkeypatch.setattr(t.decide, "LANE_CAP", cap)
+        for i, call in enumerate(calls):
+            t.decide._pass_frame.cache_clear()
+            fresh[cap, i] = call()
+        monkeypatch.undo()
+    assert any(v.violations for v in fresh.values()
+               if isinstance(v, t.SweepReport))
+    order = [(cap, i) for i in range(len(calls)) for cap in (None, 5)]
+    for run in (order, order[::-1], order):
+        for cap, i in run:
+            if cap is not None:
+                monkeypatch.setattr(t.decide, "LANE_CAP", cap)
+            assert calls[i]() == fresh[cap, i]
+            monkeypatch.undo()
+    assert t.decide._pass_frame.cache_info().hits > 0
+
+
+def test_passes_start_with_no_rows():
+    """Each evaluator of a pass owns only its rows and starts with none,
+    also over a frame whose last evaluator kept rows."""
+    f, g = t.parse("K A -> [] K A"), t.parse("~K A & [] B")
+    spaces = list(t.enumerate_topologies(3))
+    passes = t.decide._space_passes
+    first = []
+    for group, lo, count, ev in passes(spaces, ["A", "B"]):
+        assert not ev._rows
+        list(ev.hits(f, False))
+        ev.mask(group[0].opens[-1], g)
+        assert set(ev._rows) == {f, g}
+        first.append(ev)
+    for k, (group, lo, count, ev) in enumerate(passes(spaces, ["A", "B"])):
+        assert not ev._rows
+        assert ev is not first[k] and ev._frame is first[k]._frame
+        assert list(ev.hits(f, False)) == list(first[k].hits(f, False))
+
+
+def test_frame_memo_stays_bounded():
+    """A 5-point search keeps no more frames than the bound: a space with
+    more than 64 valuations passes alone, and its frames are not kept."""
+    memo = t.decide._pass_frame
+    memo.cache_clear()
+    f = t.parse("K A & K B -> K (A & B)")
+    assert t.decide_valid(f, t.SearchBound(5, ("A", "B"))).positive
+    info = memo.cache_info()
+    assert info.currsize == 3 <= info.maxsize  # 1 to 3 points, one each
+    assert t.decide_valid(f, t.SearchBound(5, ("A", "B"))).positive
+    assert memo.cache_info().hits == 3
+    # On one atom, 128 spaces of 5 points share a pass and are kept: one
+    # pass for each of 1 to 4 points and two for the 139 on 5 points.
+    assert t.decide_valid(t.parse("K A -> A"), t.SearchBound(5, ("A",))).positive
+    info = memo.cache_info()
+    assert info.currsize == 3 + 4 + 2 <= info.maxsize
+
+
 def test_boundary_instances_share_atoms_and_are_kept(monkeypatch):
     for sid, names in ((11, ("A",)), (12, ("A", "B", "C"))):
         got_names, instances = _boundary_instances(sid)

@@ -5,7 +5,8 @@ import pytest
 
 import topologic as t
 from topologic import Pair, finitemodel
-from conftest import not_chain, random_model, reference_check_basis
+from conftest import (basis_witness, minimal_neighborhood_basis, not_chain,
+                      random_model, reference_check_basis)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -16,13 +17,13 @@ def test_basis_witness_full_topology(m0):
     basis = list(m0.space.opens)
     for V in fam:
         for x in sorted(V):
-            u = t.basis_witness(m0, basis, fam, V, x)
+            u = basis_witness(m0, basis, fam, V, x)
             assert x in u and u <= V
 
 
 def test_basis_witness_m0_example(m0):
     basis = list(m0.space.opens)
-    assert t.basis_witness(m0, basis, [X, F({0, 1})], X, 0) == X
+    assert basis_witness(m0, basis, [X, F({0, 1})], X, 0) == X
 
 
 def test_basis_witness_randomized():
@@ -30,13 +31,13 @@ def test_basis_witness_randomized():
     checked = 0
     for _ in range(40):
         m = random_model(rng, 4)
-        basis = t.minimal_neighborhood_basis(m)
+        basis = minimal_neighborhood_basis(m)
         opens = list(m.space.opens)
         fam = t.sort_family([opens[rng.randrange(len(opens))]
                              for _ in range(rng.randint(1, 3))])
         for V in fam:
             for x in sorted(V):
-                u = t.basis_witness(m, basis, fam, V, x)
+                u = basis_witness(m, basis, fam, V, x)
                 assert x in u and u <= V and u in basis
                 assert not any(u <= Vi for Vi in fam if not V <= Vi)
                 # Exhaustive oracle: some basis member must qualify, and
@@ -52,7 +53,7 @@ def test_basis_witness_randomized():
 
 def test_basis_witness_rejects_bad_basis(m0):
     with pytest.raises(t.SpaceError):
-        t.basis_witness(m0, [F({0}), F({0, 1})], [X], X, 0)  # no X coverage
+        basis_witness(m0, [F({0}), F({0, 1})], [X], X, 0)  # no X coverage
 
 
 def _basis_verdict(check, m, basis) -> str:
@@ -91,7 +92,7 @@ def test_accepted_bases_are_the_nonempty_opens():
     accepted = Counter()
     for _ in range(600):
         m = random_model(rng, rng.randint(1, 5))
-        basis = list(t.minimal_neighborhood_basis(m))
+        basis = list(minimal_neighborhood_basis(m))
         if rng.random() < 0.5:
             basis = list(t.close_under_union(
                 U for U in m.space.opens if rng.random() < 0.7))
@@ -112,7 +113,7 @@ def test_basis_equivalent_full_topology(m0):
 
 
 def test_basis_equivalent_m0_minimal(m0):
-    basis = t.minimal_neighborhood_basis(m0)
+    basis = minimal_neighborhood_basis(m0)
     formulas = [t.parse(s) for s in ("K A", "[] L B", "<> K B & L A")]
     assert t.basis_equivalent(m0, basis, formulas) is None
 
@@ -121,7 +122,7 @@ def test_basis_equivalent_randomized():
     rng = random.Random(19)
     for _ in range(30):
         m = random_model(rng, 4)
-        basis = t.minimal_neighborhood_basis(m)
+        basis = minimal_neighborhood_basis(m)
         formulas = [t.random_formula(rng, ["A", "B"], 3) for _ in range(10)]
         assert t.basis_equivalent(m, basis, formulas) is None
 

@@ -5,7 +5,7 @@ import pytest
 
 import topologic as t
 from topologic import Atom, Box, Knows, Not, Pair
-from conftest import (ReferenceEvaluator, random_model,
+from conftest import (ReferenceEvaluator, random_model, reference_hits,
                       reference_instantiate_axiom)
 from topologic import decide
 
@@ -286,6 +286,46 @@ def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
     expected = [(s, v) for s in spaces for v in vals[len(s.point_names)]]
     assert len(seen) == len(expected)
     assert all(a is s and b == v for (a, b), (s, v) in zip(seen, expected))
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_hits_match_per_lane_reference(monkeypatch, holds):
+    """`hits` lists the lanes with a hit, ascending, each with its least
+    pair, as a lane-by-lane scan does: on lanes of 2 to 6 bits, on passes
+    where most lanes hit, on passes with a few hits far apart, and under a
+    lane cap that starts passes inside a space's valuations."""
+    cases = [(list(t.enumerate_subset_spaces(3, 4)), ["A", "B"]),
+             ([s for n in (1, 2) for s in t.enumerate_topologies(n)],
+              ["A", "B"]),
+             (list(t.enumerate_topologies(4))[::40], ["A", "B"]),
+             (list(decide._representatives(5))[:6], ["A"]),
+             # In the indiscrete space K A & K B holds in 1 lane of 256.
+             ([t.make_space(["a", "b", "c", "d"], [F(), F(range(4))])],
+              ["A", "B"])]
+    texts = ["A", "~A", "A & B", "K A | L B", "[] (A | ~K B)",
+             "A & ~B & K (A | B)", "K A & K B", "~(K A & K B)", "~A & K B",
+             "bot", "top"]
+    dense = sparse = 0
+    for cap in (decide.LANE_CAP, 5):
+        monkeypatch.setattr(decide, "LANE_CAP", cap)
+        for spaces, names in cases:
+            formulas = [t.parse(text) for text in texts
+                        if t.atoms(t.parse(text)) <= set(names)]
+            for group, lo, count, ev in decide._space_passes(spaces, names):
+                lanes = len(group) * count
+                for f in formulas:
+                    got = list(ev.hits(f, holds))
+                    assert got == reference_hits(ev, f, holds, lanes)
+                    dense += len(got) > lanes // 2
+                    sparse += 0 < len(got) <= lanes // 8
+    assert dense > 100 and sparse >= 2
+    # A model's evaluator has one lane.
+    m = t.make_model(list(t.enumerate_topologies(3))[7],
+                     {"A": F({0}), "B": F({1, 2})})
+    for text in texts:
+        ev = t.Evaluator(m)
+        assert (list(ev.hits(t.parse(text), holds))
+                == reference_hits(ev, t.parse(text), holds, 1))
 
 
 def test_search_pass_keeps_only_asked_rows():
