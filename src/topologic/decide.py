@@ -271,13 +271,21 @@ def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
         count = min(total, LANE_CAP)
         grouped = count * count <= LANE_CAP
         size = LANE_CAP // count if grouped else 1
-        frame = _pass_frame if grouped else _pass_frame.__wrapped__
+        frame = _pass_frame if grouped else _new_frame
         # A list, not tuple(): see the masks in `space.make_space`.
         while group := list(itertools.islice(run, size)):
             key = tuple(group)
             for lo in range(0, total, count):
                 c = min(count, total - lo)
                 yield group, lo, c, Evaluator(frame(key, names, lo, c))
+
+
+def _new_frame(group: Sequence[SubsetSpace], atom_names: Sequence[str],
+               lo: int, count: int) -> PassFrame:
+    """The frame of `_space_passes`' pass (group, lo, count), built afresh:
+    what a pass over a space with more than 64 valuations uses."""
+    rows = _atom_rows(len(group[0].point_names), len(atom_names), lo, count)
+    return PassFrame(group, count, dict(zip(atom_names, rows)))
 
 
 @lru_cache(maxsize=64)
@@ -289,10 +297,9 @@ def _pass_frame(group: tuple[SubsetSpace, ...], atom_names: tuple[str, ...],
     of the benchmark's `decide` searches are 7 distinct ones, and its sweep
     asks for 1 pass 25 times.  A space with more than 64 valuations passes
     alone, so a search asks for one frame per space, 139 on 5 points with
-    two atoms; such frames are built afresh, as kept ones cycled through the
-    bound and made the 5-point search slower."""
-    rows = _atom_rows(len(group[0].point_names), len(atom_names), lo, count)
-    return PassFrame(group, count, dict(zip(atom_names, rows)))
+    two atoms; `_space_passes` builds those with `_new_frame`, as kept ones
+    cycled through the bound and made the 5-point search slower."""
+    return _new_frame(group, atom_names, lo, count)
 
 
 def _lane_model(group: Sequence[SubsetSpace], lo: int, count: int,

@@ -164,27 +164,22 @@ class Evaluator:
     subformulas of different formulas share a row.
 
     `Evaluator(m)` has one lane, valued by the model m, and keeps every row
-    it computes.  `Evaluator(frame)` evaluates over a `PassFrame`, and
-    `Evaluator(spaces, lanes, atoms)` over a new one.  Such a search pass
-    owns only its rows, and keeps only the rows of the formulas it was
+    it computes.  `Evaluator(frame)` is a search pass over a `PassFrame`:
+    it owns only its rows, and keeps only the rows of the formulas it was
     asked for: an operand's row goes after its last parent.  `mask`
     returns every lane; `extension` and `satisfies` read lane 0.
     """
 
     __slots__ = ("_keep", "_frame", "_rows")
 
-    def __init__(self, m: Model | PassFrame | Sequence[SubsetSpace],
-                 lanes: int = 1, atoms: Mapping[str, int] | None = None):
+    def __init__(self, m: Model | PassFrame):
         self._keep = isinstance(m, Model)
-        if self._keep or isinstance(m, PassFrame):
-            if lanes != 1 or atoms is not None:
-                raise SpaceError("a model or a frame fixes the lanes and "
-                                 "the atoms")
-            if self._keep:
-                m = PassFrame((m.space,), 1, {a: to_mask(s) for a, s
-                                              in m.valuation.items()})
-        else:
-            m = PassFrame(m, lanes, atoms)
+        if self._keep:
+            m = PassFrame((m.space,), 1, {a: to_mask(s) for a, s
+                                          in m.valuation.items()})
+        elif not isinstance(m, PassFrame):
+            raise TypeError(f"an evaluator needs a model or a frame, "
+                            f"not {type(m).__name__}")
         self._frame = m
         self._rows: dict[Formula, list[int]] = {}
 
@@ -285,7 +280,9 @@ class Evaluator:
 
         Each row is read once, into bytes: the union of the rows when a
         lane has a hit, and a slot's row when a lane first asks it.  A
-        lane's bits lie in one or two bytes, so it costs no shift of a row.
+        lane's points start at bit 0 to 7 of its first byte, so they lie in
+        its first (width + 13) // 8 bytes, and reading them costs no shift
+        of a row.
         """
         row = self._rows.get(f) or self._row(f)
         fr = self._frame
@@ -294,14 +291,14 @@ class Evaluator:
         left = reduce(or_, found)
         if not left:
             return
-        # Room for the two bytes of each lane up to the last with a hit.
-        size, w = (left.bit_length() >> 3) + 2, fr.width
-        union = left.to_bytes(size, "little")
+        w = fr.width
+        size, span = (left.bit_length() + 7) >> 3, (w + 13) >> 3
+        union, read = left.to_bytes(size, "little"), int.from_bytes
         points, last = (1 << w - 1) - 1, (left.bit_length() - 1) // w
         lane = 0
         while lane <= last:
             i, shift = lane * w >> 3, lane * w & 7
-            if not (union[i] | union[i + 1] << 8) >> shift & points:
+            if not read(union[i:i + span], "little") >> shift & points:
                 # A later lane hits: skip to the first byte with a bit set.
                 lane = max(lane + 1, _NONZERO.search(
                     union, (lane + 1) * w >> 3).start() * 8 // w)
@@ -309,7 +306,7 @@ class Evaluator:
             for k, data in enumerate(found):
                 if type(data) is int:  # read when a lane first asks it
                     data = found[k] = data.to_bytes(size, "little")
-                bits = (data[i] | data[i + 1] << 8) >> shift & points
+                bits = read(data[i:i + span], "little") >> shift & points
                 if bits:
                     yield lane, Pair((bits & -bits).bit_length() - 1,
                                      fr.opens[order[k]])

@@ -8,6 +8,7 @@ from topologic import Atom, Box, Knows, Not, Pair
 from conftest import (ReferenceEvaluator, random_model, reference_hits,
                       reference_instantiate_axiom)
 from topologic import decide
+from topologic.semantics import PassFrame
 
 F = frozenset
 X = F({0, 1, 2})
@@ -55,10 +56,13 @@ def test_satisfies_rejects_non_open(m0):
 
 
 def test_evaluator_rejects_mismatched_lanes(m0):
-    """A model fixes one lane and its atoms; a space needs both given."""
-    for args in ((m0, 4), (m0, 1, {"A": 1}), (m0.space,),
-                 (m0.space, 0, {"A": 1})):
+    """A model fixes one lane and its atoms; a frame over spaces needs both
+    given, and an evaluator takes only a model or a frame."""
+    for args in (((m0.space,), 1, None), ((m0.space,), 0, {"A": 1})):
         with pytest.raises(t.SpaceError):
+            PassFrame(*args)
+    for args in ((m0, 4), (m0, 1, {"A": 1}), (m0.space,)):
+        with pytest.raises(TypeError):
             t.Evaluator(*args)
 
 
@@ -67,7 +71,7 @@ def test_evaluator_spaces_need_one_point_count(m0):
     two = next(t.enumerate_topologies(2))
     for spaces in ([], [m0.space, two]):
         with pytest.raises(t.SpaceError, match="one point count"):
-            t.Evaluator(spaces, 1, {"A": 1})
+            PassFrame(spaces, 1, {"A": 1})
 
 
 def test_evaluator_matches_reference():
@@ -326,6 +330,32 @@ def test_hits_match_per_lane_reference(monkeypatch, holds):
         ev = t.Evaluator(m)
         assert (list(ev.hits(t.parse(text), holds))
                 == reference_hits(ev, t.parse(text), holds, 1))
+
+
+def test_hits_read_wide_lanes():
+    """A lane's points may span more than two bytes: on one-lane models of
+    9 to 30 points whose only miss or hit is the highest point, and on a
+    10-point pass whose 1,024 lanes start at every bit of a byte."""
+    A = t.parse("A")
+    for n in (9, 16, 17, 24, 30):
+        top = F(range(n))
+        space = t.make_space([str(x) for x in range(n)], [F(), top])
+        for holds, val in ((False, F(range(n - 1))), (True, F({n - 1}))):
+            ev = t.Evaluator(t.make_model(space, {"A": val}))
+            assert list(ev.hits(A, holds)) == [(0, Pair(n - 1, top))]
+            assert reference_hits(ev, A, holds, 1) == [(0, Pair(n - 1, top))]
+        m = t.make_model(space, {"A": F(range(n - 1))})
+        assert t.find_counterexample(m, A) == Pair(n - 1, top)
+        assert not t.model_valid(m, A)
+    ten = t.make_space([str(x) for x in range(10)],
+                       [F(), F({9}), F(range(5, 10)), F(range(10))])
+    texts = ["A", "~A", "K A", "[] ~A", "~K A & [] A"]
+    (group, lo, count, ev), = decide._space_passes([ten], ["A"])
+    assert count == 1024
+    for text in texts:
+        for holds in (True, False):
+            got = list(ev.hits(t.parse(text), holds))
+            assert got == reference_hits(ev, t.parse(text), holds, count)
 
 
 def test_search_pass_keeps_only_asked_rows():
