@@ -26,7 +26,8 @@ from .decide import (SearchBound, axiom_soundness_sweep, decide_sat,
 from .finitemodel import basis_equivalent, extract_finite_model
 from .formula import (Formula, ParseError, atoms, parse, print_formula,
                       subformulas)
-from .modelfile import load_model, model_to_document, save_model
+from .modelfile import (load_model, model_to_document, read_json,
+                        save_model)
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
                         find_counterexample)
 from .space import (InternalError, Model, SpaceError, format_family,
@@ -153,10 +154,7 @@ def cmd_basis(args) -> int:
     m = load_model(args.model)
     if not is_topology(m.space):
         raise SpaceError("not a topology")
-    try:
-        raw = json.loads(Path(args.basis).read_text())
-    except json.JSONDecodeError as exc:
-        raise SpaceError(f"{args.basis}: not valid JSON ({exc})") from exc
+    raw = read_json(args.basis)
     if not (isinstance(raw, list) and all(isinstance(U, list) for U in raw)):
         raise SpaceError("basis file must be a JSON list of opens, "
                          "each a list of point names")
@@ -273,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("sat", "valid"), default="valid")
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--atoms", default="",
-                   help="comma-separated atom alphabet for the search")
+                   help="comma-separated atom alphabet for the search; "
+                        "time grows as 2^(points*atoms) per topology class")
     p.add_argument("--out", help="write the witness/counter model here")
     p.set_defaults(func=cmd_decide)
 

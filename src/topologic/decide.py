@@ -17,8 +17,8 @@ valuation of each, side by side (`_space_passes`).  It reports the least
 hit by space, formula, valuation and pair (`_first_hit`).  A pass's frame
 (its slots, lane masks and atoms' rows; see `semantics.PassFrame`) is
 fixed by its spaces, atoms and lanes alone, so the frames of recent passes
-are kept once per process (`_pass_frame`).  The rows are per search: each
-search's evaluators start empty, and no verdict or hit is kept.
+are kept once per process (`_pass_frame`).  The rows are per search: a
+pass holds one formula's row at a time, and no verdict or hit is kept.
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
 1, 3, 9, 33 and 139 of them on 1 to 5 points (OEIS A001930), against 1, 4,
@@ -57,7 +57,7 @@ HARD_POINT_CAP = 5
 # a row then spans at most this many lanes.  A memory guard: a row takes
 # n + 1 bits per lane and slot, so on 4 points, with up to 16 slots, 10
 # bytes per lane, and a pass is evaluated whole before its first hit.  A
-# search pass holds only the rows asked for and the operands still unread.
+# search pass holds one formula's row, or the operands its walk still reads.
 LANE_CAP = 4096
 
 
@@ -69,6 +69,9 @@ class SearchBound:
     def __post_init__(self) -> None:
         if self.max_points < 1:
             raise SpaceError("the point bound must be at least 1")
+        for name in self.atoms:
+            if name in ("top", "bot"):
+                raise SpaceError(f"atom name {name!r} is reserved")
 
 
 class VerdictKind(str, Enum):
@@ -326,7 +329,6 @@ def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
                     m = _lane_model(group, lo, count, atom_names, lane)
                     best = (lane // count, j, m, pair)
                 break
-            ev.forget(formulas[j])
         if best and (best[1] == 0 or lo + count
                      == 1 << len(group[0].point_names) * len(atom_names)):
             break

@@ -62,11 +62,19 @@ def model_to_document(m: Model) -> dict:
     }
 
 
-def load_model(path: str | Path) -> Model:
+def read_json(path: str | Path):
+    """The JSON value in a file; invalid or too deeply nested JSON raises
+    SpaceError."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SpaceError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise SpaceError(f"{path}: JSON nested too deeply") from None
+
+
+def load_model(path: str | Path) -> Model:
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SpaceError(f"{path}: model document must be a JSON object")
     return model_from_document(doc)

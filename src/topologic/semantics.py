@@ -26,12 +26,12 @@ What a pass fixes before any formula is its `PassFrame`: the slots and
 their masks over the lanes, `K`'s per-lane constants, the atoms' rows, and,
 built at first use, each open's slot, the slot order of `hits` and the
 sub-open slots of `[]`.  An evaluator owns only its rows, kept per search:
-`decide` keeps the frames of recent passes, and every search over one
-starts from empty rows.  A model's evaluator keeps every row it computes,
-as splittings and quotients ask it about many formulas.  A search pass
-keeps only the rows of the formulas it is asked for: each operand's row
-goes right after its last parent in the walk, so a wide pass holds few
-rows at a time.
+`decide` keeps the frames of recent passes.  A model's evaluator keeps
+every row it computes, as splittings and quotients ask it about many
+formulas.  A search pass holds at most the row of the last formula it
+answered, and drops it before it walks the next formula's plan in
+`_PLANS`, which drops each operand's row right after its last parent: a
+wide pass holds few rows at a time.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_, xor
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
@@ -89,9 +89,6 @@ class PassFrame:
     searches may share one.
     """
 
-    __slots__ = ("width", "fill", "guard", "opens", "slots", "masks",
-                 "atoms", "_index", "_below", "_order")
-
     def __init__(self, spaces: Sequence[SubsetSpace], lanes: int,
                  atoms: Mapping[str, int] | None):
         if atoms is None or lanes < 1:
@@ -125,32 +122,22 @@ class PassFrame:
             spread = _ones(len(spaces), lanes * w)
             atoms = {a: row * spread for a, row in atoms.items()}
         self.atoms = atoms
-        self._index = self._below = self._order = None
 
-    @property
+    @cached_property
     def index(self) -> dict[PointSet, int]:
         """Each open's slot; searches, which read rows whole, never ask."""
-        if self._index is None:
-            self._index = {U: i for i, U in enumerate(self.opens)}
-        return self._index
+        return {U: i for i, U in enumerate(self.opens)}
 
-    @property
+    @cached_property
     def below(self) -> list[list[int]]:
         """Each slot's sub-open slots, by the slots' own point sets."""
-        if self._below is None:
-            slots = self.slots
-            self._below = [[j for j, v in enumerate(slots) if v & ~u == 0]
-                           for u in slots]
-        return self._below
+        return [[j for j, v in enumerate(self.slots) if v & ~u == 0]
+                for u in self.slots]
 
-    @property
+    @cached_property
     def order(self) -> list[int]:
         """The slots largest open first, as `pairs_in_order` takes them."""
-        if self._order is None:
-            opens = self.opens
-            self._order = sorted(range(len(opens)),
-                                 key=lambda i: -len(opens[i]))
-        return self._order
+        return sorted(range(len(self.opens)), key=lambda i: -len(self.opens[i]))
 
 
 class Evaluator:
@@ -165,8 +152,8 @@ class Evaluator:
 
     `Evaluator(m)` has one lane, valued by the model m, and keeps every row
     it computes.  `Evaluator(frame)` is a search pass over a `PassFrame`:
-    it owns only its rows, and keeps only the rows of the formulas it was
-    asked for: an operand's row goes after its last parent.  `mask`
+    it holds only the row of the formula it answered last, and drops it
+    before it walks another, so a walk that fails leaves no row.  `mask`
     returns every lane; `extension` and `satisfies` read lane 0.
     """
 
@@ -184,57 +171,53 @@ class Evaluator:
         self._rows: dict[Formula, list[int]] = {}
 
     def _row(self, f: Formula) -> list[int]:
-        rows, fr = self._rows, self._frame
+        fr = self._frame
         masks = fr.masks
         if self._keep:
-            walk, drops = post_order(f, rows), None
-        else:  # a search pass: drop each operand's row after its last use
-            body, plan = (_plan(f, rows) if rows else _PLANS.get(f)
-                          or _PLANS.setdefault(f, _plan(f, rows)))
+            rows, walk, drops = self._rows, post_order(f, self._rows), None
+        else:  # a search pass: release the last row, then walk f's plan
+            self._rows.clear()
+            rows = {}
+            body, plan = _PLANS.get(f) or _PLANS.setdefault(f, _plan(f))
             walk, drops = (*body, f), iter(plan)
-        try:
-            for g in walk:
-                t = type(g)
-                if t is Not:
-                    row = list(map(xor, masks, rows[g.arg]))
-                elif t is And:
-                    row = list(map(and_, rows[g.left], rows[g.right]))
-                elif t is Knows:
-                    # A lane's guard bit in (u ^ a) + fill is set iff a misses
-                    # a point of u; k - (k >> n) covers the points of those
-                    # lanes.  A slot of 0 never carries.
-                    fill, guard, n = fr.fill, fr.guard, fr.width - 1
-                    row = []
-                    for u, a in zip(masks, rows[g.arg]):
-                        k = ((u ^ a) + fill) & guard
-                        row.append(u & ~(k - (k >> n)))
-                elif t is Box:
-                    # miss[j]: the points of slot j at which the operand
-                    # fails, none in the lanes of a space without slot j.
-                    miss = list(map(xor, masks, rows[g.arg]))
-                    row = [u & ~reduce(or_, [miss[j] for j in js])
-                           for u, js in zip(masks, fr.below)]
-                elif t is Atom:
-                    a = fr.atoms.get(g.name)
-                    if a is None:
-                        raise SpaceError(f"unknown atom {g.name!r}")
-                    row = [u & a for u in masks]
-                elif t is Top:
-                    row = masks
-                elif t is Bot:
-                    row = [0] * len(masks)
-                else:
-                    raise TypeError(f"not a formula: {g!r}")
-                rows[g] = row
-                if drops is not None:
-                    for o in next(drops):
-                        del rows[o]
-        except BaseException:
-            if drops is not None:  # a pass keeps no row of a failed walk
-                for g in walk:
-                    rows.pop(g, None)
-            raise
-        return rows[f]
+        for g in walk:
+            t = type(g)
+            if t is Not:
+                row = list(map(xor, masks, rows[g.arg]))
+            elif t is And:
+                row = list(map(and_, rows[g.left], rows[g.right]))
+            elif t is Knows:
+                # A lane's guard bit in (u ^ a) + fill is set iff a misses
+                # a point of u; k - (k >> n) covers the points of those
+                # lanes.  A slot of 0 never carries.
+                fill, guard, n = fr.fill, fr.guard, fr.width - 1
+                row = []
+                for u, a in zip(masks, rows[g.arg]):
+                    k = ((u ^ a) + fill) & guard
+                    row.append(u & ~(k - (k >> n)))
+            elif t is Box:
+                # miss[j]: the points of slot j at which the operand
+                # fails, none in the lanes of a space without slot j.
+                miss = list(map(xor, masks, rows[g.arg]))
+                row = [u & ~reduce(or_, [miss[j] for j in js])
+                       for u, js in zip(masks, fr.below)]
+            elif t is Atom:
+                a = fr.atoms.get(g.name)
+                if a is None:
+                    raise SpaceError(f"unknown atom {g.name!r}")
+                row = [u & a for u in masks]
+            elif t is Top:
+                row = masks
+            elif t is Bot:
+                row = [0] * len(masks)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            rows[g] = row
+            if drops is not None:
+                for o in next(drops):
+                    del rows[o]
+        self._rows[f] = row
+        return row
 
     def mask(self, U: PointSet, f: Formula) -> int:
         """The points of the open U that satisfy f at U, as a bitmask."""
@@ -262,10 +245,6 @@ class Evaluator:
             sat |= row[i]
             fail |= masks[i] ^ row[i]
         return not sat & fail
-
-    def forget(self, f: Formula) -> None:
-        """Drop f's row, if held; it is computed again when asked."""
-        self._rows.pop(f, None)
 
     def extension(self, U: PointSet, f: Formula) -> PointSet:
         bits = self.mask(U, f)
@@ -329,17 +308,13 @@ def _ones(count: int, step: int) -> int:
     return ((1 << count * step) - 1) // ((1 << step) - 1)
 
 
-def _plan(f: Formula, done: Container[Formula]
+def _plan(f: Formula
           ) -> tuple[tuple[Formula, ...], tuple[tuple[Formula, ...], ...]]:
-    """The subformulas of f not in done, each after its operands, f left
-    out; and after each of them, then f, the operands not in done whose
-    last parent it is."""
-    seen = set(done)
-    body: list[Formula] = []
+    """The subformulas of f, each after its operands, f left out; and after
+    each of them, then f, the operands whose last parent it is."""
+    body = subformulas(f)
     last: dict[Formula, int] = {}  # operand -> its last parent's place
-    for i, g in enumerate(post_order(f, seen)):
-        seen.add(g)
-        body.append(g)
+    for i, g in enumerate(body):
         t = type(g)
         if t is And:
             last[g.left] = last[g.right] = i
@@ -347,16 +322,15 @@ def _plan(f: Formula, done: Container[Formula]
             last[g.arg] = i
     drops: list[list[Formula]] = [[] for _ in body]
     for o, i in last.items():
-        if o not in done:
-            drops[i].append(o)
+        drops[i].append(o)
     body.pop()  # f itself, which its plan must not hold: see _PLANS
     return tuple(body), tuple([tuple(d) for d in drops])
 
 
-# The plan of each formula over an empty table, the one a search pass runs
-# for the first formula it is asked, kept while the formula lives: a pure
-# function of an interned, immutable key.  A plan leaves its formula out,
-# as an entry whose value held its key would keep the key alive.
+# The plan of each formula, the one every search pass runs for it, kept
+# while the formula lives: a pure function of an interned, immutable key.
+# A plan leaves its formula out, as an entry whose value held its key
+# would keep the key alive.
 _PLANS: WeakKeyDictionary[Formula, tuple] = WeakKeyDictionary()
 
 

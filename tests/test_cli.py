@@ -472,6 +472,45 @@ def test_decide_sat_mode_with_witness(tmp_path, capsys):
                for p in t.pairs_in_order(witness))
 
 
+def test_decide_atoms_option(tmp_path, capsys):
+    """--atoms widens the search alphabet: the witness valuation names every
+    listed atom.  Empty names are dropped, so "," adds no atom."""
+    out_path = tmp_path / "witness.json"
+    assert main(["decide", "A", "--atoms", "B,A", "--mode", "sat",
+                 "--out", str(out_path)]) == 0
+    assert set(t.load_model(out_path).valuation) == {"A", "B"}
+    assert capsys.readouterr().out.startswith("satisfiable\n")
+    outs = []
+    for extra in ([], ["--atoms", ","]):
+        assert main(["decide", "A", "--mode", "sat", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert set(json.loads(outs[0].split("\n", 2)[2])["valuation"]) == {"A"}
+
+
+@pytest.mark.parametrize("argv", [["A | ~A", "--atoms", "top"],
+                                  ["A", "--atoms", "top", "--mode", "sat"],
+                                  ["A", "--atoms", "A,bot"]])
+def test_decide_reserved_atoms_exit_2(argv, capsys):
+    assert main(["decide", *argv]) == 2
+    name = "bot" if "A,bot" in argv else "top"
+    assert capsys.readouterr().err == f"error: atom name {name!r} is reserved\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "DEEP", "A"], ["split", "DEEP", "A"], ["quotient", "DEEP", "A"],
+    ["basis", "DEEP", "BASIS"], ["axioms", "DEEP"], ["basis", "M0", "DEEP"]])
+def test_deeply_nested_json_exits_2(argv, m0_file, tmp_path, capsys):
+    """A model or basis file of 100,000 nested lists is an input error."""
+    deep, basis = tmp_path / "deep.json", tmp_path / "basis.json"
+    deep.write_text("[" * 100_000)
+    basis.write_text(json.dumps(M0_DOC["opens"]))
+    files = {"DEEP": str(deep), "BASIS": str(basis), "M0": m0_file}
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {deep}: JSON nested too deeply\n"
+
+
 def test_decide_no_model(capsys):
     assert main(["decide", "~top", "--mode", "sat", "--points", "2"]) == 1
     assert "no model within bound" in capsys.readouterr().out

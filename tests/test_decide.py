@@ -183,6 +183,16 @@ def test_decide_rejects_bound_above_cap():
             decide(t.parse("A"), t.SearchBound(6, ("A",)))
 
 
+def test_search_bound_rejects_reserved_atoms():
+    """`top` and `bot` name constants, never atoms: a bound that lists one
+    is rejected, as `make_model` rejects a valuation of one."""
+    for name in ("top", "bot"):
+        with pytest.raises(t.SpaceError, match=f"atom name '{name}' is reserved"):
+            t.SearchBound(2, ("A", name))
+        with pytest.raises(t.SpaceError, match=f"atom name '{name}' is reserved"):
+            t.make_model(next(t.enumerate_topologies(1)), {name: F()})
+
+
 def test_decide_sat_negated_axiom():
     v = t.decide_sat(t.parse("~(K A -> A)"), t.SearchBound(2, ("A",)))
     assert v.kind == "no_model_within_bound"
@@ -389,19 +399,46 @@ def test_first_hit_order_matches_reference(monkeypatch, cap, texts):
 
 
 def test_first_hit_holds_one_asked_row(monkeypatch):
-    """Each formula of a pass is asked with no other asked row held."""
+    """Each formula of a pass is asked with at most the row of the formula
+    asked before it held."""
     hits = t.Evaluator.hits
     asked = []
+    last = {}  # evaluator -> the formula it was last asked
 
     def spy(ev, f, holds):
-        assert not ev._rows
+        assert set(ev._rows) <= {last.get(ev)}
         asked.append(f)
+        last[ev] = f
         return hits(ev, f, holds)
 
     monkeypatch.setattr(t.Evaluator, "hits", spy)
     for sid in (11, 12):
         assert t.find_subset_space_countermodel(sid, t.SearchBound(3, ()))
     assert len(set(asked)) == 6
+    assert any(len(ev._rows) == 1 for ev in last)
+
+
+def test_sweep_pass_holds_one_row(monkeypatch):
+    """A sweep asks each pass for every instance in turn, and the pass
+    holds at most the row of the instance asked before; the report is the
+    one of an unwatched sweep."""
+    hits = t.Evaluator.hits
+    asked: dict = {}  # evaluator -> the formulas it was asked, in order
+
+    def spy(ev, f, holds):
+        done = asked.setdefault(ev, [])
+        assert set(ev._rows) <= set(done[-1:])
+        done.append(f)
+        return hits(ev, f, holds)
+
+    b, spaces = t.SearchBound(3, ("A", "B")), list(t.enumerate_subset_spaces(3, 3))
+    runs = [lambda: t.axiom_soundness_sweep(b, [11, 12], 4, 4, spaces=spaces),
+            lambda: t.axiom_soundness_sweep(b, [3, 7, 8], 3, 1)]
+    reports = [run() for run in runs]
+    monkeypatch.setattr(t.Evaluator, "hits", spy)
+    assert [run() for run in runs] == reports
+    assert reports[0].violations
+    assert len(asked) > 2 and all(len(fs) in (8, 9) for fs in asked.values())
 
 
 def _mixed_searches():
@@ -454,7 +491,7 @@ def test_kept_frames_change_no_result(monkeypatch):
 
 def test_passes_start_with_no_rows():
     """Each evaluator of a pass owns only its rows and starts with none,
-    also over a frame whose last evaluator kept rows."""
+    also over a frame whose last evaluator held a row."""
     f, g = t.parse("K A -> [] K A"), t.parse("~K A & [] B")
     spaces = list(t.enumerate_topologies(3))
     passes = t.decide._space_passes
@@ -463,7 +500,7 @@ def test_passes_start_with_no_rows():
         assert not ev._rows
         list(ev.hits(f, False))
         ev.mask(group[0].opens[-1], g)
-        assert set(ev._rows) == {f, g}
+        assert set(ev._rows) == {g}
         first.append(ev)
     for k, (group, lo, count, ev) in enumerate(passes(spaces, ["A", "B"])):
         assert not ev._rows

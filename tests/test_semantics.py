@@ -349,50 +349,48 @@ def test_hits_match_per_lane_reference(monkeypatch, holds):
 
 
 def test_search_pass_keeps_only_asked_rows():
-    """A search pass drops each operand's row after its last parent, so
-    it holds rows for the formulas asked only, among them a row that a
-    later formula reads; a model's evaluator keeps every row."""
+    """A search pass holds at most the row of the last formula it answered,
+    and releases it before it walks the next; asked again, a formula gets
+    the same hits.  A model's evaluator keeps every row."""
     ka, f, g = t.parse("K A"), t.parse("K A -> [] K A"), t.parse("~K A & [] B")
-    spaces = list(t.enumerate_topologies(3))
-    for group, lo, count, ev in decide._space_passes(spaces, ["A", "B"]):
-        list(ev.hits(f, False))
+    spaces, names = list(t.enumerate_topologies(3)), ("A", "B")
+    held = []  # the rows a pass holds whenever a walk reads an atom
+
+    class Atoms(dict):
+        def get(self, name):
+            held.append(set(ev._rows))
+            return dict.get(self, name)
+
+    for group, lo, count, _ in decide._space_passes(spaces, names):
+        frame = decide._new_frame(group, names, lo, count)  # not kept
+        frame.atoms = Atoms(frame.atoms)
+        ev = t.Evaluator(frame)
+        first = list(ev.hits(f, False))
         assert set(ev._rows) == {f}
         list(ev.hits(g, True))
-        assert set(ev._rows) == {f, g}
+        assert set(ev._rows) == {g}
         top = ev.mask(group[0].opens[-1], ka)
-        assert set(ev._rows) == {f, g, ka}
-        list(ev.hits(Not(ka), True))  # reads the kept row of K A
-        assert set(ev._rows) == {f, g, ka, Not(ka)}
+        row = ev._rows[ka]
         assert ev.mask(group[0].opens[-1], ka) == top
+        assert ev._rows[ka] is row  # the held row, not walked again
+        list(ev.hits(Not(ka), True))
+        assert set(ev._rows) == {Not(ka)}
+        assert list(ev.hits(f, False)) == first
+        assert set(ev._rows) == {f}
+    assert held and not any(held)
     m = t.make_model(spaces[5], {"A": F({0}), "B": F({0, 1})})
     ev = t.Evaluator(m)
     ev.first_pair(f, False)
     assert set(ev._rows) == set(t.subformulas(f))
 
 
-def test_forget_drops_one_row():
-    """`forget` drops one held row, or nothing; asked again, the formula
-    gets the same hits."""
-    f, g = t.parse("K A -> [] K A"), t.parse("~K A & [] B")
-    spaces = list(t.enumerate_subset_spaces(3, 3))
-    for group, lo, count, ev in decide._space_passes(spaces, ["A", "B"]):
-        first = list(ev.hits(f, False))
-        list(ev.hits(g, True))
-        ev.forget(f)
-        assert set(ev._rows) == {g}
-        ev.forget(f)
-        ev.forget(g)
-        assert not ev._rows
-        assert list(ev.hits(f, False)) == first
-        assert set(ev._rows) == {f}
-
-
 @pytest.mark.parametrize("search_pass", [False, True])
 def test_failed_walk_leaves_evaluator_consistent(search_pass):
     """An unknown atom ends a walk with SpaceError halfway: the evaluator
-    keeps no row of the failed formula that is not whole, loses no row of
-    an earlier formula, raises the same error when asked again, and then
-    evaluates valid formulas as a fresh evaluator does."""
+    keeps no row of the failed formula that is not whole, raises the same
+    error when asked again, and then evaluates valid formulas as a fresh
+    evaluator does.  A model's evaluator loses no row of an earlier
+    formula; a search pass, which released its row first, holds none."""
     space = list(t.enumerate_topologies(3))[7]
     names = ["A", "B"]
 
@@ -414,7 +412,9 @@ def test_failed_walk_leaves_evaluator_consistent(search_pass):
         assert all(type(r) is list and len(r) == len(space.opens)
                    for r in ev._rows.values())
         if search_pass:
-            assert set(ev._rows) == {ka}
+            assert not ev._rows
+        else:
+            assert set(t.subformulas(ka)) <= set(ev._rows)
     assert ev.mask(X3, ka) == before
     other = fresh()
     for U in space.opens:
