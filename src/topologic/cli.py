@@ -19,20 +19,21 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .decide import (SearchBound, axiom_soundness_sweep, decide_sat,
                      decide_valid, random_formula)
 from .finitemodel import basis_equivalent, extract_finite_model
-from .formula import (Formula, ParseError, atoms, parse, print_formula,
-                      subformulas)
+from .formula import (And, Box, Formula, Knows, Not, ParseError, atoms,
+                      is_atom_name, parse, print_formula, print_formulas)
 from .modelfile import (load_model, model_to_document, read_json,
                         save_model)
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
                         find_counterexample)
 from .space import (InternalError, Model, SpaceError, format_family,
                     format_set, is_topology)
-from .splitting import build_splitting, partition
+from .splitting import build_splitting, remainder_blocks
 
 
 def _parse_formula(m: Model, text: str) -> Formula:
@@ -95,32 +96,51 @@ def cmd_split(args) -> int:
     f = _parse_formula(m, args.formula)
     table = build_splitting(m, f)
     ev = table.evaluator
-    names = m.space.point_names
+    names, masks = m.space.point_names, m.space.masks
     # By slot: the slots of a model's evaluator are its opens.
     label = [format_set(U, names) for U in m.space.opens]
 
-    def listing(slots: list[int]) -> str:
+    def listing(slots: Sequence[int]) -> str:
         return "{" + ", ".join([label[i] for i in slots]) + "}"
 
-    text = {psi: print_formula(psi) for psi in table.splittings}
+    order = list(table.splittings)  # post-order: operands first
+    text = print_formulas(order)
+    subs: dict[Formula, set[Formula]] = {}
+    blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # by family
+    verdict: dict[tuple, str] = {}  # by block and subformula
     all_stable = True
-    for psi, sp in table.splittings.items():
-        fam = ev.slots(sp.family)
-        print(f"subformula: {text[psi]}")
-        print(f"  family: {listing(fam)}")
-        subs = set(subformulas(psi))
-        inner = [phi for phi in table.splittings if phi in subs]
+    for psi in order:
+        match psi:
+            case And(a, b):
+                subs[psi] = subs[a] | subs[b] | {psi}
+            case Not(x) | Knows(x) | Box(x):
+                subs[psi] = subs[x] | {psi}
+            case _:
+                subs[psi] = {psi}
+        inner = [phi for phi in order if phi in subs[psi]]
+        fam = tuple(ev.slots(table.splittings[psi].family))
+        if fam not in blocks:
+            blocks[fam] = [tuple(b) for b in remainder_blocks(
+                masks, [masks[r] for r in fam])]
+        row = ev.row(psi)
+        lines = [f"subformula: {text[psi]}", f"  family: {listing(fam)}"]
         # Blocks come in family order, which is slot order.
-        for r, (rep, block) in zip(fam, partition(sp).items()):
-            slots = ev.slots(block)
+        for r, block in zip(fam, blocks[fam]):
             verdicts = []
             for phi in inner:
-                ok = ev.stable(slots, phi)
-                all_stable = all_stable and ok
-                verdicts.append(f"{text[phi]}: {'stable' if ok else 'UNSTABLE'}")
-            print(f"  block of {label[r]}: {listing(slots)}")
-            print(f"    extension: {format_set(ev.extension(rep, psi), names)}")
-            print(f"    stability: {'; '.join(verdicts)}")
+                v = verdict.get((block, phi))
+                if v is None:
+                    ok = ev.stable(block, phi)
+                    all_stable = all_stable and ok
+                    v = verdict[block, phi] = (
+                        f"{text[phi]}: {'stable' if ok else 'UNSTABLE'}")
+                verdicts.append(v)
+            lines += [f"  block of {label[r]}: {listing(block)}",
+                      "    extension: {" + ", ".join(
+                          [names[x] for x in range(len(names))
+                           if row[r] >> x & 1]) + "}",
+                      f"    stability: {'; '.join(verdicts)}"]
+        print("\n".join(lines))
     if not all_stable:
         raise InternalError("unstable block in a stable splitting")
     return 0
@@ -184,9 +204,11 @@ def cmd_basis(args) -> int:
 
 def cmd_decide(args) -> int:
     f = parse(args.formula)
-    names = sorted(set(args.atoms.split(",")) - {""} | atoms(f)
-                   ) if args.atoms else sorted(atoms(f))
-    bound = SearchBound(args.points, tuple(names))
+    listed = {name.strip() for name in args.atoms.split(",")} - {""}
+    for name in sorted(listed):
+        if not is_atom_name(name):
+            raise SpaceError(f"--atoms: {name!r} is not an atom name")
+    bound = SearchBound(args.points, tuple(sorted(listed | atoms(f))))
     if args.mode == "sat":
         verdict = decide_sat(f, bound)
     else:

@@ -5,6 +5,9 @@ relation as the full topology.  Independently, quotienting the points by
 open-membership plus atom profiles preserves satisfaction.  Combining a
 restriction to the stable splitting of a formula with the point quotient
 extracts a finite model equivalent for that formula.
+
+`basis_equivalent` evaluates the model and its basis model side by side,
+as the two lanes of one evaluator.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .formula import Formula, atoms
-from .semantics import Evaluator, Pair, model_valid
+from .semantics import Evaluator, Pair, PassFrame
 from .space import (EMPTY, InternalError, Model, PointSet, SpaceError,
                     close_under_union, format_set, is_closed, is_topology,
                     make_model, make_space, to_mask)
@@ -54,19 +57,24 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     `_check_basis` accepts only opens, closed under union, that include
     every nonempty open, so an accepted basis is the nonempty opens, with
     or without the empty set.  The basis model differs at most by the
-    empty open, which holds no point and so is in no pair.
+    empty open, which holds no point and so is in no pair.  The models are
+    lanes 0 and 1 of one evaluator, so each formula is walked once.
     """
     _check_basis(m, basis)
-    mb = make_model(make_space(m.space.point_names, basis), dict(m.valuation))
-    ev_t = Evaluator(m)
-    ev_b = Evaluator(mb)
+    bspace = make_space(m.space.point_names, basis)
+    frame = PassFrame((m.space, bspace), 1,
+                      {a: to_mask(S) for a, S in m.valuation.items()})
+    ev = Evaluator(frame)
+    slots = [(frame.index[U], U) for U in bspace.opens]
+    w = frame.width
     for f in formulas:
-        for U in mb.space.opens:
-            differ = ev_t.mask(U, f) ^ ev_b.mask(U, f)
+        row = ev.row(f)
+        for i, U in slots:
+            differ = (row[i] ^ row[i] >> w) & (1 << w - 1) - 1
             if differ:
                 least = (differ & -differ).bit_length() - 1
                 return BasisCounterexample(f, Pair(least, U))
-        if model_valid(m, f, ev_t) != model_valid(mb, f, ev_b):
+        if len([lane for lane, _ in ev.hits(f, False)]) == 1:
             return BasisCounterexample(f, None)
     return None
 

@@ -18,13 +18,15 @@ right, and nesting depth has no limit:
         | "(" f ")" | "top" | "bot" | IDENT
 
 The printer re-sugars these patterns, so parse(print_formula(f)) is f.
-Both read one operator table, and neither recurses.
+Both read one operator table, and neither recurses.  `print_formulas`
+prints many subformulas of one formula from the same layout table, each
+text built from its operands' texts.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Container, Iterator
+from typing import Callable, Container, Iterable, Iterator
 from weakref import KeyedRef
 
 # Interned nodes by constructor and operands.  A key holds only what its node
@@ -131,7 +133,8 @@ class ParseError(ValueError):
 
 
 # A token, or in group 1 a character that starts none.
-_TOKEN_RE = re.compile(r"->|\[\]|<>|[~&|()]|[A-Za-z_][A-Za-z0-9_]*|(\S)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(rf"->|\[\]|<>|[~&|()]|{_NAME_RE.pattern}|(\S)")
 
 # The operator table that parse and print_formula both read: token ->
 # (binding strength, constructor).  Unary operators bind tightest; the
@@ -142,6 +145,11 @@ _OPERATORS = {
     "~": (_UNARY, Not), "K": (_UNARY, Knows), "L": (_UNARY, L),
     "[]": (_UNARY, Box), "<>": (_UNARY, Diamond),
 }
+
+
+def is_atom_name(name: str) -> bool:
+    """True iff parse reads name alone as an atom, or as top or bot."""
+    return _NAME_RE.fullmatch(name) is not None and name not in _OPERATORS
 
 
 def _binding(tok: str | None) -> int:
@@ -206,10 +214,12 @@ def parse(text: str) -> Formula:
         expect_operand = False
 
 
-def _render(f: Formula, layout: Callable[[Formula, int], list]) -> str:
-    """Join the pieces of layout(f, 0), laying out each (operand, minimum
-    binding) slot in its place.  An explicit stack keeps this linear in
-    the size of f at any depth."""
+def _render(f: Formula, layout: Callable[[Formula], tuple[int, list]]
+            ) -> str:
+    """Join the pieces of f's layout, laying out each (operand, minimum
+    binding) slot in its place, in parentheses when its layout binds
+    looser than that.  An explicit stack keeps this linear in the size of
+    f at any depth."""
     out: list[str] = []
     todo: list = [(f, 0)]
     while todo:
@@ -217,18 +227,24 @@ def _render(f: Formula, layout: Callable[[Formula, int], list]) -> str:
         if type(piece) is str:
             out.append(piece)
         else:
-            todo.extend(reversed(layout(*piece)))
+            prec, pieces = layout(piece[0])
+            if prec < piece[1]:
+                pieces = ["(", *pieces, ")"]
+            todo.extend(reversed(pieces))
     return "".join(out)
 
 
-def _print_layout(f: Formula, min_prec: int) -> list:
+def _print_layout(f: Formula) -> tuple[int, list]:
+    """The binding strength of f's printed form, and its pieces: strings,
+    and (operand, minimum binding) slots.  Leaves bind as tightly as the
+    unary operators, so that no slot asks for their parentheses."""
     match f:
         case Atom(name):
-            return [name]
+            return _UNARY, [name]
         case Top():
-            return ["top"]
+            return _UNARY, ["top"]
         case Bot():
-            return ["bot"]
+            return _UNARY, ["bot"]
         case Not(Knows(Not(x))):
             tok, args = "L", (x,)
         case Not(Box(Not(x))):
@@ -249,24 +265,41 @@ def _print_layout(f: Formula, min_prec: int) -> list:
             raise TypeError(f"not a formula: {f!r}")
     prec = _OPERATORS[tok][0]
     if len(args) == 1:
-        pieces = [tok if tok == "~" else tok + " ", (args[0], prec)]
-    else:  # grouping to the right: a left operand binds one level tighter
-        pieces = [(args[0], prec + 1), f" {tok} ", (args[1], prec)]
-    return ["(", *pieces, ")"] if prec < min_prec else pieces
+        return prec, [tok if tok == "~" else tok + " ", (args[0], prec)]
+    # Grouping to the right: a left operand binds one level tighter.
+    return prec, [(args[0], prec + 1), f" {tok} ", (args[1], prec)]
 
 
-def _repr_layout(f: Formula, _min_prec: int) -> list:
+def _repr_layout(f: Formula) -> tuple[int, list]:
     pieces: list = []
     for field in f.__match_args__:
         value = getattr(f, field)
         pieces += [", ", (value, 0) if isinstance(value, Formula)
                    else repr(value)]
-    return [f"{type(f).__name__}(", *pieces[1:], ")"]
+    return _UNARY, [f"{type(f).__name__}(", *pieces[1:], ")"]
 
 
 def print_formula(f: Formula) -> str:
     """Render a core AST, re-sugaring L, <>, | and ->."""
     return _render(f, _print_layout)
+
+
+def print_formulas(order: Iterable[Formula]) -> dict[Formula, str]:
+    """print_formula of each formula of order, built from the texts of its
+    operands, so that each node is laid out once.  Each formula's
+    subformulas must come before it, as in `subformulas`."""
+    done: dict[Formula, tuple[int, str]] = {}
+    for f in order:
+        prec, pieces = _print_layout(f)
+        parts = []
+        for piece in pieces:
+            if type(piece) is str:
+                parts.append(piece)
+            else:
+                inner, text = done[piece[0]]
+                parts.append(f"({text})" if inner < piece[1] else text)
+        done[f] = prec, "".join(parts)
+    return {f: text for f, (_, text) in done.items()}
 
 
 def post_order(f: Formula, done: Container[Formula]) -> Iterator[Formula]:

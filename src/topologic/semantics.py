@@ -219,6 +219,11 @@ class Evaluator:
         self._rows[f] = row
         return row
 
+    def row(self, f: Formula) -> list[int]:
+        """f's row: at slot i, the mask of the points of slot i that
+        satisfy f there, in every lane."""
+        return self._rows.get(f) or self._row(f)  # rows are never empty
+
     def mask(self, U: PointSet, f: Formula) -> int:
         """The points of the open U that satisfy f at U, as a bitmask."""
         i = self._frame.index.get(U)

@@ -6,18 +6,20 @@ order is needed, families are sorted by (cardinality, sorted members).
 
 Frozensets are what the library takes, returns, saves and prints.  Inside,
 a space keeps each open's int bitmask (bit x for point x) in `masks`, read
-by `is_closed`, `classify`, `partition` and the evaluator, whose rows also
-give block stability (`Evaluator.stable`, over a block's slots).
-Families are closed and checked here only: `_close` closes under & or | in
-one pass, as both are associative, commutative and idempotent (on
-frozensets, which measured faster on the small families it sees);
-`closure_family` runs a worklist; `is_closed` is the one closure check, for
-`make_space`, `make_splitting` and bases.
+by `is_closed`, `interior_mask`, the splittings and the evaluator, whose
+rows also give block stability (`Evaluator.stable`, over a block's slots).
+`interior_mask` is the one interior: `interior` and `heyting_implication`
+wrap it for frozensets.  Families are closed and checked here only: `close`
+closes frozensets or masks under & or | in one pass, as both are
+associative, commutative and idempotent; `closure_family` runs a worklist;
+`is_closed` is the one closure check, for a space's closure flags (computed
+when `is_topology` first reads them), `make_splitting` and bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -60,17 +62,24 @@ def format_family(family: Iterable[PointSet], names: tuple[str, ...]) -> str:
 class SubsetSpace:
     """A pair (X, opens) with X a finite point set and X itself open;
     `make_space` lists the opens in `sort_family` order, and `masks[i]` is
-    the bitmask of `opens[i]`."""
+    the bitmask of `opens[i]`.  The closure flags are computed when first
+    read, as only `is_topology` reads them."""
 
     point_names: tuple[str, ...]
     opens: tuple[PointSet, ...]
-    is_intersection_closed: bool = field(compare=False)
-    is_union_closed: bool = field(compare=False)
     masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def universe(self) -> PointSet:
         return frozenset(range(len(self.point_names)))
+
+    @cached_property
+    def is_intersection_closed(self) -> bool:
+        return is_closed(self.masks, set(self.masks), and_)
+
+    @cached_property
+    def is_union_closed(self) -> bool:
+        return is_closed(self.masks, set(self.masks), or_)
 
     def index_of(self, name: str) -> int:
         try:
@@ -96,11 +105,9 @@ def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetS
     # From a list, the tuple is made at its size; tuple() of an iterator
     # shrinks an oversized one, which then sits on the tuple free list.
     masks = tuple([to_mask(s) for s in family])
-    members = set(masks)
-    if (1 << n) - 1 not in members:
+    if (1 << n) - 1 not in masks:
         raise SpaceError("the full point set X must be open")
-    return SubsetSpace(names, family, is_closed(masks, members, and_),
-                       is_closed(masks, members, or_), masks)
+    return SubsetSpace(names, family, masks)
 
 
 def is_closed(masks: Sequence[int], members: set[int], op: Callable) -> bool:
@@ -132,15 +139,22 @@ def generate_topology(subbasis: Iterable[PointSet],
     return make_space(names, close_under_union(close_under_intersection(family)))
 
 
+def interior_mask(masks: Iterable[int], outside: int) -> int:
+    """The union of the opens, given by their masks, that miss every point
+    of outside: in a topology, the interior of its complement."""
+    result = 0
+    for u in masks:
+        if not u & outside:
+            result |= u
+    return result
+
+
 def interior(s: SubsetSpace, S: PointSet) -> PointSet:
-    """Union of all opens contained in S.  Requires a topology."""
+    """Union of all opens contained in S, itself an open.  Requires a
+    topology."""
     if not is_topology(s):
         raise SpaceError("interior requires a topology")
-    result = EMPTY
-    for U in s.opens:
-        if U <= S:
-            result |= U
-    return result
+    return s.opens[s.masks.index(interior_mask(s.masks, ~to_mask(S)))]
 
 
 def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
@@ -149,30 +163,31 @@ def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
         raise SpaceError("Heyting implication requires a topology")
     if U not in s.opens or W not in s.opens:
         raise SpaceError("Heyting implication arguments must be open")
-    return interior(s, s.universe - (U - W))
+    return s.opens[s.masks.index(interior_mask(s.masks, to_mask(U - W)))]
 
 
-def _close(family: Iterable[PointSet], op: Callable) -> tuple[PointSet, ...]:
-    """Least superfamily closed under op, in one pass.  As op (& or |) is
-    associative, commutative and idempotent, adding a and each op(a, r) to
-    closed kept members r keeps them closed: op(a, op(a, r)) = op(a, r), and
-    op(op(a, r), r') = op(op(a, r), op(a, r')) = op(a, op(r, r'))."""
-    result: set[PointSet] = set()
+def close(family: Iterable, op: Callable) -> set:
+    """Least superfamily closed under op, in one pass, of frozensets or of
+    masks.  As op (& or |) is associative, commutative and idempotent,
+    adding a and each op(a, r) to closed kept members r keeps them closed:
+    op(a, op(a, r)) = op(a, r), and op(op(a, r), r') = op(op(a, r),
+    op(a, r')) = op(a, op(r, r'))."""
+    result: set = set()
     for a in family:
         if a not in result:
             result |= {op(a, r) for r in result}
             result.add(a)
-    return sort_family(result)
+    return result
 
 
 def close_under_intersection(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise intersection."""
-    return _close(family, and_)
+    return sort_family(close(family, and_))
 
 
 def close_under_union(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
     """Least superfamily closed under pairwise union."""
-    return _close(family, or_)
+    return sort_family(close(family, or_))
 
 
 @dataclass(frozen=True)

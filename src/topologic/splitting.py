@@ -7,6 +7,10 @@ of F.  For every formula a splitting can be refined until each remainder
 block is stable: the truth value at a point is constant across the block
 members containing that point.  `build_splitting` performs that
 refinement inductively for a formula and all its subformulas.
+
+Inside, families are the masks of their members, and a block is the
+slots (indices into the space's opens) of its members: `build_splitting`
+and `remainder_blocks` build no frozenset but `Splitting.family`.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import and_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
-from .space import (EMPTY, Model, PointSet, SpaceError, SubsetSpace,
-                    close_under_intersection, heyting_implication, interior,
-                    is_closed, is_topology, sort_family, to_mask)
+from .space import (Model, PointSet, SpaceError, SubsetSpace, close,
+                    interior_mask, is_closed, is_topology, sort_family,
+                    to_mask)
 from .semantics import Evaluator
 
 
@@ -71,17 +75,26 @@ def classify(s: Splitting, V: PointSet) -> PointSet:
         x for x in s.space.universe if rep >> x & 1)
 
 
+def remainder_blocks(masks: Sequence[int], family: Sequence[int]
+                     ) -> list[list[int]]:
+    """The remainder partition on masks: for each member of family, in its
+    order, the slots i, ascending, of the masks[i] whose least member of
+    family above is that member."""
+    place = {u: k for k, u in enumerate(family)}
+    blocks: list[list[int]] = [[] for _ in family]
+    for i, v in enumerate(masks):
+        rep = _least_above(family, v)
+        if rep != -1:  # v is below a member, and rep is classify's answer
+            blocks[place[rep]].append(i)
+    return blocks
+
+
 def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
     """The remainder partition of all opens below the family: each family
     member's block, in family order."""
-    blocks: dict[PointSet, list[PointSet]] = {U: [] for U in s.family}
-    by_mask = s._by_mask
-    fam = tuple(by_mask)
-    for V, v in zip(s.space.opens, s.space.masks):
-        rep = _least_above(fam, v)
-        if rep != -1:  # V is below a member, and rep is classify(s, V)
-            blocks[by_mask[rep]].append(V)
-    return {U: frozenset(b) for U, b in blocks.items()}
+    opens = s.space.opens
+    return {U: frozenset([opens[i] for i in b]) for U, b in zip(
+        s.family, remainder_blocks(s.space.masks, tuple(s._by_mask)))}
 
 
 def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
@@ -108,40 +121,44 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
     operand's splitting; conjunction takes the intersection closure of the
     union; K adds the interior of the operand's extension at each member
     when it falls inside that member's remainder; [] adds all Heyting
-    implications among the operand's family members.
+    implications among the operand's family members.  The families are
+    built as masks of opens, ordered by slot, which is `sort_family` order.
     """
     s = m.space
     if not is_topology(s):
         raise SpaceError("build_splitting requires a topology")
     ev = Evaluator(m)
+    opens, masks = s.opens, s.masks
+    slot = {u: i for i, u in enumerate(masks)}  # every member is an open
+    fams: dict[Formula, list[int]] = {}  # each family's masks, by slot
     splittings: dict[Formula, Splitting] = {}
-    base = (s.universe, EMPTY)
     for psi in subformulas(f):
         match psi:
-            case Atom(_) | Top() | Bot():
-                family: tuple[PointSet, ...] = sort_family(base)
             case Not(x):
-                family = splittings[x].family
+                fams[psi] = fams[x]
+                splittings[psi] = Splitting(splittings[x].family, s)
+                continue
+            case Atom(_) | Top() | Bot():
+                new: Iterable[int] = (masks[-1], 0)
             case And(a, b):
-                family = close_under_intersection(
-                    splittings[a].family + splittings[b].family)
+                new = (*fams[a], *fams[b])
             case Knows(x):
-                sub = splittings[x]
-                extra = []
-                for U in sub.family:
-                    W = interior(s, ev.extension(U, x))
-                    # An open W below U is in U's remainder iff U is the
-                    # least member above it.
-                    if classify(sub, W) == U:
-                        extra.append(W)
-                family = close_under_intersection((*sub.family, *extra))
+                sub, row = fams[x], ev.row(x)
+                new = [*sub]
+                for u in sub:
+                    # The interior of x's extension at u, which lies in u's
+                    # remainder iff u is the least member above it.
+                    w = interior_mask(masks, ~row[slot[u]])
+                    if _least_above(sub, w) == u:
+                        new.append(w)
             case Box(x):
-                sub = splittings[x]
-                family = close_under_intersection((*sub.family, *(
-                    heyting_implication(s, U, V)
-                    for U in sub.family for V in sub.family)))
+                sub = fams[x]
+                new = (*sub, *(interior_mask(masks, u & ~v)
+                               for u in sub for v in sub))
             case _:
                 raise TypeError(f"not a formula: {psi!r}")
         # Sorted opens, intersection-closed by construction: no check needed.
-        splittings[psi] = Splitting(family, s)
+        slots = sorted([slot[u] for u in close(new, and_)])
+        fams[psi] = [masks[i] for i in slots]
+        splittings[psi] = Splitting(tuple([opens[i] for i in slots]), s)
     return SplittingTable(splittings, ev)

@@ -10,7 +10,8 @@ import topologic as t
 from topologic.formula import (BOT, TOP, And, Atom, Bot, Box, Diamond,
                                Formula, Implies, Knows, L, Not, Or,
                                ParseError, Top)
-from topologic.finitemodel import _check_basis
+from topologic import finitemodel
+from topologic.finitemodel import BasisCounterexample, _check_basis
 from topologic.space import set_key
 
 F = frozenset
@@ -397,6 +398,59 @@ def reference_partition(s: t.Splitting) -> dict:
     for V in down(s):
         blocks[reference_classify(s, V)].add(V)
     return {U: frozenset(b) for U, b in blocks.items()}
+
+
+def reference_interior(s: t.SubsetSpace, S) -> frozenset:
+    """The union of the opens inside S."""
+    return F().union(*[U for U in s.opens if U <= S])
+
+
+def reference_build_splitting(m: t.Model, f: Formula) -> dict:
+    """The frozenset construction of `build_splitting`: each subformula's
+    family, by subformula in post-order."""
+    s = m.space
+    fams: dict = {}
+    for psi in t.subformulas(f):
+        match psi:
+            case Atom(_) | Top() | Bot():
+                fam = t.sort_family([s.universe, F()])
+            case Not(x):
+                fam = fams[x]
+            case And(a, b):
+                fam = reference_close_under_intersection(fams[a] + fams[b])
+            case Knows(x):
+                sub = t.Splitting(fams[x], s)
+                extra = []
+                for U in sub.family:
+                    W = reference_interior(s, t.extension(m, U, x))
+                    if reference_classify(sub, W) == U:
+                        extra.append(W)
+                fam = reference_close_under_intersection(
+                    (*sub.family, *extra))
+            case Box(x):
+                fam = reference_close_under_intersection((*fams[x], *(
+                    reference_interior(s, s.universe - (U - V))
+                    for U in fams[x] for V in fams[x])))
+        fams[psi] = fam
+    return fams
+
+
+def reference_basis_equivalent(m: t.Model, basis, formulas):
+    """`basis_equivalent` on two evaluators, one per model, after the
+    library's basis check, looked up at each call."""
+    finitemodel._check_basis(m, basis)
+    mb = t.make_model(t.make_space(m.space.point_names, basis),
+                      dict(m.valuation))
+    ev_t, ev_b = t.Evaluator(m), t.Evaluator(mb)
+    for f in formulas:
+        for U in mb.space.opens:
+            differ = ev_t.mask(U, f) ^ ev_b.mask(U, f)
+            if differ:
+                least = (differ & -differ).bit_length() - 1
+                return BasisCounterexample(f, t.Pair(least, U))
+        if t.model_valid(m, f, ev_t) != t.model_valid(mb, f, ev_b):
+            return BasisCounterexample(f, None)
+    return None
 
 
 def reference_hits(ev: t.Evaluator, f: Formula, holds: bool,

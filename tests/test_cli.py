@@ -488,6 +488,26 @@ def test_decide_atoms_option(tmp_path, capsys):
     assert set(json.loads(outs[0].split("\n", 2)[2])["valuation"]) == {"A"}
 
 
+def test_decide_atoms_stripped(tmp_path, capsys):
+    """Whitespace around each --atoms name is dropped."""
+    out_path = tmp_path / "witness.json"
+    assert main(["decide", "A", "--atoms", " B , A,C ", "--mode", "sat",
+                 "--points", "1", "--out", str(out_path)]) == 0
+    assert set(t.load_model(out_path).valuation) == {"A", "B", "C"}
+
+
+@pytest.mark.parametrize("atoms,bad", [("A, B,x&y", "x&y"), ("K", "K"),
+                                       ("A,L", "L"), ("1x", "1x"),
+                                       ("A B", "A B"), ("(A)", "(A)")])
+def test_decide_atoms_not_names_exit_2(atoms, bad, capsys):
+    """A name the formula parser cannot read as an atom is an input error."""
+    assert main(["decide", "A", "--atoms", atoms, "--mode", "sat",
+                 "--points", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --atoms: {bad!r} is not an atom name\n"
+
+
 @pytest.mark.parametrize("argv", [["A | ~A", "--atoms", "top"],
                                   ["A", "--atoms", "top", "--mode", "sat"],
                                   ["A", "--atoms", "A,bot"]])

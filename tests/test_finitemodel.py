@@ -6,7 +6,8 @@ import pytest
 import topologic as t
 from topologic import Pair, finitemodel
 from conftest import (basis_witness, minimal_neighborhood_basis, not_chain,
-                      random_model, reference_check_basis)
+                      random_model, reference_basis_equivalent,
+                      reference_check_basis)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -125,6 +126,39 @@ def test_basis_equivalent_randomized():
         basis = minimal_neighborhood_basis(m)
         formulas = [t.random_formula(rng, ["A", "B"], 3) for _ in range(10)]
         assert t.basis_equivalent(m, basis, formulas) is None
+
+
+def test_basis_equivalent_matches_reference():
+    # One two-lane pass against two evaluators, on accepted bases of 1-6
+    # points, with and without the empty set.
+    rng = random.Random(61)
+    for _ in range(60):
+        m = random_model(rng, rng.randint(1, 6))
+        basis = [*minimal_neighborhood_basis(m), *[F()] * rng.randint(0, 1)]
+        formulas = [t.random_formula(rng, ["A", "B"], rng.randint(0, 4))
+                    for _ in range(5)]
+        assert t.basis_equivalent(m, basis, formulas) is None
+        assert reference_basis_equivalent(m, basis, formulas) is None
+
+
+def test_basis_equivalent_disagreements_match_reference(monkeypatch):
+    # Families of opens with X that are not bases, with the basis check
+    # taken out: the only way to reach the disagreement reports.  Both
+    # report the same formula and pair, or validity.
+    monkeypatch.setattr(finitemodel, "_check_basis", lambda m, basis: None)
+    rng = random.Random(67)
+    kinds = Counter()
+    for _ in range(800):
+        m = random_model(rng, rng.randint(3, 6))
+        family = [m.space.universe,
+                  *[U for U in m.space.opens if rng.random() < 0.3]]
+        formulas = [t.random_formula(rng, ["A", "B"], rng.randint(3, 5))
+                    for _ in range(6)]
+        got = t.basis_equivalent(m, family, formulas)
+        assert got == reference_basis_equivalent(m, family, formulas)
+        kinds["agree" if got is None else
+              "validity" if got.pair is None else "pair"] += 1
+    assert min(kinds["agree"], kinds["validity"], kinds["pair"]) >= 10
 
 
 def test_point_quotient_m0(m0):

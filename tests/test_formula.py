@@ -319,3 +319,44 @@ def test_deep_chains_round_trip():
     for i in range(n):
         h = steps[i % len(steps)](h)
     assert t.parse(t.print_formula(h)) is h
+
+
+def _print_formulas_agree(f) -> None:
+    subs = t.subformulas(f)
+    texts = formula.print_formulas(subs)
+    assert list(texts) == subs
+    for g in subs:
+        assert texts[g] == t.print_formula(g)
+
+
+@settings(max_examples=500, deadline=None)
+@given(FORMULA_TEXT | GRAMMAR_TEXT)
+def test_print_formulas_match_print_formula(text):
+    """Each text built from its operands' texts is print_formula's."""
+    try:
+        f = t.parse(text)
+    except t.ParseError:
+        return
+    _print_formulas_agree(f)
+
+
+def test_print_formulas_deep_chain():
+    # A chain through every sugar pattern, on each side of each binary
+    # one.  At 200 deep every subformula is checked; at 2,000 deep, where
+    # printing each subformula alone is quadratic, every 97th and the
+    # last 30, plus parse of the whole text.
+    a, b = Atom("A"), Atom("B")
+    steps = [lambda f: t.Or(f, b), lambda f: t.Implies(b, f),
+             lambda f: And(Knows(f), b), lambda f: t.L(t.Diamond(Not(f))),
+             lambda f: t.Implies(f, b), lambda f: t.Or(b, f),
+             lambda f: And(b, Box(f)), lambda f: Not(Not(f))]
+    h = a
+    for i in range(2000):
+        h = steps[i % len(steps)](h)
+        if i == 199:
+            _print_formulas_agree(h)
+    subs = t.subformulas(h)
+    texts = formula.print_formulas(subs)
+    for g in subs[::97] + subs[-30:]:
+        assert texts[g] == t.print_formula(g)
+    assert t.parse(texts[h]) is h

@@ -5,7 +5,8 @@ import pytest
 import topologic as t
 from conftest import (random_model, random_topology, reference_closure_family,
                       reference_close_under_intersection,
-                      reference_close_under_union, reference_closure_flags)
+                      reference_close_under_union, reference_closure_flags,
+                      reference_interior)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -218,3 +219,28 @@ def test_closure_family_matches_reference():
         atom_list = sorted(m.valuation)
         assert (t.closure_family(m, atom_list)
                 == reference_closure_family(m, atom_list))
+
+
+def test_interior_and_heyting_match_reference():
+    # The frozenset wrappers of interior_mask against the union of the
+    # opens inside a set, on random topologies of 1-6 points.
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        s = random_topology(rng, n)
+        for _ in range(5):
+            S = F(i for i in range(n) if rng.random() < 0.6)
+            assert t.interior(s, S) == reference_interior(s, S)
+        for U in s.opens:
+            for W in s.opens:
+                assert (t.heyting_implication(s, U, W)
+                        == reference_interior(s, s.universe - (U - W)))
+
+
+def test_closure_flags_computed_when_read():
+    space = t.make_space(["x0", "x1"], [F({0}), F({1}), F({0, 1})])
+    assert "is_union_closed" not in vars(space)
+    assert not t.is_topology(space)  # no empty open: no flag is read
+    assert "is_union_closed" not in vars(space)
+    assert (space.is_intersection_closed, space.is_union_closed) == (
+        False, True) == reference_closure_flags(space.opens)

@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 import topologic as t
 from topologic import Pair
 from conftest import (down, fast_satisfies, not_chain, random_model,
-                      random_topology, reference_classify,
-                      reference_closure_flags, reference_is_stable,
-                      reference_partition, remainder, same_class)
+                      random_topology, reference_build_splitting,
+                      reference_classify, reference_closure_flags,
+                      reference_is_stable, reference_partition, remainder,
+                      same_class)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -362,3 +364,30 @@ def test_mask_helpers_match_reference():
             t.is_stable(m0, block, t.Atom("Z"))
         with pytest.raises(t.SpaceError, match=r"\[0, 1\] is not an open"):
             t.Evaluator(m0).slots(block)
+
+
+def test_build_splitting_matches_reference():
+    # The construction on masks against the frozenset one it replaced:
+    # every subformula gets the same family, in the same order, on seeded
+    # random topologies of 3-7 points from 2-6 subbasis sets.
+    rng = random.Random(59)
+    grown = Counter()  # K and [] steps that add members to the operand's
+    widest = 0
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        space = t.generate_topology(
+            [F(i for i in range(n) if rng.random() < 0.5)
+             for _ in range(rng.randint(2, 6))], [f"x{i}" for i in range(n)])
+        m = t.make_model(space, {a: F(i for i in range(n)
+                                      if rng.random() < 0.5) for a in "AB"})
+        f = t.And(t.random_formula(rng, ["A", "B"], 4),
+                  t.random_formula(rng, ["A", "B"], 4))
+        table = t.build_splitting(m, f)
+        expected = reference_build_splitting(m, f)
+        assert list(table.splittings) == list(expected)
+        for psi, sp in table.splittings.items():
+            assert sp.family == expected[psi] and sp.space is m.space
+            widest = max(widest, len(sp.family))
+            if type(psi) in (t.Knows, t.Box):
+                grown[type(psi)] += sp.family != expected[psi.arg]
+    assert widest >= 5 and min(grown[t.Knows], grown[t.Box]) >= 10
