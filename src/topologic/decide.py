@@ -5,20 +5,18 @@ coming from the finite-model construction grows too fast to enumerate,
 so the procedures here search up to a user-supplied point bound and
 report verdicts "within bound".
 
-Topologies are enumerated through preorders (opens = up-closed sets of a
-reflexive transitive relation), grown one point at a time: point p picks
-an up-set and a down-set among the earlier points that keep the relation
-transitive.  The finished spaces of each point count are built once and
+Topologies are enumerated through preorders, grown one point at a time
+(`_preorder_opens`); the spaces of each point count are built once and
 kept in a memo shared by every search.
 
 A search evaluates its formulas once per pass of up to LANE_CAP lanes,
-one lane per model: consecutive spaces of one point count, with every
+one lane per model: consecutive spaces of any point counts, with every
 valuation of each, side by side (`_space_passes`).  It reports the least
 hit by space, formula, valuation and pair (`_first_hit`).  A pass's frame
 (its slots, lane masks and atoms' rows; see `semantics.PassFrame`) is
-fixed by its spaces, atoms and lanes alone, so the frames of recent passes
-are kept once per process (`_pass_frame`).  The rows are per search: a
-pass holds one formula's row at a time, and no verdict or hit is kept.
+fixed by its spaces and atoms, so the frames of recent passes are kept
+once per process (`_pass_frame`).  The rows are per search: a pass holds
+one formula's row at a time, and no verdict or hit is kept.
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
 1, 3, 9, 33 and 139 of them on 1 to 5 points (OEIS A001930), against 1, 4,
@@ -32,32 +30,34 @@ scan over every labeled space would report, at no rescan.  The axiom
 sweep stays labeled, as its report counts labeled lanes.
 
 The boundary search scans subset spaces in the same passes: a scheme's
-instances share their atoms, and the least hit is by (points, space,
-substitution, valuation).  Its inputs are built once per process.
+instances share their atoms, and so every pass, and the least hit is by
+(points, space, substitution, valuation).  The instances and each list of
+spaces are built once per process.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
                       parse)
 from .semantics import (Evaluator, Pair, PassFrame, _ones,
-                        instantiate_axiom, scheme_metavars)
+                        instantiate_axiom, scheme_metavars, walk_plan)
 from .space import (InternalError, Model, PointSet, SpaceError,
                     SubsetSpace, make_model, make_space, to_mask)
 
 HARD_POINT_CAP = 5
-# Lanes per evaluator pass, over one space or several of one point count;
-# a row then spans at most this many lanes.  A memory guard: a row takes
-# n + 1 bits per lane and slot, so on 4 points, with up to 16 slots, 10
-# bytes per lane, and a pass is evaluated whole before its first hit.  A
-# search pass holds one formula's row, or the operands its walk still reads.
+# Lanes per evaluator pass; a row spans at most this many.  A memory guard:
+# with n the most points of a pass's spaces, a row takes n + 1 bits per
+# lane and slot, so up to 4 points, with up to 16 slots, 10 bytes per lane.
+# A search pass holds one formula's row, or the operands its walk reads.
 LANE_CAP = 4096
 
 
@@ -98,12 +98,8 @@ def _point_names(n: int) -> tuple[str, ...]:
 
 
 def _subsets_in_order(n: int) -> list[PointSet]:
-    universe = range(n)
-    out = []
-    for k in range(n + 1):
-        for combo in itertools.combinations(universe, k):
-            out.append(frozenset(combo))
-    return out
+    return [frozenset(c) for k in range(n + 1)
+            for c in itertools.combinations(range(n), k)]
 
 
 def _preorder_opens(n: int) -> list[list[int]]:
@@ -186,9 +182,8 @@ def enumerate_topologies(n: int) -> Iterator[SubsetSpace]:
 
 
 def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
-    """All subset spaces on n points with at most max_opens opens.
-
-    Only X is required to be a member; no closure conditions."""
+    """All subset spaces on n points with at most max_opens opens: only X
+    is required to be a member; no closure conditions."""
     names = _point_names(n)
     *others, universe = _subsets_in_order(n)  # X comes last
     for k in range(min(max_opens, len(others) + 1)):
@@ -206,29 +201,23 @@ def _valuation(n: int, atom_names: Sequence[str], v: int
 
 def enumerate_valuations(n: int, atom_names: Sequence[str]
                          ) -> Iterator[dict[str, PointSet]]:
-    """Every valuation of the atoms on n points.
-
-    The v-th valuation is lane v of the search's evaluators: written in
-    base 2**n, v has one digit per atom, the first atom's most significant,
-    and each digit indexes the subsets in cardinality-then-members order.
-    """
+    """Every valuation of the atoms on n points.  The v-th is a space's
+    v-th lane in a search pass: written in base 2**n, v has one digit per
+    atom, the first atom's most significant, and each digit indexes the
+    subsets in cardinality-then-members order."""
     for v in range(1 << n * len(atom_names)):
         yield _valuation(n, atom_names, v)
 
 
 @lru_cache(maxsize=64)
-def _atom_rows(n: int, k: int, lo: int, count: int) -> tuple[int, ...]:
+def _atom_rows(n: int, k: int, lo: int, count: int, w: int
+               ) -> tuple[int, ...]:
     """The rows of k atoms over the lanes lo, ..., lo + count - 1 on n
-    points.
-
-    From bit (v - lo)*(n+1), row i holds the set that the v-th valuation
-    gives the i-th atom.  Its subset index, a digit of v, stays put for
-    `run` lanes and cycles through all 2**n subsets every `period` lanes,
-    so a row is at most 2**n + 1 runs, then copies of that period.
-    Searches ask for the same passes space after space; 64 entries hold
-    the 19 passes of a 4-atom search up to 4 points with room to spare.
-    """
-    w = n + 1
+    points, each lane w >= n + 1 bits wide: from bit (v - lo)*w, row i
+    holds the set that the v-th valuation gives the i-th atom.  Its subset
+    index, a digit of v, stays put for `run` lanes and cycles through all
+    2**n subsets every `period` lanes, so a row is at most 2**n + 1 runs,
+    then copies of that period.  A 4-atom search to 4 points asks for 19."""
     subsets = list(map(to_mask, _subsets_in_order(n)))
     rows = []
     for i in range(k):
@@ -249,68 +238,77 @@ def _atom_rows(n: int, k: int, lo: int, count: int) -> tuple[int, ...]:
 
 
 def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
-                  ) -> Iterator[tuple[list[SubsetSpace], int, int, Evaluator]]:
-    """(group, lo, count, evaluator) per pass over the models on the
-    spaces, at most LANE_CAP lanes each: lane k*count + v of the evaluator
-    is valuation lo + v of group[k] (see `_lane_model`).
+                  ) -> Iterator[tuple[list, int, list[int], Evaluator]]:
+    """(group, lo, firsts, evaluator) per pass over the models on the
+    spaces, at most LANE_CAP lanes each: lane firsts[k] + v is valuation
+    lo + v of group[k], and firsts[-1] is the pass's lane count.
 
-    A group is a run of consecutive spaces of one point count, as many as
+    A group is a run of consecutive spaces of any point counts, as many as
     fit whole, while a space has at most sqrt(LANE_CAP) = 64 valuations;
     a wider space is a group of its own, split over passes if it has more
-    than LANE_CAP.  So lanes, and then passes, run in space order and then
-    valuation order, and the lowest lane with a hit is the least (space,
-    valuation) with one.  A full group is passed on before the next space
-    is drawn.
+    than LANE_CAP.  So the lowest lane with a hit is the least (space,
+    valuation) with one.  Spaces on the same points are drawn as a run.
 
-    Sharing a pass saves the overhead of many short operations, but each
-    space's lanes carry every slot of the group, its own opens or not.  The
-    zero slots cost more than that saves once a space's lanes are long:
-    packed, full scans ran up to 3.3 times slower from 256 lanes per space
-    on, and up to 4.8 times faster at 64 or fewer.
+    Sharing a pass saves the overhead of many short operations: a one-atom
+    search over the 46 classes on 1 to 4 points walks its formula once.
+    But each space's lanes carry every slot of the group, its own opens or
+    not: packed, full scans ran up to 3.3 times slower from 256 lanes per
+    space on, and up to 4.8 times faster at 64 or fewer.
     """
     k, names = len(atom_names), tuple(atom_names)
-    for n, run in itertools.groupby(spaces, lambda s: len(s.point_names)):
-        total = 1 << n * k
-        count = min(total, LANE_CAP)
-        grouped = count * count <= LANE_CAP
-        size = LANE_CAP // count if grouped else 1
-        frame = _pass_frame if grouped else _new_frame
-        # A list, not tuple(): see the masks in `space.make_space`.
-        while group := list(itertools.islice(run, size)):
-            key = tuple(group)
-            for lo in range(0, total, count):
-                c = min(count, total - lo)
-                yield group, lo, c, Evaluator(frame(key, names, lo, c))
+    group, firsts = [], [0]  # the spaces of the pass being filled
+    for points, run in itertools.groupby(spaces, attrgetter("point_names")):
+        total, run, i = 1 << len(points) * k, list(run), 0
+        wide = total * total > LANE_CAP
+        while i < len(run):
+            fit = 0 if wide else (LANE_CAP - firsts[-1]) // total
+            if group and not fit:
+                yield group, 0, firsts, Evaluator(_pass_frame(
+                    tuple(group), names, 0, tuple(firsts)))
+                group, firsts = [], [0]
+            elif wide:
+                for lo in range(0, total, LANE_CAP):
+                    one = [0, min(LANE_CAP, total - lo)]
+                    yield run[i:i + 1], lo, one, Evaluator(_new_frame(
+                        run[i:i + 1], names, lo, one))
+                i += 1
+            else:
+                fit, end = min(fit, len(run) - i), firsts[-1]
+                group += run[i:i + fit]
+                firsts += range(end + total, end + total * fit + 1, total)
+                i += fit
+    if group:
+        yield group, 0, firsts, Evaluator(_pass_frame(
+            tuple(group), names, 0, tuple(firsts)))
 
 
 def _new_frame(group: Sequence[SubsetSpace], atom_names: Sequence[str],
-               lo: int, count: int) -> PassFrame:
-    """The frame of `_space_passes`' pass (group, lo, count), built afresh:
-    what a pass over a space with more than 64 valuations uses."""
-    rows = _atom_rows(len(group[0].point_names), len(atom_names), lo, count)
-    return PassFrame(group, count, dict(zip(atom_names, rows)))
+               lo: int, firsts: Sequence[int]) -> PassFrame:
+    """The frame of `_space_passes`' pass (group, lo, firsts)."""
+    w = max(len(s.point_names) for s in group) + 1
+    lanes = [b - a for a, b in itertools.pairwise(firsts)]
+    rows = [0] * len(atom_names)
+    for s, first, count in zip(group, firsts, lanes):
+        for i, row in enumerate(_atom_rows(len(s.point_names),
+                                           len(atom_names), lo, count, w)):
+            rows[i] |= row << first * w
+    return PassFrame(group, lanes, dict(zip(atom_names, rows)))
 
 
-@lru_cache(maxsize=64)
-def _pass_frame(group: tuple[SubsetSpace, ...], atom_names: tuple[str, ...],
-                lo: int, count: int) -> PassFrame:
-    """The frame of `_space_passes`' pass (group, lo, count), kept while
-    held.  A frame holds no row, so searches share it and each starts from
-    empty rows.  Only passes over groups are kept: the 187 passes of a round
-    of the benchmark's `decide` searches are 7 distinct ones, and its sweep
-    asks for 1 pass 25 times.  A space with more than 64 valuations passes
-    alone, so a search asks for one frame per space, 139 on 5 points with
-    two atoms; `_space_passes` builds those with `_new_frame`, as kept ones
-    cycled through the bound and made the 5-point search slower."""
-    return _new_frame(group, atom_names, lo, count)
+# The frames of passes over groups, kept while held; a frame holds no row,
+# so searches share it.  A round of the benchmark's `decide` asks for 3 of
+# them 70 times.  A space with more than 64 valuations passes alone, its
+# frame built afresh, as 139 kept ones (on 5 points, with two atoms)
+# cycled through the bound and made that search slower.
+_pass_frame = lru_cache(maxsize=64)(_new_frame)
 
 
-def _lane_model(group: Sequence[SubsetSpace], lo: int, count: int,
+def _lane_model(group: Sequence[SubsetSpace], lo: int, firsts: Sequence[int],
                 atom_names: Sequence[str], lane: int) -> Model:
-    """The model of a lane of `_space_passes`' pass (group, lo, count)."""
-    k, v = divmod(lane, count)
-    n = len(group[k].point_names)
-    return make_model(group[k], _valuation(n, atom_names, lo + v))
+    """The model of a lane of `_space_passes`' pass (group, lo, firsts)."""
+    k = bisect_right(firsts, lane) - 1
+    return make_model(group[k], _valuation(len(group[k].point_names),
+                                           atom_names, lo + lane - firsts[k]))
 
 
 def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
@@ -320,41 +318,50 @@ def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
     equals holds, by space, formula, valuation and `pairs_in_order`, or
     None.  Each pass serves every formula in turn, one row held at a time.
     A formula's first hit lane is its least (space, valuation), so only the
-    least (space, formula) among those is kept, until its space is done."""
+    least (space, formula) among those is kept, until its space is done:
+    at the end of its pass, unless it has more than LANE_CAP valuations."""
     best = None  # (space k of the group, formula j, model, pair)
-    for group, lo, count, ev in _space_passes(spaces, atom_names):
+    for group, lo, firsts, ev in _space_passes(spaces, atom_names):
         for j in range(best[1] if best else len(formulas)):
             for lane, pair in ev.hits(formulas[j], holds):
-                if best is None or (lane // count, j) < best[:2]:
-                    m = _lane_model(group, lo, count, atom_names, lane)
-                    best = (lane // count, j, m, pair)
+                k = bisect_right(firsts, lane) - 1
+                if best is None or (k, j) < best[:2]:
+                    m = _lane_model(group, lo, firsts, atom_names, lane)
+                    best = (k, j, m, pair)
                 break
-        if best and (best[1] == 0 or lo + count
-                     == 1 << len(group[0].point_names) * len(atom_names)):
+        # Only a space passing alone can go on in the next pass.
+        if best and (best[1] == 0 or lo + firsts[-1]
+                     >= 1 << len(group[0].point_names) * len(atom_names)):
             break
     return None if best is None else (best[2], formulas[best[1]], best[3])
 
 
-def _point_counts(b: SearchBound) -> range:
-    """1 to b.max_points, once the bound is checked against the cap."""
+def _point_runs(b: SearchBound) -> list[range]:
+    """1 to b.max_points, once the bound is checked against the cap, as its
+    nonempty runs below the cap and at it: a search scans each in turn, so
+    a hit on fewer points builds none of the 139 classes on 5 (0.3 s)."""
     if b.max_points > HARD_POINT_CAP:
         raise SpaceError(f"point bound {b.max_points} exceeds the cap "
                          f"{HARD_POINT_CAP}")
-    return range(1, b.max_points + 1)
+    counts = range(1, b.max_points + 1)
+    return [r for r in (counts[:HARD_POINT_CAP - 1],
+                        counts[HARD_POINT_CAP - 1:]) if r]
 
 
 def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
             no_hit_kind: VerdictKind) -> Verdict:
-    counts = _point_counts(b)
-    if not atoms(f) <= set(b.atoms):
-        raise SpaceError(f"formula atoms {sorted(atoms(f))} not covered by "
+    runs = _point_runs(b)
+    # f's atoms, read off the plan that its passes walk (an atom's is empty).
+    used = {g.name for g in (*walk_plan(f)[0], f) if type(g) is Atom}
+    if not used <= set(b.atoms):
+        raise SpaceError(f"formula atoms {sorted(used)} not covered by "
                          f"the search bound atoms {list(b.atoms)}")
     names = sorted(set(b.atoms))
     # One space per homeomorphism class; its least hit is the least labeled
-    # hit (see the module docstring).  One search per point count, so that
-    # a hit builds no space on more points.
-    for n in counts:
-        hit = _first_hit(_representatives(n), names, (f,), holds)
+    # hit (see the module docstring).
+    for counts in runs:
+        hit = _first_hit(itertools.chain.from_iterable(
+            map(_representatives, counts)), names, (f,), holds)
         if hit is not None:
             return Verdict(hit_kind, hit[0], hit[2])
     return Verdict(no_hit_kind)
@@ -430,7 +437,8 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
         raise SpaceError("the number of trials must be at least 1")
     metavars = [scheme_metavars(scheme_id) for scheme_id in scheme_ids]
     if spaces is None:  # the bound is checked here, before any enumeration
-        spaces = (s for n in _point_counts(b) for s in enumerate_topologies(n))
+        spaces = (s for run in _point_runs(b) for n in run
+                  for s in enumerate_topologies(n))
     rng = random.Random(seed)
     atom_names = list(b.atoms) or ["A"]
     instances: list[tuple[int, Formula]] = []
@@ -441,7 +449,7 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
             instances.append((scheme_id, instantiate_axiom(scheme_id, subst)))
     checked = {sid: 0 for sid in scheme_ids}
     violations: list[SchemeViolation] = []
-    for group, lo, count, ev in _space_passes(spaces, atom_names):
+    for group, lo, firsts, ev in _space_passes(spaces, atom_names):
         found = sorted(((lane, j, pair)
                         for j, (_, instance) in enumerate(instances)
                         for lane, pair in ev.hits(instance, False)),
@@ -449,12 +457,13 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
         models: dict[int, Model] = {}
         for lane, j, pair in found:
             if lane not in models:
-                models[lane] = _lane_model(group, lo, count, atom_names, lane)
+                models[lane] = _lane_model(group, lo, firsts, atom_names,
+                                           lane)
             scheme_id, instance = instances[j]
             violations.append(
                 SchemeViolation(scheme_id, instance, models[lane], pair))
         for scheme_id, _ in instances:
-            checked[scheme_id] += len(group) * count
+            checked[scheme_id] += firsts[-1]
     return SweepReport(checked, violations)
 
 
@@ -487,17 +496,16 @@ def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
                                    max_opens: int = 4
                                    ) -> tuple[Model, Formula, Pair] | None:
     """Search non-topological subset spaces for a falsifying instance of
-    scheme 11 or 12.  Returns the least hit in the deterministic order
-    (points, space, substitution, valuation), or None within the bound.
-    The instances share their atoms and so every pass; they and each list
-    of spaces are built once per process."""
+    scheme 11 or 12: the least hit by (points, space, substitution,
+    valuation), or None within the bound (see the module docstring)."""
     if scheme_id not in _BOUNDARY_SUBSTITUTIONS:
         raise SpaceError("boundary search applies to schemes 11 and 12 only")
     if max_opens < 1:
         raise SpaceError("the open bound must be at least 1")
-    for n in _point_counts(b):
-        hit = _first_hit(_subset_spaces(n, min(max_opens, 1 << n)),
-                         *_boundary_instances(scheme_id), False)
+    for counts in _point_runs(b):
+        hit = _first_hit(itertools.chain.from_iterable(
+            _subset_spaces(n, min(max_opens, 1 << n)) for n in counts),
+            *_boundary_instances(scheme_id), False)
         if hit is not None:
             return hit
     return None

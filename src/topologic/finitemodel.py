@@ -62,11 +62,12 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     """
     _check_basis(m, basis)
     bspace = make_space(m.space.point_names, basis)
-    frame = PassFrame((m.space, bspace), 1,
-                      {a: to_mask(S) for a, S in m.valuation.items()})
+    w = len(m.space.point_names) + 1  # the lane width
+    frame = PassFrame((m.space, bspace), (1, 1),
+                      {a: to_mask(S) * (1 | 1 << w)
+                       for a, S in m.valuation.items()})
     ev = Evaluator(frame)
     slots = [(frame.index[U], U) for U in bspace.opens]
-    w = frame.width
     for f in formulas:
         row = ev.row(f)
         for i, U in slots:

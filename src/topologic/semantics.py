@@ -8,30 +8,28 @@ Evaluation labels each distinct subformula with one row of int bitmasks,
 its extension at every open, filled bottom up from its operands' rows.
 
 A row can carry many models side by side, one lane each: the valuations
-of one or more spaces with one point count.  With n points a lane is n + 1
-bits wide: bit l*(n+1) + x is point x in lane l, and the top bit of each
-lane is a guard that stays 0.  A row's slots are the spaces' opens merged
-in `sort_family` order, and a slot's mask holds its points in the lanes of
-each space that has it as an open and 0 in the others.  So `~`, `&` and
-atoms are the one-lane bit operations unchanged, and so is `[]` once its
-sub-open lists come from the slots' own point sets: a 0 slot adds no points
-and no misses.  `K` must test a whole lane: with a = the operand's row and
-u = the open's, adding 2**n - 1 per lane to u ^ a carries into a lane's
-guard bit exactly when a misses a point of u there, and subtracting the
-carries shifted down by n gives the mask of those lanes' points, which K
-clears.  Sorted by size, a space's opens keep their `pairs_in_order` order
-among the slots, so the least pair of each lane is read off in one scan.
+of one or more spaces.  With n the most points of a space, each lane is
+n + 1 bits wide: bit l*(n+1) + x is point x in lane l, a lane's bits past
+its space's points are 0, and the top bit is a guard that stays 0.  A
+row's slots are the spaces' opens merged in `sort_family` order, and a
+slot's mask holds its points in the lanes of each space that has it as an
+open and 0 in the others.  So `~`, `&` and atoms are the one-lane bit
+operations unchanged, and so is `[]` once its sub-open lists come from the
+slots' own point sets: a 0 slot adds no points and no misses.  `K` must
+test a whole lane: with a = the operand's row and u = the open's, u ^ a
+is below 2**n in each lane, so adding 2**n - 1 per lane carries into a
+lane's guard bit exactly when a misses a point of u there, and
+subtracting the carries shifted down by n gives the mask of those lanes'
+points, which K clears.  Sorted by size, a space's opens keep their
+`pairs_in_order` order among the slots, so the least pair of each lane
+is read off in one scan.
 
 What a pass fixes before any formula is its `PassFrame`: the slots and
 their masks over the lanes, `K`'s per-lane constants, the atoms' rows, and,
 built at first use, each open's slot, the slot order of `hits` and the
-sub-open slots of `[]`.  An evaluator owns only its rows, kept per search:
-`decide` keeps the frames of recent passes.  A model's evaluator keeps
-every row it computes, as splittings and quotients ask it about many
-formulas.  A search pass holds at most the row of the last formula it
-answered, and drops it before it walks the next formula's plan in
-`_PLANS`, which drops each operand's row right after its last parent: a
-wide pass holds few rows at a time.
+sub-open slots of `[]`.  An evaluator owns only its rows (see `Evaluator`);
+a search pass walks each formula's plan in `_PLANS`, which drops each
+operand's row right after its last parent: a wide pass holds few rows.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -75,32 +73,25 @@ def pairs_in_order(m: Model) -> Iterator[Pair]:
 
 
 class PassFrame:
-    """What a pass fixes before any formula: its slots, lanes and atoms.
+    """What a pass fixes before any formula: its slots, lanes and atoms
+    (see the module docstring).
 
-    `PassFrame(spaces, lanes, atoms)` has `lanes` lanes per space: lane
-    k*lanes + v is valuation v of spaces[k], and atoms[a] is atom a's row
-    over one space's lanes, bit v*(n+1) + x set when x is in a's set under
-    valuation v.  It holds the slots (the spaces' opens, merged in
-    `sort_family` order, and their point masks), each slot's mask over the
-    lanes, 0 in the lanes of a space without that open, the per-lane
-    constants of `K`, and the atoms' rows spread over every space.  Each
-    open's slot, the slot order of `hits` and the sub-open slots of `[]`
-    are built at their first use.  A frame holds no formula's row, so many
-    searches may share one.
+    `PassFrame(spaces, lanes, atoms)` gives spaces[k] lanes[k] lanes, in
+    order, each `width` bits wide: the widest space's point count plus 1.
+    atoms[a] is atom a's row over every lane, bit l*width + x set when x is
+    in a's set in lane l.  A frame holds no formula's row, so many searches
+    may share one.
     """
 
-    def __init__(self, spaces: Sequence[SubsetSpace], lanes: int,
+    def __init__(self, spaces: Sequence[SubsetSpace], lanes: Sequence[int],
                  atoms: Mapping[str, int] | None):
-        if atoms is None or lanes < 1:
-            raise SpaceError("an evaluator over spaces needs at least one "
-                             "lane and the atoms' rows")
-        spaces = tuple(spaces)
-        if len(spaces) != 1 and len({len(s.point_names)
-                                     for s in spaces}) != 1:
-            raise SpaceError("an evaluator's spaces need one point count")
-        n = len(spaces[0].point_names)
+        spaces, lanes = tuple(spaces), tuple(lanes)
+        if atoms is None or len(lanes) != len(spaces) or min(
+                lanes, default=0) < 1:
+            raise SpaceError("a frame needs lanes for each space and atoms")
+        n = max(len(s.point_names) for s in spaces)
         self.width = w = n + 1
-        ones = _ones(lanes * len(spaces), w)  # bit 0 of each lane
+        ones = _ones(sum(lanes), w)  # bit 0 of each lane
         self.fill, self.guard = ones * ((1 << n) - 1), ones << n
         if len(spaces) == 1:
             self.opens, self.slots = spaces[0].opens, spaces[0].masks
@@ -111,16 +102,14 @@ class PassFrame:
             slot = {U: u for s in spaces for U, u in zip(s.opens, s.masks)}
             self.opens = sort_family(slot)
             self.slots = [slot[U] for U in self.opens]
-            # own[U]: bit k*lanes*w set iff U is an open of spaces[k].
-            own = dict.fromkeys(self.opens, 0)
-            for k, s in enumerate(spaces):
+            # own[U]: bit 0 of each lane of the spaces that have U as open.
+            own, first = dict.fromkeys(self.opens, 0), 0
+            for s, count in zip(spaces, lanes):
+                block = _ones(count, w) << first * w
                 for U in s.opens:
-                    own[U] |= 1 << k * lanes * w
-            lane_ones = _ones(lanes, w)
-            self.masks = [u * lane_ones * o
-                          for u, o in zip(self.slots, own.values())]
-            spread = _ones(len(spaces), lanes * w)
-            atoms = {a: row * spread for a, row in atoms.items()}
+                    own[U] |= block
+                first += count
+            self.masks = [u * o for u, o in zip(self.slots, own.values())]
         self.atoms = atoms
 
     @cached_property
@@ -141,8 +130,8 @@ class PassFrame:
 
 
 class Evaluator:
-    """Extension table of one model, or of many valuations of spaces with
-    one point count, shared by every formula it evaluates.
+    """Extension table of one model, or of many valuations of spaces,
+    shared by every formula it evaluates.
 
     Each distinct subformula has one row: at index i, the mask of the points
     of slot i that satisfy it there, in every lane.  The slots are the
@@ -162,8 +151,8 @@ class Evaluator:
     def __init__(self, m: Model | PassFrame):
         self._keep = isinstance(m, Model)
         if self._keep:
-            m = PassFrame((m.space,), 1, {a: to_mask(s) for a, s
-                                          in m.valuation.items()})
+            m = PassFrame((m.space,), (1,), {a: to_mask(s) for a, s
+                                             in m.valuation.items()})
         elif not isinstance(m, PassFrame):
             raise TypeError(f"an evaluator needs a model or a frame, "
                             f"not {type(m).__name__}")
@@ -178,7 +167,7 @@ class Evaluator:
         else:  # a search pass: release the last row, then walk f's plan
             self._rows.clear()
             rows = {}
-            body, plan = _PLANS.get(f) or _PLANS.setdefault(f, _plan(f))
+            body, plan = walk_plan(f)
             walk, drops = (*body, f), iter(plan)
         for g in walk:
             t = type(g)
@@ -262,12 +251,10 @@ class Evaluator:
         """Each lane in which the truth of f equals holds at some pair,
         ascending, with the least such pair in `pairs_in_order`.
 
-        Each row is read once, into bytes: the union of the rows when a
-        lane has a hit, and a slot's row when a lane first asks it.  A
-        lane's points start at bit 0 to 7 of its first byte, so they lie in
-        its first (width + 13) // 8 bytes, and reading them costs no shift
-        of a row.
-        """
+        Each row is read once, into bytes: the union of the rows, and a
+        slot's row when a lane first asks it.  A lane's points start at bit
+        0 to 7 of its first byte, so they lie in its first (width + 13) // 8
+        bytes, and reading them costs no shift of a row."""
         row = self._rows.get(f) or self._row(f)
         fr = self._frame
         masks, order = fr.masks, fr.order
@@ -300,9 +287,7 @@ class Evaluator:
     def first_pair(self, f: Formula, holds: bool) -> Pair | None:
         """The least pair in `pairs_in_order` at which the truth of f
         equals holds, in the least lane that has one, or None."""
-        for _, p in self.hits(f, holds):
-            return p
-        return None
+        return next((p for _, p in self.hits(f, holds)), None)
 
 
 _NONZERO = re.compile(rb"[^\x00]")  # a byte with a bit set
@@ -313,10 +298,21 @@ def _ones(count: int, step: int) -> int:
     return ((1 << count * step) - 1) // ((1 << step) - 1)
 
 
-def _plan(f: Formula
-          ) -> tuple[tuple[Formula, ...], tuple[tuple[Formula, ...], ...]]:
+# The plan of each formula, the one every search pass runs for it, kept
+# while the formula lives: a pure function of an interned, immutable key.
+# A plan leaves its formula out, as an entry whose value held its key
+# would keep the key alive.
+_PLANS: WeakKeyDictionary[Formula, tuple] = WeakKeyDictionary()
+
+
+def walk_plan(f: Formula
+              ) -> tuple[tuple[Formula, ...], tuple[tuple[Formula, ...], ...]]:
     """The subformulas of f, each after its operands, f left out; and after
-    each of them, then f, the operands whose last parent it is."""
+    each of them, then f, the operands whose last parent it is.  Built
+    once while f lives, in `_PLANS`."""
+    plan = _PLANS.get(f)
+    if plan is not None:
+        return plan
     body = subformulas(f)
     last: dict[Formula, int] = {}  # operand -> its last parent's place
     for i, g in enumerate(body):
@@ -329,14 +325,8 @@ def _plan(f: Formula
     for o, i in last.items():
         drops[i].append(o)
     body.pop()  # f itself, which its plan must not hold: see _PLANS
-    return tuple(body), tuple([tuple(d) for d in drops])
-
-
-# The plan of each formula, the one every search pass runs for it, kept
-# while the formula lives: a pure function of an interned, immutable key.
-# A plan leaves its formula out, as an entry whose value held its key
-# would keep the key alive.
-_PLANS: WeakKeyDictionary[Formula, tuple] = WeakKeyDictionary()
+    plan = _PLANS[f] = tuple(body), tuple([tuple(d) for d in drops])
+    return plan
 
 
 def satisfies(m: Model, p: Pair, f: Formula) -> bool:

@@ -148,18 +148,17 @@ def test_searches_scan_representatives_only(monkeypatch):
         for decide in (t.decide_valid, t.decide_sat):
             decide(t.parse(text), b)
     t.decide_valid(t.parse("<> K A -> K <> A"), t.SearchBound(4, ("A",)))
-    # Each search draws the classes of one point count in passes.  A space
-    # on n points takes 2**(n*atoms) lanes, and spaces of at most 64 lanes
-    # share a pass, up to 4096 lanes: with two atoms the 1, 3 and 9 classes
-    # on 1 to 3 points (4, 16, 64 lanes) take one pass per point count, and
-    # each of the 33 classes on 4 points (256 lanes) a pass of its own.
-    # Two full scans draw 1 + 3 + 9 + 33 classes each, three hits on one
-    # point its one class each, and the hit on the first class on four
-    # points the 1 + 3 + 9 classes below and that class.  With one atom the
-    # hit on the first class on two points draws the one 1-point class and
-    # the whole 2-point pass of 3.
-    assert len(passed) == (2 * (1 + 3 + 9 + 33) + 3 * 1 + (1 + 3 + 9 + 1)
-                           + (1 + 3))
+    # Each search draws the classes on 1 to 4 points in passes.  A space on
+    # n points takes 2**(n*atoms) lanes, and spaces of at most 64 lanes
+    # share a pass, whatever their point counts, up to 4096 lanes.  With
+    # two atoms the 1 + 3 + 9 classes on 1 to 3 points (4, 16, 64 lanes
+    # each, 628 in all) take one pass, and each of the 33 classes on 4
+    # points (256 lanes) a pass of its own; with one atom the 46 classes
+    # take 2 + 12 + 72 + 528 = 614 lanes, one pass.  The classes of a point
+    # count are drawn as one run, and the 4-point run before the pass below
+    # it is passed on: so each of the seven searches, whether it hits on
+    # one, two or four points or scans fully, draws all 46 classes.
+    assert len(passed) == 7 * (1 + 3 + 9 + 33)
     assert all(id(s) in reps for s in passed)
 
 
@@ -438,7 +437,9 @@ def test_sweep_pass_holds_one_row(monkeypatch):
     monkeypatch.setattr(t.Evaluator, "hits", spy)
     assert [run() for run in runs] == reports
     assert reports[0].violations
-    assert len(asked) > 2 and all(len(fs) in (8, 9) for fs in asked.values())
+    # One pass each: the 29 subset spaces of 64 lanes, and the 1 + 4 + 29
+    # topologies on 1 to 3 points, 4 + 64 + 1,856 lanes in one pass.
+    assert len(asked) == 2 and all(len(fs) in (8, 9) for fs in asked.values())
 
 
 def _mixed_searches():
@@ -516,14 +517,14 @@ def test_frame_memo_stays_bounded():
     f = t.parse("K A & K B -> K (A & B)")
     assert t.decide_valid(f, t.SearchBound(5, ("A", "B"))).positive
     info = memo.cache_info()
-    assert info.currsize == 3 <= info.maxsize  # 1 to 3 points, one each
+    assert info.currsize == 1 <= info.maxsize  # 13 classes on 1 to 3 points
     assert t.decide_valid(f, t.SearchBound(5, ("A", "B"))).positive
-    assert memo.cache_info().hits == 3
-    # On one atom, 128 spaces of 5 points share a pass and are kept: one
-    # pass for each of 1 to 4 points and two for the 139 on 5 points.
+    assert memo.cache_info().hits == 1
+    # On one atom, the 46 classes on 1 to 4 points share one pass, and 128
+    # of the 139 classes on 5 points another, the other 11 a third: all kept.
     assert t.decide_valid(t.parse("K A -> A"), t.SearchBound(5, ("A",))).positive
     info = memo.cache_info()
-    assert info.currsize == 3 + 4 + 2 <= info.maxsize
+    assert info.currsize == 1 + 1 + 2 <= info.maxsize
 
 
 def test_boundary_instances_share_atoms_and_are_kept(monkeypatch):
@@ -596,6 +597,55 @@ def test_sweep_violations_match_reference():
     assert [(v.scheme_id, v.instance, v.model, v.pair)
             for v in report.violations] == violations
     assert len({v.instance for v in report.violations}) > 1
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+def test_mixed_sweep_matches_sweeps_per_point_count(monkeypatch, cap):
+    """A sweep over supplied spaces of 1 to 3 points, which share passes,
+    reports the same counts, and the same violations in the same order, as
+    one sweep per point count, concatenated.  Scheme 7 is replaced by the
+    unsound phi -> K phi, which fails from 2 points on (on one point, K phi
+    is phi).  With 64 lanes
+    a pass, 3-point spaces pass 8 to a pass, after the 2-point ones."""
+    if cap is not None:
+        monkeypatch.setattr(t.decide, "LANE_CAP", cap)
+    monkeypatch.setitem(t.semantics._TEMPLATES, 7, t.parse("phi -> K phi"))
+    b = t.SearchBound(3, ("A",))
+    runs = [list(t.enumerate_topologies(1)),
+            [*t.enumerate_topologies(2), *t.enumerate_subset_spaces(2, 3)],
+            [*t.enumerate_topologies(3)][::3] + [
+                *t.enumerate_subset_spaces(3, 3)][::5]]
+    mixed = t.axiom_soundness_sweep(b, [7, 11], 3, 5,
+                                    spaces=[s for run in runs for s in run])
+    apart = [t.axiom_soundness_sweep(b, [7, 11], 3, 5, spaces=run)
+             for run in runs]
+    assert mixed.checked == {sid: sum(r.checked[sid] for r in apart)
+                             for sid in (7, 11)}
+    assert mixed.violations == [v for r in apart for v in r.violations]
+    assert all(r.violations for r in apart[1:])
+
+
+def test_search_below_cap_builds_no_space_at_cap(monkeypatch):
+    """A search whose hit lies below HARD_POINT_CAP asks for no space on
+    the cap, and reports the hit it reports under a lower bound."""
+    asked = []
+
+    def spy(memo):
+        def counted(n, *args):
+            asked.append(n)
+            return memo(n, *args)
+        return counted
+
+    for name in ("_representatives", "_subset_spaces"):
+        monkeypatch.setattr(t.decide, name, spy(getattr(t.decide, name)))
+    v = t.decide_sat(t.parse("A"), t.SearchBound(5, ("A",)))
+    one = next(t.enumerate_topologies(1))
+    assert (v.kind, v.model, v.pair) == (
+        "satisfiable", t.make_model(one, {"A": F({0})}), t.Pair(0, F({0})))
+    hit = t.find_subset_space_countermodel(11, t.SearchBound(5, ()))
+    assert hit == t.find_subset_space_countermodel(11, t.SearchBound(3, ()))
+    assert len(hit[0].space.point_names) == 3
+    assert asked and max(asked) == 4
 
 
 def test_decide_valid_four_points_two_atoms():

@@ -56,9 +56,11 @@ def test_satisfies_rejects_non_open(m0):
 
 
 def test_evaluator_rejects_mismatched_lanes(m0):
-    """A model fixes one lane and its atoms; a frame over spaces needs both
-    given, and an evaluator takes only a model or a frame."""
-    for args in (((m0.space,), 1, None), ((m0.space,), 0, {"A": 1})):
+    """A model fixes one lane and its atoms; a frame over spaces needs the
+    atoms and a lane count of at least 1 for each space, and an evaluator
+    takes only a model or a frame."""
+    for args in (((m0.space,), (1,), None), ((m0.space,), (0,), {"A": 1}),
+                 ((m0.space,), (1, 1), {"A": 1}), ((), (), {"A": 1})):
         with pytest.raises(t.SpaceError):
             PassFrame(*args)
     for args in ((m0, 4), (m0, 1, {"A": 1}), (m0.space,)):
@@ -66,12 +68,62 @@ def test_evaluator_rejects_mismatched_lanes(m0):
             t.Evaluator(*args)
 
 
-def test_evaluator_spaces_need_one_point_count(m0):
-    """A pass's lanes have one width, so its spaces share a point count."""
-    two = next(t.enumerate_topologies(2))
-    for spaces in ([], [m0.space, two]):
-        with pytest.raises(t.SpaceError, match="one point count"):
-            PassFrame(spaces, 1, {"A": 1})
+@pytest.mark.parametrize("names", [["A"], ["A", "B"]])
+def test_frame_pads_lanes_to_widest_space(names):
+    """A frame over spaces of 1 to 4 points gives every lane the widest
+    space's width, 5 bits: each lane holds, cell by cell, the rows of its
+    model's one-lane evaluator, 0 in the slots of other spaces' opens and
+    in the bits above its own points, and `hits` reads the pair that the
+    reference evaluator finds.  1-point lanes, with A empty and full, sit
+    next to 4-point lanes, and the formulas apply K and [] to them.  The
+    atoms' rows are built here, lane by lane."""
+    rng = random.Random(41)
+    tops = {n: list(t.enumerate_topologies(n)) for n in (1, 2, 3, 4)}
+    one = tops[1][0]
+    spaces = [tops[4][200], one, tops[4][7], tops[2][2], one,
+              list(t.enumerate_subset_spaces(4, 3))[40],
+              list(t.enumerate_subset_spaces(3, 3))[20], tops[3][11], one]
+    models = []
+    for s in spaces:
+        n = len(s.point_names)
+        vals = ([{a: F() if k == 0 else F({0}) for a in names}
+                 for k in range(2)] if n == 1 else
+                [{a: F(x for x in range(n) if rng.random() < 0.5)
+                  for a in names} for _ in range(rng.randint(1, 3))])
+        models.append([t.make_model(s, v) for v in vals])
+    lanes = [m for ms in models for m in ms]
+    w = 5
+    atoms = {a: sum(t.space.to_mask(m.valuation[a]) << lane * w
+                    for lane, m in enumerate(lanes)) for a in names}
+    ev = t.Evaluator(PassFrame(spaces, [len(ms) for ms in models], atoms))
+    assert ev._frame.width == w
+    ones = [t.Evaluator(m) for m in lanes]
+    refs = [ReferenceEvaluator(m) for m in lanes]
+    texts = ["K A", "~K A", "[] L A", "K ~[] A", "<> K A", "L [] ~K A",
+             "K (A -> [] A)"] + (["K A & L B", "[] (K A | L B)"]
+                                 if len(names) == 2 else [])
+    formulas = [t.parse(text) for text in texts]
+    formulas += [t.random_formula(rng, names, 4) for _ in range(6)]
+    for f in formulas:
+        for g in t.subformulas(f):
+            for U in ev._frame.opens:
+                row = ev.mask(U, g)
+                for lane, (m, one, ref) in enumerate(zip(lanes, ones, refs)):
+                    bits = row >> lane * w & (1 << w) - 1
+                    if U in m.space.opens:
+                        assert bits == one.mask(U, g)
+                        assert (F(x for x in U if bits >> x & 1)
+                                == ref.extension(U, g))
+                    else:
+                        assert bits == 0
+        sat, fail = dict(ev.hits(f, True)), dict(ev.hits(f, False))
+        for lane, (one, ref) in enumerate(zip(ones, refs)):
+            assert sat.get(lane) == one.first_pair(f, True)
+            assert fail.get(lane) == ref.find_counterexample(f)
+    # K A holds on a 1-point lane exactly where A does, next to 4 points.
+    ka = dict(ev.hits(t.parse("K A"), True))
+    assert [lane in ka for lane, m in enumerate(lanes)
+            if len(m.space.point_names) == 1] == [False, True] * 3
 
 
 def test_evaluator_matches_reference():
@@ -244,15 +296,15 @@ LANE_PROBES = [t.parse(text) for text in
 
 @pytest.mark.parametrize("cap", [decide.LANE_CAP, 5])
 def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
-    """Lane k*count + v of a pass is valuation lo + v on group[k]: on that
-    space's opens it holds the rows of the model's one-lane evaluator, and
-    on the pass's other slots 0.  The passes run over all topologies up to
-    3 points and the non-topologies the boundary search scans, every
-    (space, valuation) once and in order, and each answers two formulas, a
-    random one and a probe.  At the default cap a pass holds up to 64
-    spaces; with 5 lanes a space spans several passes, a pass starts inside
-    an atom's run of equal subsets, and on 2 points it spans more than B's
-    period of 4."""
+    """Lane firsts[k] + v of a pass is valuation lo + v on group[k]: on
+    that space's opens it holds the rows of the model's one-lane evaluator,
+    at the pass's width, and on the pass's other slots 0.  The passes run
+    over all topologies up to 3 points and the non-topologies the boundary
+    search scans, every (space, valuation) once and in order, and each
+    answers two formulas, a random one and a probe.  At the default cap a
+    pass holds spaces of 1 to 3 points, each lane 4 bits wide; with 5 lanes
+    a space spans several passes, a pass starts inside an atom's run of
+    equal subsets, and on 2 points it spans more than B's period of 4."""
     monkeypatch.setattr(decide, "LANE_CAP", cap)
     rng = random.Random(37)
     names = ["A", "B"]
@@ -260,11 +312,14 @@ def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
     spaces += t.enumerate_subset_spaces(3, 4)
     probes = itertools.cycle(LANE_PROBES)
     seen = []  # (space, valuation) per lane, pass after pass
-    for group, lo, count, ev in decide._space_passes(spaces, names):
-        w = len(group[0].point_names) + 1
+    mixed = 0  # passes over spaces of more than one point count
+    for group, lo, firsts, ev in decide._space_passes(spaces, names):
+        w = ev._frame.width
+        assert w == max(len(s.point_names) for s in group) + 1
+        mixed += w > len(group[0].point_names) + 1
         slots = {U for s in group for U in s.opens}
-        lanes = range(len(group) * count)
-        models = [decide._lane_model(group, lo, count, names, lane)
+        lanes = range(firsts[-1])
+        models = [decide._lane_model(group, lo, firsts, names, lane)
                   for lane in lanes]
         seen += [(m.space, m.valuation) for m in models]
         ones = [t.Evaluator(m) for m in models]
@@ -273,12 +328,10 @@ def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
             for g in t.subformulas(f):
                 for U in slots:
                     row = ev.mask(U, g)
-                    for k, space in enumerate(group):
-                        block = row >> k * count * w & (1 << count * w) - 1
-                        for v, one in enumerate(ones[k * count:][:count]):
-                            bits = block >> v * w & (1 << w) - 1
-                            assert bits == (one.mask(U, g) if U in space.opens
-                                            else 0)
+                    for lane, m, one in zip(lanes, models, ones):
+                        bits = row >> lane * w & (1 << w) - 1
+                        assert bits == (one.mask(U, g)
+                                        if U in m.space.opens else 0)
                 for m, one, ref in zip(models, ones, refs):
                     for U in m.space.opens:
                         assert one.extension(U, g) == ref.extension(U, g)
@@ -288,6 +341,8 @@ def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
                 assert fail.get(lane) == ref.find_counterexample(f)
     vals = {n: list(t.enumerate_valuations(n, names)) for n in (1, 2, 3)}
     expected = [(s, v) for s in spaces for v in vals[len(s.point_names)]]
+    # At the default cap, one pass holds spaces of 1 to 3 points.
+    assert mixed == (cap > 5)
     assert len(seen) == len(expected)
     assert all(a is s and b == v for (a, b), (s, v) in zip(seen, expected))
 
@@ -321,8 +376,8 @@ def test_hits_match_per_lane_reference(monkeypatch, holds):
         for spaces, names in cases:
             formulas = [t.parse(text) for text in texts
                         if t.atoms(t.parse(text)) <= set(names)]
-            for group, lo, count, ev in decide._space_passes(spaces, names):
-                lanes = len(group) * count
+            for group, lo, firsts, ev in decide._space_passes(spaces, names):
+                lanes = firsts[-1]
                 for f in formulas:
                     got = list(ev.hits(f, holds))
                     assert got == reference_hits(ev, f, holds, lanes)
