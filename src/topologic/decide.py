@@ -5,34 +5,26 @@ coming from the finite-model construction grows too fast to enumerate,
 so the procedures here search up to a user-supplied point bound and
 report verdicts "within bound".
 
-Topologies are enumerated through preorders, grown one point at a time
-(`_preorder_opens`); the spaces of each point count are built once and
-kept in a memo shared by every search.
-
-A search evaluates its formulas once per pass of up to LANE_CAP lanes,
-one lane per model: consecutive spaces of any point counts, with every
-valuation of each, side by side (`_space_passes`).  It reports the least
-hit by space, formula, valuation and pair (`_first_hit`).  A pass's frame
-(its slots, lane masks and atoms' rows; see `semantics.PassFrame`) is
-fixed by its spaces and atoms, so the frames of recent passes are kept
-once per process (`_pass_frame`).  The rows are per search: a pass holds
-one formula's row at a time, and no verdict or hit is kept.
+A search evaluates its formulas once per pass of up to LANE_CAP lanes, one
+lane per model (`_space_passes`), and reports the least hit by space,
+formula, valuation and pair (`_first_hit`).  Its passes and their frames
+(see `semantics.PassFrame`) are fixed by its spaces and atoms, so those of
+recent searches are kept under keys of plain data naming the spaces
+(`_passes`): a warm search hashes no space and builds no packed frame.
+A pass holds one formula's row at a time, and no verdict or hit is kept.
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
 1, 3, 9, 33 and 139 of them on 1 to 5 points (OEIS A001930), against 1, 4,
 29, 355 and 6,942 labeled ones (OEIS A000798).  A homeomorphism carries
 every valuation and pair along, so a space has a hit iff its class's
-representative does.  The representative is the first labeled space of its
-class, and the classes are scanned in labeled order, point count by point
-count.  So the first labeled space with a hit is the first representative
-with one, and the reported witness is the least labeled hit: the one a
-scan over every labeled space would report, at no rescan.  The axiom
-sweep stays labeled, as its report counts labeled lanes.
+representative, the first labeled space of the class, does.  Scanned in
+labeled order, the first representative with a hit is the first labeled
+space with one, so the witness is the least labeled hit, at no rescan.
+The axiom sweep stays labeled, as its report counts labeled lanes.
 
 The boundary search scans subset spaces in the same passes: a scheme's
 instances share their atoms, and so every pass, and the least hit is by
-(points, space, substitution, valuation).  The instances and each list of
-spaces are built once per process.
+(points, space, substitution, valuation).
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
@@ -54,10 +45,9 @@ from .space import (InternalError, Model, PointSet, SpaceError,
                     SubsetSpace, make_model, make_space, to_mask)
 
 HARD_POINT_CAP = 5
-# Lanes per evaluator pass; a row spans at most this many.  A memory guard:
-# with n the most points of a pass's spaces, a row takes n + 1 bits per
-# lane and slot, so up to 4 points, with up to 16 slots, 10 bytes per lane.
-# A search pass holds one formula's row, or the operands its walk reads.
+# Lanes per evaluator pass, a memory guard: on n points a row takes n + 1
+# bits per lane and slot (10 bytes per lane on 4 points, with 16 slots),
+# and a search pass holds one formula's row, or the operands its walk reads.
 LANE_CAP = 4096
 
 
@@ -167,13 +157,8 @@ def _representatives(n: int) -> tuple[SubsetSpace, ...]:
 
 
 def enumerate_topologies(n: int) -> Iterator[SubsetSpace]:
-    """Every labeled topology on n points, exactly once, in canonical order.
-
-    These are the up-set families of the reflexive transitive relations;
-    finite topologies and preorders correspond one to one, so no two
-    relations give the same family.  The spaces are built once per point
-    count and shared by every call.
-    """
+    """Every labeled topology on n points, exactly once, in canonical order
+    (see `_preorder_opens`), built once per point count and shared."""
     if n < 1:
         raise SpaceError("need at least one point")
     if n > HARD_POINT_CAP:
@@ -238,48 +223,34 @@ def _atom_rows(n: int, k: int, lo: int, count: int, w: int
 
 
 def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
-                  ) -> Iterator[tuple[list, int, list[int], Evaluator]]:
-    """(group, lo, firsts, evaluator) per pass over the models on the
-    spaces, at most LANE_CAP lanes each: lane firsts[k] + v is valuation
-    lo + v of group[k], and firsts[-1] is the pass's lane count.
-
-    A group is a run of consecutive spaces of any point counts, as many as
-    fit whole, while a space has at most sqrt(LANE_CAP) = 64 valuations;
-    a wider space is a group of its own, split over passes if it has more
-    than LANE_CAP.  So the lowest lane with a hit is the least (space,
-    valuation) with one.  Spaces on the same points are drawn as a run.
-
-    Sharing a pass saves the overhead of many short operations: a one-atom
-    search over the 46 classes on 1 to 4 points walks its formula once.
-    But each space's lanes carry every slot of the group, its own opens or
-    not: packed, full scans ran up to 3.3 times slower from 256 lanes per
-    space on, and up to 4.8 times faster at 64 or fewer.
-    """
-    k, names = len(atom_names), tuple(atom_names)
+                  ) -> Iterator[tuple[list, int, list[int], PassFrame | None]]:
+    """(group, lo, firsts, frame) per pass over the models on the spaces,
+    at most LANE_CAP lanes each: lane firsts[k] + v is valuation lo + v of
+    group[k], so the lowest lane with a hit is the least (space, valuation)
+    with one, and firsts[-1] is the pass's lane count.  A group is a run of
+    consecutive spaces of any point counts, as many as fit whole, while a
+    space has at most sqrt(LANE_CAP) = 64 valuations: a shared pass saves
+    the overhead of many short operations, but each space's lanes carry
+    every slot of the group (packed, full scans ran up to 3.3 times slower
+    from 256 lanes per space on, and up to 4.8 times faster at 64 or fewer).
+    A wider space passes alone, over several passes past LANE_CAP, and its
+    frame is None, built per search: keeping the 139 on 5 points with two
+    atoms made that search slower."""
     group, firsts = [], [0]  # the spaces of the pass being filled
-    for points, run in itertools.groupby(spaces, attrgetter("point_names")):
-        total, run, i = 1 << len(points) * k, list(run), 0
+    for s in spaces:
+        total = 1 << len(s.point_names) * len(atom_names)
         wide = total * total > LANE_CAP
-        while i < len(run):
-            fit = 0 if wide else (LANE_CAP - firsts[-1]) // total
-            if group and not fit:
-                yield group, 0, firsts, Evaluator(_pass_frame(
-                    tuple(group), names, 0, tuple(firsts)))
-                group, firsts = [], [0]
-            elif wide:
-                for lo in range(0, total, LANE_CAP):
-                    one = [0, min(LANE_CAP, total - lo)]
-                    yield run[i:i + 1], lo, one, Evaluator(_new_frame(
-                        run[i:i + 1], names, lo, one))
-                i += 1
-            else:
-                fit, end = min(fit, len(run) - i), firsts[-1]
-                group += run[i:i + fit]
-                firsts += range(end + total, end + total * fit + 1, total)
-                i += fit
+        if group and (wide or firsts[-1] + total > LANE_CAP):
+            yield group, 0, firsts, _new_frame(group, atom_names, 0, firsts)
+            group, firsts = [], [0]
+        if wide:
+            for lo in range(0, total, LANE_CAP):
+                yield [s], lo, [0, min(LANE_CAP, total - lo)], None
+        else:
+            group.append(s)
+            firsts.append(firsts[-1] + total)
     if group:
-        yield group, 0, firsts, Evaluator(_pass_frame(
-            tuple(group), names, 0, tuple(firsts)))
+        yield group, 0, firsts, _new_frame(group, atom_names, 0, firsts)
 
 
 def _new_frame(group: Sequence[SubsetSpace], atom_names: Sequence[str],
@@ -295,12 +266,31 @@ def _new_frame(group: Sequence[SubsetSpace], atom_names: Sequence[str],
     return PassFrame(group, lanes, dict(zip(atom_names, rows)))
 
 
-# The frames of passes over groups, kept while held; a frame holds no row,
-# so searches share it.  A round of the benchmark's `decide` asks for 3 of
-# them 70 times.  A space with more than 64 valuations passes alone, its
-# frame built afresh, as 139 kept ones (on 5 points, with two atoms)
-# cycled through the bound and made that search slower.
-_pass_frame = lru_cache(maxsize=64)(_new_frame)
+# Recent layouts, least recently used first: (key, atoms, LANE_CAP) ->
+# (frame count, at least 1; passes), evicted whole past FRAME_CAP frames.
+_LAYOUTS: dict[tuple, tuple[int, list]] = {}
+FRAME_CAP = 64
+
+
+def _passes(key: tuple, spaces: Iterable[SubsetSpace], names: tuple[str, ...]
+            ) -> Iterator[tuple[list, int, list[int], Evaluator]]:
+    """(group, lo, firsts, evaluator) per pass of `_space_passes` over the
+    spaces, which key names as plain data; kept in _LAYOUTS."""
+    key = (key, names, LANE_CAP)
+    kept = _LAYOUTS.pop(key, None)
+    if kept is None:
+        layout, built = [], 0  # frames past the FRAME_CAP-th are dropped
+        for *head, frame in _space_passes(spaces, names):
+            built += frame is not None
+            layout.append((*head, frame if built <= FRAME_CAP else None))
+        kept = max(1, min(built, FRAME_CAP)), layout
+        # On copies, so that searches in other threads cannot break it.
+        while kept[0] + sum(n for n, _ in [*_LAYOUTS.values()]) > FRAME_CAP:
+            _LAYOUTS.pop(next(iter([*_LAYOUTS]), None), None)
+    _LAYOUTS[key] = kept  # the most recently used
+    for group, lo, firsts, frame in kept[1]:
+        yield group, lo, firsts, Evaluator(
+            frame or _new_frame(group, names, lo, firsts))
 
 
 def _lane_model(group: Sequence[SubsetSpace], lo: int, firsts: Sequence[int],
@@ -311,9 +301,9 @@ def _lane_model(group: Sequence[SubsetSpace], lo: int, firsts: Sequence[int],
                                            atom_names, lo + lane - firsts[k]))
 
 
-def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
-               formulas: Sequence[Formula], holds: bool
-               ) -> tuple[Model, Formula, Pair] | None:
+def _first_hit(passes: Iterable[tuple[list, int, list[int], Evaluator]],
+               atom_names: Sequence[str], formulas: Sequence[Formula],
+               holds: bool) -> tuple[Model, Formula, Pair] | None:
     """The least (model, formula, pair) at which the truth of a formula
     equals holds, by space, formula, valuation and `pairs_in_order`, or
     None.  Each pass serves every formula in turn, one row held at a time.
@@ -321,7 +311,7 @@ def _first_hit(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
     least (space, formula) among those is kept, until its space is done:
     at the end of its pass, unless it has more than LANE_CAP valuations."""
     best = None  # (space k of the group, formula j, model, pair)
-    for group, lo, firsts, ev in _space_passes(spaces, atom_names):
+    for group, lo, firsts, ev in passes:
         for j in range(best[1] if best else len(formulas)):
             for lane, pair in ev.hits(formulas[j], holds):
                 k = bisect_right(firsts, lane) - 1
@@ -356,12 +346,11 @@ def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
     if not used <= set(b.atoms):
         raise SpaceError(f"formula atoms {sorted(used)} not covered by "
                          f"the search bound atoms {list(b.atoms)}")
-    names = sorted(set(b.atoms))
-    # One space per homeomorphism class; its least hit is the least labeled
-    # hit (see the module docstring).
+    names = tuple(sorted(set(b.atoms)))
     for counts in runs:
-        hit = _first_hit(itertools.chain.from_iterable(
-            map(_representatives, counts)), names, (f,), holds)
+        spaces = itertools.chain.from_iterable(map(_representatives, counts))
+        hit = _first_hit(_passes(("classes", counts), spaces, names), names,
+                         (f,), holds)
         if hit is not None:
             return Verdict(hit_kind, hit[0], hit[2])
     return Verdict(no_hit_kind)
@@ -428,19 +417,19 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
                           spaces: Iterable[SubsetSpace] | None = None
                           ) -> SweepReport:
     """Check random instances of the axiom schemes for validity over all
-    enumerated topologies (or supplied spaces) up to the bound.
-
-    Expected outcome on topologies: no violations for any of the twelve
-    schemes.
-    """
+    enumerated topologies (or supplied spaces) up to the bound.  Expected
+    outcome on topologies: no violations for any of the twelve schemes."""
     if trials < 1:
         raise SpaceError("the number of trials must be at least 1")
     metavars = [scheme_metavars(scheme_id) for scheme_id in scheme_ids]
     if spaces is None:  # the bound is checked here, before any enumeration
-        spaces = (s for run in _point_runs(b) for n in run
-                  for s in enumerate_topologies(n))
+        key, spaces = ("labeled", b.max_points), (
+            s for run in _point_runs(b) for n in run
+            for s in enumerate_topologies(n))
+    else:
+        key = spaces = tuple(spaces)
     rng = random.Random(seed)
-    atom_names = list(b.atoms) or ["A"]
+    atom_names = tuple(b.atoms) or ("A",)
     instances: list[tuple[int, Formula]] = []
     for scheme_id, names in zip(scheme_ids, metavars):
         for _ in range(trials):
@@ -449,7 +438,7 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
             instances.append((scheme_id, instantiate_axiom(scheme_id, subst)))
     checked = {sid: 0 for sid in scheme_ids}
     violations: list[SchemeViolation] = []
-    for group, lo, firsts, ev in _space_passes(spaces, atom_names):
+    for group, lo, firsts, ev in _passes(key, spaces, atom_names):
         found = sorted(((lane, j, pair)
                         for j, (_, instance) in enumerate(instances)
                         for lane, pair in ev.hits(instance, False)),
@@ -502,10 +491,11 @@ def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
         raise SpaceError("boundary search applies to schemes 11 and 12 only")
     if max_opens < 1:
         raise SpaceError("the open bound must be at least 1")
+    names, instances = _boundary_instances(scheme_id)
     for counts in _point_runs(b):
-        hit = _first_hit(itertools.chain.from_iterable(
-            _subset_spaces(n, min(max_opens, 1 << n)) for n in counts),
-            *_boundary_instances(scheme_id), False)
+        spaces = (s for n in counts for s in _subset_spaces(n, max_opens))
+        hit = _first_hit(_passes(("subsets", counts, max_opens), spaces,
+                                 names), names, instances, False)
         if hit is not None:
             return hit
     return None

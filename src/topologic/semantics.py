@@ -14,11 +14,11 @@ its space's points are 0, and the top bit is a guard that stays 0.  A
 row's slots are the spaces' opens merged in `sort_family` order, and a
 slot's mask holds its points in the lanes of each space that has it as an
 open and 0 in the others.  So `~`, `&` and atoms are the one-lane bit
-operations unchanged, and so is `[]` once its sub-open lists come from the
-slots' own point sets: a 0 slot adds no points and no misses.  `K` must
-test a whole lane: with a = the operand's row and u = the open's, u ^ a
-is below 2**n in each lane, so adding 2**n - 1 per lane carries into a
-lane's guard bit exactly when a misses a point of u there, and
+operations unchanged, and so is `[]`, which ORs each slot's misses with
+those of the slots below it, down the slots' covers (`PassFrame.covers`).
+`K` must test a whole lane: with a = the operand's row and u = the open's,
+u ^ a is below 2**n in each lane, so adding 2**n - 1 per lane carries
+into a lane's guard bit exactly when a misses a point of u there, and
 subtracting the carries shifted down by n gives the mask of those lanes'
 points, which K clears.  Sorted by size, a space's opens keep their
 `pairs_in_order` order among the slots, so the least pair of each lane
@@ -27,7 +27,7 @@ is read off in one scan.
 What a pass fixes before any formula is its `PassFrame`: the slots and
 their masks over the lanes, `K`'s per-lane constants, the atoms' rows, and,
 built at first use, each open's slot, the slot order of `hits` and the
-sub-open slots of `[]`.  An evaluator owns only its rows (see `Evaluator`);
+covers of `[]`.  An evaluator owns only its rows (see `Evaluator`);
 a search pass walks each formula's plan in `_PLANS`, which drops each
 operand's row right after its last parent: a wide pass holds few rows.
 
@@ -73,15 +73,13 @@ def pairs_in_order(m: Model) -> Iterator[Pair]:
 
 
 class PassFrame:
-    """What a pass fixes before any formula: its slots, lanes and atoms
-    (see the module docstring).
+    """What a pass fixes before any formula (see the module docstring).
 
     `PassFrame(spaces, lanes, atoms)` gives spaces[k] lanes[k] lanes, in
     order, each `width` bits wide: the widest space's point count plus 1.
     atoms[a] is atom a's row over every lane, bit l*width + x set when x is
-    in a's set in lane l.  A frame holds no formula's row, so many searches
-    may share one.
-    """
+    in a's set in lane l.  `covers` is the Hasse diagram of the slots' own
+    point sets.  A frame holds no row, so many searches may share one."""
 
     def __init__(self, spaces: Sequence[SubsetSpace], lanes: Sequence[int],
                  atoms: Mapping[str, int] | None):
@@ -118,10 +116,21 @@ class PassFrame:
         return {U: i for i, U in enumerate(self.opens)}
 
     @cached_property
-    def below(self) -> list[list[int]]:
-        """Each slot's sub-open slots, by the slots' own point sets."""
-        return [[j for j, v in enumerate(self.slots) if v & ~u == 0]
-                for u in self.slots]
+    def covers(self) -> list[list[int]]:
+        """Each slot's maximal proper sub-slots, by the slots' own point
+        sets, found scanning the smaller slots downwards: one under a cover
+        met already is skipped.  Every slot below slot i is below a cover,
+        so `[]`'s OR down the covers is exact, even via a cover 0 in a lane."""
+        slots, down, covers = self.slots, [], []
+        for i, u in enumerate(slots):
+            under, cs = 0, []
+            for j in range(i - 1, -1, -1):
+                if not under >> j & 1 and slots[j] & ~u == 0:
+                    cs.append(j)
+                    under |= down[j]
+            down.append(under | 1 << i)
+            covers.append(cs)
+        return covers
 
     @cached_property
     def order(self) -> list[int]:
@@ -134,10 +143,9 @@ class Evaluator:
     shared by every formula it evaluates.
 
     Each distinct subformula has one row: at index i, the mask of the points
-    of slot i that satisfy it there, in every lane.  The slots are the
-    spaces' opens, merged in `sort_family` order, so for one space they are
-    its opens.  Formulas are interned, so rows are keyed by node and equal
-    subformulas of different formulas share a row.
+    of slot i that satisfy it there, in every lane (for one space, slot i
+    is its i-th open).  Formulas are interned, so rows are keyed by node
+    and equal subformulas of different formulas share a row.
 
     `Evaluator(m)` has one lane, valued by the model m, and keeps every row
     it computes.  `Evaluator(frame)` is a search pass over a `PassFrame`:
@@ -185,11 +193,13 @@ class Evaluator:
                     k = ((u ^ a) + fill) & guard
                     row.append(u & ~(k - (k >> n)))
             elif t is Box:
-                # miss[j]: the points of slot j at which the operand
-                # fails, none in the lanes of a space without slot j.
-                miss = list(map(xor, masks, rows[g.arg]))
-                row = [u & ~reduce(or_, [miss[j] for j in js])
-                       for u, js in zip(masks, fr.below)]
+                # down[i]: where the operand fails at slot i or below it.
+                down = []
+                for d, cs in zip(map(xor, masks, rows[g.arg]), fr.covers):
+                    for c in cs:
+                        d |= down[c]
+                    down.append(d)
+                row = [u & ~d for u, d in zip(masks, down)]
             elif t is Atom:
                 a = fr.atoms.get(g.name)
                 if a is None:

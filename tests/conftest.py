@@ -598,8 +598,18 @@ def reference_labeled_decide(f: Formula, b: t.SearchBound, holds: bool):
     at which f has the truth value holds, or None."""
     spaces = (s for n in range(1, b.max_points + 1)
               for s in t.enumerate_topologies(n))
-    hit = t.decide._first_hit(spaces, sorted(set(b.atoms)), (f,), holds)
+    names = sorted(set(b.atoms))
+    hit = t.decide._first_hit(search_passes(spaces, names), names, (f,), holds)
     return hit and (hit[0], hit[2])
+
+
+def search_passes(spaces, names):
+    """The passes of `decide._space_passes` over the spaces, each with an
+    evaluator over its frame, every frame built afresh: the passes that a
+    search runs, without the layout memo."""
+    for group, lo, firsts, frame in t.decide._space_passes(spaces, names):
+        yield group, lo, firsts, t.Evaluator(
+            frame or t.decide._new_frame(group, names, lo, firsts))
 
 
 def homeomorphism_class(s: t.SubsetSpace) -> tuple:

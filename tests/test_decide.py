@@ -1,12 +1,16 @@
 import hashlib
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
 import topologic as t
+from topologic.cli import main
 from conftest import (ReferenceEvaluator, enumerate_closed_families,
-                      homeomorphism_class, reference_labeled_decide)
+                      homeomorphism_class, reference_labeled_decide,
+                      search_passes)
 from topologic.decide import (_BOUNDARY_SUBSTITUTIONS, _boundary_instances,
                               _first_hit, _representatives, _subset_spaces)
 
@@ -128,10 +132,10 @@ def test_reduced_search_matches_labeled():
 
 
 def test_searches_scan_representatives_only(monkeypatch):
-    """Full scans and early hits alike pass `_first_hit` representatives
-    only, never the labeled spaces."""
+    """Full scans and early hits alike lay out their passes over
+    representatives only, never the labeled spaces."""
     reps = {id(s) for n in range(1, 5) for s in _representatives(n)}
-    first_hit = t.decide._first_hit
+    space_passes = t.decide._space_passes
     passed = []
 
     def spy(spaces, *args):
@@ -139,25 +143,29 @@ def test_searches_scan_representatives_only(monkeypatch):
             for s in spaces:
                 passed.append(s)
                 yield s
-        return first_hit(recorded(), *args)
+        return space_passes(recorded(), *args)
 
-    monkeypatch.setattr(t.decide, "_first_hit", spy)
+    monkeypatch.setattr(t.decide, "_space_passes", spy)
     b = t.SearchBound(4, ("A", "B"))
-    for text in ("K A & K B -> K (A & B)", "~(K A & K B -> K (A & B))",
-                 "L (A & B) & L (A & ~B) & L (~A & B) & L (~A & ~B)"):
-        for decide in (t.decide_valid, t.decide_sat):
-            decide(t.parse(text), b)
-    t.decide_valid(t.parse("<> K A -> K <> A"), t.SearchBound(4, ("A",)))
+    searches = [lambda d=d, text=text: d(t.parse(text), b)
+                for text in ("K A & K B -> K (A & B)",
+                             "~(K A & K B -> K (A & B))",
+                             "L (A & B) & L (A & ~B) & L (~A & B) & L (~A & ~B)")
+                for d in (t.decide_valid, t.decide_sat)]
+    searches.append(lambda: t.decide_valid(t.parse("<> K A -> K <> A"),
+                                           t.SearchBound(4, ("A",))))
+    for search in searches:
+        t.decide._LAYOUTS.clear()  # so that each search lays out its passes
+        search()
     # Each search draws the classes on 1 to 4 points in passes.  A space on
     # n points takes 2**(n*atoms) lanes, and spaces of at most 64 lanes
     # share a pass, whatever their point counts, up to 4096 lanes.  With
     # two atoms the 1 + 3 + 9 classes on 1 to 3 points (4, 16, 64 lanes
     # each, 628 in all) take one pass, and each of the 33 classes on 4
     # points (256 lanes) a pass of its own; with one atom the 46 classes
-    # take 2 + 12 + 72 + 528 = 614 lanes, one pass.  The classes of a point
-    # count are drawn as one run, and the 4-point run before the pass below
-    # it is passed on: so each of the seven searches, whether it hits on
-    # one, two or four points or scans fully, draws all 46 classes.
+    # take 2 + 12 + 72 + 528 = 614 lanes, one pass.  A layout is built
+    # whole: so each of the seven searches, whether it hits on one, two or
+    # four points or scans fully, draws all 46 classes.
     assert len(passed) == 7 * (1 + 3 + 9 + 33)
     assert all(id(s) in reps for s in passed)
 
@@ -393,7 +401,8 @@ def test_first_hit_order_matches_reference(monkeypatch, cap, texts):
     for spaces in (list(t.enumerate_subset_spaces(3, 4)),
                    [*t.enumerate_subset_spaces(2, 4),
                     *t.enumerate_subset_spaces(3, 4)]):
-        assert (_first_hit(spaces, ["A"], formulas, False)
+        assert (_first_hit(search_passes(spaces, ["A"]), ["A"], formulas,
+                           False)
                 == _reference_least_failure(spaces, formulas, ["A"]))
 
 
@@ -465,66 +474,198 @@ def _mixed_searches():
     return calls
 
 
+def _held_frames() -> int:
+    """The frames that the kept layouts hold."""
+    return sum(frame is not None for _, layout in t.decide._LAYOUTS.values()
+               for *_, frame in layout)
+
+
 def test_kept_frames_change_no_result(monkeypatch):
-    """Searches repeated and interleaved over kept frames, at the default
+    """Searches repeated and interleaved over kept layouts, at the default
     lane cap and at a patched one, return what they return when every
-    frame is built afresh."""
+    layout is built afresh, and build no layout when repeated."""
     calls = _mixed_searches()
-    fresh = {}
-    for cap in (None, 5):
-        if cap is not None:
-            monkeypatch.setattr(t.decide, "LANE_CAP", cap)
-        for i, call in enumerate(calls):
-            t.decide._pass_frame.cache_clear()
-            fresh[cap, i] = call()
-        monkeypatch.undo()
-    assert any(v.violations for v in fresh.values()
-               if isinstance(v, t.SweepReport))
-    order = [(cap, i) for i in range(len(calls)) for cap in (None, 5)]
-    for run in (order, order[::-1], order):
-        for cap, i in run:
+    fresh, built = {}, []
+    walked = Counter()  # the passes walked, per lane cap
+    passes, space_passes = t.decide._passes, t.decide._space_passes
+
+    def walk(*args):
+        for p in passes(*args):
+            walked[t.decide.LANE_CAP] += 1
+            yield p
+
+    with pytest.MonkeyPatch.context() as spying:
+        spying.setattr(t.decide, "_passes", walk)
+        spying.setattr(t.decide, "_space_passes",
+                       lambda *args: built.append(args) or space_passes(*args))
+        for cap in (None, 5):
             if cap is not None:
                 monkeypatch.setattr(t.decide, "LANE_CAP", cap)
-            assert calls[i]() == fresh[cap, i]
+            for i, call in enumerate(calls):
+                t.decide._LAYOUTS.clear()
+                fresh[cap, i] = call()
             monkeypatch.undo()
-    assert t.decide._pass_frame.cache_info().hits > 0
+        # At 5 lanes a pass, the searches walk more passes.
+        assert walked[5] > walked[t.decide.LANE_CAP] > 0
+        assert any(v.violations for v in fresh.values()
+                   if isinstance(v, t.SweepReport))
+        once = dict(walked)
+        walked.clear()
+        order = [(cap, i) for i in range(len(calls)) for cap in (None, 5)]
+        for k, run in enumerate((order, order[::-1], order)):
+            for cap, i in run:
+                if cap is not None:
+                    monkeypatch.setattr(t.decide, "LANE_CAP", cap)
+                assert calls[i]() == fresh[cap, i]
+                monkeypatch.undo()
+            if k == 0:  # each search has laid out its passes once
+                built.clear()
+        assert not built and _held_frames() <= t.decide.FRAME_CAP
+        # Each search walked the passes of its own lane cap's layout.
+        assert walked == {cap: 3 * n for cap, n in once.items()}
+
+
+def test_threads_share_layouts():
+    """Searches in four threads at once, each over its own atom, so that
+    the memo is full and most searches evict a layout, all return their
+    verdict: no thread breaks another's eviction."""
+    # Built here and held: the threads build and free no formula.
+    searches = [(t.parse(f"K P{i} -> P{i}"), t.SearchBound(2, (f"P{i}",)))
+                for i in range(300)]
+    wrong, errors = [], []
+
+    def worker(shift):
+        try:
+            for i in range(900):
+                f, b = searches[(i + shift) % 300]
+                if not t.decide_valid(f, b).positive:
+                    wrong.append(b)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(37 * k,))
+                   for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors and not wrong
+    # Threads that insert at once may each keep one layout past the bound.
+    assert len(t.decide._LAYOUTS) <= t.decide.FRAME_CAP + 3
 
 
 def test_passes_start_with_no_rows():
     """Each evaluator of a pass owns only its rows and starts with none,
-    also over a frame whose last evaluator held a row."""
+    also over a kept frame whose last evaluator held a row."""
     f, g = t.parse("K A -> [] K A"), t.parse("~K A & [] B")
-    spaces = list(t.enumerate_topologies(3))
-    passes = t.decide._space_passes
+    spaces = tuple(t.enumerate_topologies(3))
+
+    def passes():
+        return t.decide._passes(spaces, spaces, ("A", "B"))
+
     first = []
-    for group, lo, count, ev in passes(spaces, ["A", "B"]):
+    for group, lo, count, ev in passes():
         assert not ev._rows
         list(ev.hits(f, False))
         ev.mask(group[0].opens[-1], g)
         assert set(ev._rows) == {g}
         first.append(ev)
-    for k, (group, lo, count, ev) in enumerate(passes(spaces, ["A", "B"])):
+    for k, (group, lo, count, ev) in enumerate(passes()):
         assert not ev._rows
         assert ev is not first[k] and ev._frame is first[k]._frame
         assert list(ev.hits(f, False)) == list(first[k].hits(f, False))
 
 
-def test_frame_memo_stays_bounded():
-    """A 5-point search keeps no more frames than the bound: a space with
-    more than 64 valuations passes alone, and its frames are not kept."""
-    memo = t.decide._pass_frame
-    memo.cache_clear()
+def test_warm_search_builds_nothing(monkeypatch):
+    """A search repeated with the same bound reads its kept layout: it
+    builds no layout and no frame, and returns an equal verdict or hit.
+    A search over other atoms or another point run builds its own."""
+    built = Counter()
+    for name in ("_space_passes", "_new_frame"):
+        real = getattr(t.decide, name)
+        monkeypatch.setattr(t.decide, name, lambda *args, real=real, name=name:
+                            built.update([name]) or real(*args))
+    b = t.SearchBound(3, ("A",))
+    searches = [
+        lambda: t.decide_valid(t.parse("K A -> A"), b),
+        lambda: t.decide_valid(t.parse("A -> K A"), b),
+        lambda: t.decide_sat(t.parse("A & ~K A"), b),
+        lambda: t.decide_sat(t.parse("K A & ~A"), b),
+        lambda: t.find_subset_space_countermodel(11, t.SearchBound(3, ()))]
+    t.decide._LAYOUTS.clear()
+    first = [search() for search in searches]
+    assert built["_space_passes"] == 2 and built["_new_frame"] >= 2
+    assert {v.kind for v in first[:4]} == {
+        t.VerdictKind.VALID_WITHIN_BOUND, t.VerdictKind.INVALID,
+        t.VerdictKind.SATISFIABLE, t.VerdictKind.NO_MODEL_WITHIN_BOUND}
+    assert first[4] is not None
+    built.clear()
+    for search, before in zip(searches, first):
+        got = search()
+        assert (got == before if isinstance(got, tuple) else
+                (got.kind, got.model, got.pair)
+                == (before.kind, before.model, before.pair))
+    assert not built
+    # Other atoms, and another point run, lay out their own passes.
+    t.decide_valid(t.parse("K A -> A"), t.SearchBound(3, ("A", "B")))
+    assert built["_space_passes"] == 1
+    t.decide_valid(t.parse("K A -> A"), t.SearchBound(2, ("A",)))
+    assert built["_space_passes"] == 2
+
+
+def test_frame_memo_stays_bounded(monkeypatch):
+    """The kept layouts hold at most FRAME_CAP frames: a space with more
+    than 64 valuations passes alone and its frames are not kept, and the
+    least recently used layouts are evicted whole."""
+    memo = t.decide._LAYOUTS
+    memo.clear()
     f = t.parse("K A & K B -> K (A & B)")
     assert t.decide_valid(f, t.SearchBound(5, ("A", "B"))).positive
-    info = memo.cache_info()
-    assert info.currsize == 1 <= info.maxsize  # 13 classes on 1 to 3 points
-    assert t.decide_valid(f, t.SearchBound(5, ("A", "B"))).positive
-    assert memo.cache_info().hits == 1
+    # The 13 classes on 1 to 3 points share one kept frame; the 33 on 4
+    # points and the 139 on 5 pass alone.
+    assert len(memo) == 2 and _held_frames() == 1
     # On one atom, the 46 classes on 1 to 4 points share one pass, and 128
     # of the 139 classes on 5 points another, the other 11 a third: all kept.
     assert t.decide_valid(t.parse("K A -> A"), t.SearchBound(5, ("A",))).positive
-    info = memo.cache_info()
-    assert info.currsize == 1 + 1 + 2 <= info.maxsize
+    assert len(memo) == 4 and _held_frames() == 1 + 1 + 2
+    # The largest searches of the CLI and the benchmark, in one process.
+    assert main(["axioms", "--enumerate", "5", "--trials", "2"]) == 0
+    assert 40 < _held_frames() <= t.decide.FRAME_CAP
+    assert t.decide_valid(t.parse("K A -> A"), t.SearchBound(5, ("A",))).positive
+    assert t.find_subset_space_countermodel(11, t.SearchBound(4, ()))
+    assert _held_frames() <= t.decide.FRAME_CAP
+    # Whole layouts go, least recently used first: each of these three
+    # searches keeps one frame, and the first is used again before the
+    # third is laid out.
+    monkeypatch.setattr(t.decide, "FRAME_CAP", 2)
+    memo.clear()
+    keys = []
+    for atoms in (("A",), ("A", "B"), ("A",), ("B",)):
+        t.decide_valid(t.parse("K A -> A" if atoms != ("B",) else "K B -> B"),
+                       t.SearchBound(3, atoms))
+        keys.append(next(reversed(memo)))
+    assert list(memo) == [keys[0], keys[3]] and _held_frames() == 2
+    # A layout of more packed passes than FRAME_CAP keeps the first
+    # FRAME_CAP frames, and its other passes build theirs per search.  At
+    # 64 lanes a pass, the 34 topologies on 1 to 3 points take 4 passes.
+    # Scheme 7 is replaced by the unsound phi -> K phi, so that the
+    # reports hold violations.
+    monkeypatch.setitem(t.semantics._TEMPLATES, 7, t.parse("phi -> K phi"))
+    b = t.SearchBound(3, ("A",))
+    want = t.axiom_soundness_sweep(b, [7, 11], 3, 5)
+    assert want.violations
+    monkeypatch.setattr(t.decide, "LANE_CAP", 64)
+    memo.clear()
+    for _ in range(2):
+        assert t.axiom_soundness_sweep(b, [7, 11], 3, 5) == want
+        (held, layout), = memo.values()
+        assert held == _held_frames() == 2 and len(layout) == 4
 
 
 def test_boundary_instances_share_atoms_and_are_kept(monkeypatch):

@@ -6,9 +6,10 @@ import pytest
 import topologic as t
 from topologic import Atom, Box, Knows, Not, Pair
 from conftest import (ReferenceEvaluator, random_model, reference_hits,
-                      reference_instantiate_axiom)
+                      reference_instantiate_axiom, search_passes)
 from topologic import decide
 from topologic.semantics import PassFrame
+from topologic.space import to_mask
 
 F = frozenset
 X = F({0, 1, 2})
@@ -313,7 +314,7 @@ def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
     probes = itertools.cycle(LANE_PROBES)
     seen = []  # (space, valuation) per lane, pass after pass
     mixed = 0  # passes over spaces of more than one point count
-    for group, lo, firsts, ev in decide._space_passes(spaces, names):
+    for group, lo, firsts, ev in search_passes(spaces, names):
         w = ev._frame.width
         assert w == max(len(s.point_names) for s in group) + 1
         mixed += w > len(group[0].point_names) + 1
@@ -347,6 +348,87 @@ def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
     assert all(a is s and b == v for (a, b), (s, v) in zip(seen, expected))
 
 
+def _brute_covers(slots):
+    """Each slot's maximal proper sub-slots, by brute force over pairs."""
+    below = [[j for j, v in enumerate(slots) if v & ~u == 0 and v != u]
+             for u in slots]
+    return [[j for j in js if not any(j in below[k] for k in js)]
+            for js in below]
+
+
+def _classes(points):
+    return [s for n in points for s in decide._representatives(n)]
+
+
+def _subset_spaces(points):
+    return [s for n in points for s in t.enumerate_subset_spaces(n, 4)]
+
+
+def test_covers_are_the_hasse_diagram():
+    """`PassFrame.covers[i]` lists the maximal proper sub-slots of slot i:
+    on one-lane frames of random models on 1 to 9 points, on the frames of
+    the passes over the classes on 1 to 4 points with one and two atoms,
+    and on the boundary search's frames of subset spaces on 1 to 3 points
+    with up to 4 opens."""
+    rng = random.Random(22)
+    frames = [t.Evaluator(random_model(rng, n))._frame
+              for n in range(1, 10) for _ in range(8)]
+    for spaces, names in ((_classes(range(1, 5)), ["A"]),
+                          (_classes(range(1, 5)), ["A", "B"]),
+                          (_subset_spaces((1, 2, 3)), []),
+                          (_subset_spaces((1, 2, 3)), ["A"])):
+        frames += [ev._frame for *_, ev in search_passes(spaces, names)]
+    assert len(frames) > 100
+    for frame in frames:
+        assert [sorted(c) for c in frame.covers] == _brute_covers(frame.slots)
+    assert any(len(c) > 2 for frame in frames for c in frame.covers)
+
+
+# Formulas whose `[]` must pass a miss down more than one cover.
+BOX_PROBES = ["[] [] A", "[] ~[] L A", "~[] (A & ~[] [] A)"]
+
+
+@pytest.mark.parametrize("spaces, names, texts", [
+    (lambda: _classes(range(1, 5)), ["A"], BOX_PROBES),
+    (lambda: _classes(range(1, 4)), ["A", "B"],
+     [*BOX_PROBES, "[] (A -> [] K B)", "[] (K A | [] ~B)"]),
+    (lambda: _subset_spaces((1, 2, 3)), ["A"], [*BOX_PROBES, 11]),
+    (lambda: _subset_spaces((1, 2)), ["A", "B", "C"], [12]),
+], ids=["classes-A", "classes-AB", "subsets-A", "subsets-ABC"])
+def test_box_matches_reference_lane_by_lane(spaces, names, texts):
+    """`[]`-heavy formulas, and the boundary search's instances of schemes
+    11 and 12, hold in every lane of a packed pass exactly where
+    `ReferenceEvaluator` says they hold in that lane's model, and the
+    slots that the lane's space lacks are 0.  Some lane's space lacks a
+    cover of one of its opens, whose misses `[]` must still pass on."""
+    formulas = [f for text in texts for f in (
+        decide._boundary_instances(text)[1] if type(text) is int
+        else [t.parse(text)])]
+    rng = random.Random(23)
+    for n in range(1, 10):  # one-lane frames
+        m = random_model(rng, n, names)
+        ev, ref = t.Evaluator(m), ReferenceEvaluator(m)
+        for f in formulas:
+            for U in m.space.opens:
+                assert ev.extension(U, f) == ref.extension(U, f)
+    lacking = 0  # lanes whose space lacks a cover of one of its opens
+    for group, lo, firsts, ev in search_passes(spaces(), names):
+        frame, w = ev._frame, ev._frame.width
+        assert len(group) > 1
+        for lane in range(firsts[-1]):
+            m = decide._lane_model(group, lo, firsts, names, lane)
+            ref, opens = ReferenceEvaluator(m), set(m.space.opens)
+            lacking += any(frame.opens[c] not in opens
+                           for U in opens for c in frame.covers[frame.index[U]])
+            for f in formulas:
+                row = ev.row(f)
+                for U, i in frame.index.items():
+                    bits = row[i] >> lane * w & (1 << w) - 1
+                    assert bits == (to_mask(ref.extension(U, f))
+                                    if U in opens else 0)
+    assert lacking
+
+
 @pytest.mark.parametrize("holds", [True, False])
 def test_hits_match_per_lane_reference(monkeypatch, holds):
     """`hits` lists the lanes with a hit, ascending, each with its least
@@ -376,7 +458,7 @@ def test_hits_match_per_lane_reference(monkeypatch, holds):
         for spaces, names in cases:
             formulas = [t.parse(text) for text in texts
                         if t.atoms(t.parse(text)) <= set(names)]
-            for group, lo, firsts, ev in decide._space_passes(spaces, names):
+            for group, lo, firsts, ev in search_passes(spaces, names):
                 lanes = firsts[-1]
                 for f in formulas:
                     got = list(ev.hits(f, holds))
@@ -451,7 +533,7 @@ def test_failed_walk_leaves_evaluator_consistent(search_pass):
 
     def fresh():
         if search_pass:
-            return next(decide._space_passes([space], names))[3]
+            return next(search_passes([space], names))[3]
         return t.Evaluator(t.make_model(space, {"A": F({0}), "B": F({1, 2})}))
 
     ka = t.parse("K A")
