@@ -25,12 +25,12 @@ from . import __version__
 from .decide import (SearchBound, axiom_soundness_sweep, decide_sat,
                      decide_valid, random_formula)
 from .finitemodel import basis_equivalent, extract_finite_model
-from .formula import (And, Box, Formula, Knows, Not, ParseError, atoms,
-                      is_atom_name, parse, print_formula, print_formulas)
+from .formula import (Formula, ParseError, atoms, is_atom_name, parse,
+                      print_formula, print_formulas)
 from .modelfile import (load_model, model_to_document, read_json,
                         save_model)
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
-                        find_counterexample)
+                        find_counterexample, walk_plan)
 from .space import (InternalError, Model, SpaceError, format_family,
                     format_set, is_topology)
 from .splitting import build_splitting, remainder_blocks
@@ -105,41 +105,28 @@ def cmd_split(args) -> int:
 
     order = list(table.splittings)  # post-order: operands first
     text = print_formulas(order)
-    subs: dict[Formula, set[Formula]] = {}
-    blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # by family
-    verdict: dict[tuple, str] = {}  # by block and subformula
+    # By family: its listing, and its blocks' (slot, slots, line, verdicts).
+    shown: dict[tuple[int, ...], tuple[str, list]] = {}
     all_stable = True
     for psi in order:
-        match psi:
-            case And(a, b):
-                subs[psi] = subs[a] | subs[b] | {psi}
-            case Not(x) | Knows(x) | Box(x):
-                subs[psi] = subs[x] | {psi}
-            case _:
-                subs[psi] = {psi}
-        inner = [phi for phi in order if phi in subs[psi]]
-        fam = tuple(ev.slots(table.splittings[psi].family))
-        if fam not in blocks:
-            blocks[fam] = [tuple(b) for b in remainder_blocks(
-                masks, [masks[r] for r in fam])]
+        inner = [*filter(set(walk_plan(psi)[0]).__contains__, order), psi]
+        fam = table.slots[psi]
+        if fam not in shown:
+            shown[fam] = listing(fam), [
+                (r, b, f"  block of {label[r]}: {listing(b)}", {}) for r, b in
+                zip(fam, remainder_blocks(masks, [masks[r] for r in fam]))]
+        family, blocks = shown[fam]
         row = ev.row(psi)
-        lines = [f"subformula: {text[psi]}", f"  family: {listing(fam)}"]
-        # Blocks come in family order, which is slot order.
-        for r, block in zip(fam, blocks[fam]):
-            verdicts = []
+        lines = [f"subformula: {text[psi]}", f"  family: {family}"]
+        for r, block, head, seen in blocks:
             for phi in inner:
-                v = verdict.get((block, phi))
-                if v is None:
+                if phi not in seen:
                     ok = ev.stable(block, phi)
                     all_stable = all_stable and ok
-                    v = verdict[block, phi] = (
-                        f"{text[phi]}: {'stable' if ok else 'UNSTABLE'}")
-                verdicts.append(v)
-            lines += [f"  block of {label[r]}: {listing(block)}",
-                      "    extension: {" + ", ".join(
-                          [names[x] for x in range(len(names))
-                           if row[r] >> x & 1]) + "}",
-                      f"    stability: {'; '.join(verdicts)}"]
+                    seen[phi] = text[phi] + (": stable" if ok else ": UNSTABLE")
+            points = [names[x] for x in range(len(names)) if row[r] >> x & 1]
+            lines += [head, "    extension: {" + ", ".join(points) + "}",
+                      "    stability: " + "; ".join([seen[phi] for phi in inner])]
         print("\n".join(lines))
     if not all_stable:
         raise InternalError("unstable block in a stable splitting")

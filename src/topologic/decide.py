@@ -42,7 +42,8 @@ from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
 from .semantics import (Evaluator, Pair, PassFrame, _ones,
                         instantiate_axiom, scheme_metavars, walk_plan)
 from .space import (InternalError, Model, PointSet, SpaceError,
-                    SubsetSpace, make_model, make_space, to_mask)
+                    SubsetSpace, make_model, make_space, space_from_masks,
+                    to_mask)
 
 HARD_POINT_CAP = 5
 # Lanes per evaluator pass, a memory guard: on n points a row takes n + 1
@@ -123,14 +124,14 @@ def _preorder_opens(n: int) -> list[list[int]]:
 def _topologies(n: int) -> tuple[SubsetSpace, ...]:
     """The labeled topologies on n points in canonical order, built once:
     each family lists its opens in `set_key` order, and the families are
-    ordered by those lists.  Opens are taken from one table of point sets.
+    ordered by those lists.
     """
-    subsets = _subsets_in_order(n)
-    rank = {to_mask(s): i for i, s in enumerate(subsets)}
+    subsets = list(map(to_mask, _subsets_in_order(n)))
+    rank = {u: i for i, u in enumerate(subsets)}
     families = sorted(tuple(sorted(rank[O] for O in opens))
                       for opens in _preorder_opens(n))
     names = _point_names(n)
-    return tuple(make_space(names, [subsets[i] for i in fam])
+    return tuple(space_from_masks(names, [subsets[i] for i in fam])
                  for fam in families)
 
 
@@ -222,7 +223,8 @@ def _atom_rows(n: int, k: int, lo: int, count: int, w: int
     return tuple(rows)
 
 
-def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
+def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
+                  frames: int
                   ) -> Iterator[tuple[list, int, list[int], PassFrame | None]]:
     """(group, lo, firsts, frame) per pass over the models on the spaces,
     at most LANE_CAP lanes each: lane firsts[k] + v is valuation lo + v of
@@ -234,14 +236,15 @@ def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
     every slot of the group (packed, full scans ran up to 3.3 times slower
     from 256 lanes per space on, and up to 4.8 times faster at 64 or fewer).
     A wider space passes alone, over several passes past LANE_CAP, and its
-    frame is None, built per search: keeping the 139 on 5 points with two
-    atoms made that search slower."""
-    group, firsts = [], [0]  # the spaces of the pass being filled
+    frame is None, built per search (keeping the 139 on 5 points with two
+    atoms made that search slower), as is a packed pass's past `frames`."""
+    group, firsts, packed = [], [0], itertools.count()  # the pass being filled
     for s in spaces:
         total = 1 << len(s.point_names) * len(atom_names)
         wide = total * total > LANE_CAP
         if group and (wide or firsts[-1] + total > LANE_CAP):
-            yield group, 0, firsts, _new_frame(group, atom_names, 0, firsts)
+            yield group, 0, firsts, (_new_frame(group, atom_names, 0, firsts)
+                                     if next(packed) < frames else None)
             group, firsts = [], [0]
         if wide:
             for lo in range(0, total, LANE_CAP):
@@ -250,7 +253,8 @@ def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
             group.append(s)
             firsts.append(firsts[-1] + total)
     if group:
-        yield group, 0, firsts, _new_frame(group, atom_names, 0, firsts)
+        yield group, 0, firsts, (_new_frame(group, atom_names, 0, firsts)
+                                 if next(packed) < frames else None)
 
 
 def _new_frame(group: Sequence[SubsetSpace], atom_names: Sequence[str],
@@ -279,11 +283,8 @@ def _passes(key: tuple, spaces: Iterable[SubsetSpace], names: tuple[str, ...]
     key = (key, names, LANE_CAP)
     kept = _LAYOUTS.pop(key, None)
     if kept is None:
-        layout, built = [], 0  # frames past the FRAME_CAP-th are dropped
-        for *head, frame in _space_passes(spaces, names):
-            built += frame is not None
-            layout.append((*head, frame if built <= FRAME_CAP else None))
-        kept = max(1, min(built, FRAME_CAP)), layout
+        layout = list(_space_passes(spaces, names, FRAME_CAP))
+        kept = max(1, sum(frame is not None for *_, frame in layout)), layout
         # On copies, so that searches in other threads cannot break it.
         while kept[0] + sum(n for n, _ in [*_LAYOUTS.values()]) > FRAME_CAP:
             _LAYOUTS.pop(next(iter([*_LAYOUTS]), None), None)

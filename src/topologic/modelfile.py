@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .space import Model, PointSet, SpaceError, make_model, make_space, sort_family
+from .space import (Model, SpaceError, from_mask, make_model, sort_family,
+                    space_from_masks)
 
 
 def model_from_document(doc: dict) -> Model:
@@ -28,27 +29,27 @@ def model_from_document(doc: dict) -> Model:
     if (not isinstance(points, list)
             or not all(isinstance(p, str) for p in points)):
         raise SpaceError("'points' must be a list of identifiers")
-    index = {name: i for i, name in enumerate(points)}  # make_space rejects repeats
+    bit = {name: 1 << i for i, name in enumerate(points)}  # repeats rejected
 
-    def to_set(raw, where: str) -> PointSet:
-        if (not isinstance(raw, list)
-                or not all(isinstance(name, str) for name in raw)):
+    def to_mask(raw, where: str) -> int:
+        try:  # list.__iter__ takes lists only: any other value fails below
+            return sum(set(map(bit.__getitem__, list.__iter__(raw))))
+        except (KeyError, TypeError):
+            pass
+        if not (isinstance(raw, list)
+                and all(isinstance(name, str) for name in raw)):
             raise SpaceError(f"{where} must be a list of point identifiers")
-        out = set()
-        for name in raw:
-            if name not in index:
-                raise SpaceError(f"{where} mentions undeclared point {name!r}")
-            out.add(index[name])
-        return frozenset(out)
+        undeclared = next(name for name in raw if name not in bit)
+        raise SpaceError(f"{where} mentions undeclared point {undeclared!r}")
 
     if not isinstance(doc["opens"], list):
         raise SpaceError("'opens' must be a list of opens")
-    opens = [to_set(raw, "each open") for raw in doc["opens"]]
+    opens = [to_mask(raw, "each open") for raw in doc["opens"]]
     if not isinstance(doc["valuation"], dict):
         raise SpaceError("'valuation' must be a map from atoms to point lists")
-    valuation = {atom: to_set(raw, f"valuation of {atom!r}")
+    valuation = {atom: from_mask(to_mask(raw, f"valuation of {atom!r}"))
                  for atom, raw in doc["valuation"].items()}
-    return make_model(make_space(points, opens), valuation)
+    return make_model(space_from_masks(points, opens), valuation)
 
 
 def model_to_document(m: Model) -> dict:

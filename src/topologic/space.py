@@ -8,6 +8,9 @@ Frozensets are what the library takes, returns, saves and prints.  Inside,
 a space keeps each open's int bitmask (bit x for point x) in `masks`, read
 by `is_closed`, `interior_mask`, the splittings and the evaluator, whose
 rows also give block stability (`Evaluator.stable`, over a block's slots).
+Model files, quotients, restricted and basis spaces and the labeled
+topologies build their spaces from masks (`space_from_masks`, each open's
+frozenset made once, by `from_mask`); `make_space` takes frozensets.
 `interior_mask` is the one interior: `interior` and `heyting_implication`
 wrap it for frozensets.  Families are closed and checked here only: `close`
 closes frozensets or masks under & or | in one pass, as both are
@@ -19,7 +22,8 @@ when `is_topology` first reads them), `make_splitting` and bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product, starmap
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -50,6 +54,12 @@ def to_mask(s: Iterable[int]) -> int:
     return sum(map((1).__lshift__, s))
 
 
+@lru_cache(maxsize=1024)
+def from_mask(u: int) -> PointSet:
+    """The point set of a bitmask, shared while recently used."""
+    return frozenset([x for x in range(u.bit_length()) if u >> x & 1])
+
+
 def format_set(s: PointSet, names: tuple[str, ...]) -> str:
     return "{" + ", ".join(names[i] for i in sorted(s)) + "}"
 
@@ -61,9 +71,9 @@ def format_family(family: Iterable[PointSet], names: tuple[str, ...]) -> str:
 @dataclass(frozen=True)
 class SubsetSpace:
     """A pair (X, opens) with X a finite point set and X itself open;
-    `make_space` lists the opens in `sort_family` order, and `masks[i]` is
-    the bitmask of `opens[i]`.  The closure flags are computed when first
-    read, as only `is_topology` reads them."""
+    `space_from_masks` lists the opens in `sort_family` order, and
+    `masks[i]` is the bitmask of `opens[i]`.  The closure flags are
+    computed when first read, as only `is_topology` reads them."""
 
     point_names: tuple[str, ...]
     opens: tuple[PointSet, ...]
@@ -90,30 +100,34 @@ class SubsetSpace:
 
 def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetSpace:
     names = tuple(point_names)
+
+    def mask(raw: Iterable[int]) -> int:
+        s = frozenset(raw)
+        if s and not (0 <= min(s) and max(s) < len(names)):
+            raise SpaceError(f"open {sorted(s)} has out-of-range points")
+        return to_mask(s)
+    return space_from_masks(names, map(mask, opens))  # names checked first
+
+
+def space_from_masks(point_names: Iterable[str], masks: Iterable[int]) -> SubsetSpace:
+    """The space on the named points with opens of the given masks, each
+    below 2**n.  `set_key` order is by size, then by complement, read as a
+    string of binary digits, least significant first."""
+    names = tuple(point_names)
     if not names:
         raise SpaceError("a space needs at least one point")
     if len(set(names)) != len(names):
         raise SpaceError("duplicate point names")
-    n = len(names)
-    family = []
-    for raw in opens:
-        s = frozenset(raw)
-        if s and not (0 <= min(s) and max(s) < n):
-            raise SpaceError(f"open {sorted(s)} has out-of-range points")
-        family.append(s)
-    family = sort_family(family)
-    # From a list, the tuple is made at its size; tuple() of an iterator
-    # shrinks an oversized one, which then sits on the tuple free list.
-    masks = tuple([to_mask(s) for s in family])
-    if (1 << n) - 1 not in masks:
+    X = (1 << len(names)) - 1
+    order = sorted(set(masks), key=lambda u: (u.bit_count(), bin(X ^ u)[:1:-1]))
+    if not order or order[-1] != X:  # X is the one open of n points
         raise SpaceError("the full point set X must be open")
-    return SubsetSpace(names, family, masks)
+    return SubsetSpace(names, tuple([from_mask(u) for u in order]), tuple(order))
 
 
 def is_closed(masks: Sequence[int], members: set[int], op: Callable) -> bool:
-    """True iff op(a, b) is in members for all masks a, b (op commutes)."""
-    return all({op(a, b) for b in masks[i + 1:]} <= members
-               for i, a in enumerate(masks))
+    """True iff op(a, b) is in members for all masks a, b."""
+    return members.issuperset(starmap(op, product(masks, masks)))
 
 
 def is_topology(s: SubsetSpace) -> bool:

@@ -107,11 +107,12 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
 
 @dataclass
 class SplittingTable:
-    """Stable splittings per subformula, in post-order (the formula last),
-    with the model's evaluator that computed them."""
+    """Stable splittings, and their families' slots, ascending, per
+    subformula in post-order (the formula last), and their evaluator."""
 
     splittings: dict[Formula, Splitting]
     evaluator: Evaluator
+    slots: dict[Formula, tuple[int, ...]]
 
 
 def build_splitting(m: Model, f: Formula) -> SplittingTable:
@@ -132,10 +133,11 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
     slot = {u: i for i, u in enumerate(masks)}  # every member is an open
     fams: dict[Formula, list[int]] = {}  # each family's masks, by slot
     splittings: dict[Formula, Splitting] = {}
+    slots: dict[Formula, tuple[int, ...]] = {}
     for psi in subformulas(f):
         match psi:
             case Not(x):
-                fams[psi] = fams[x]
+                fams[psi], slots[psi] = fams[x], slots[x]
                 splittings[psi] = Splitting(splittings[x].family, s)
                 continue
             case Atom(_) | Top() | Bot():
@@ -158,7 +160,7 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
             case _:
                 raise TypeError(f"not a formula: {psi!r}")
         # Sorted opens, intersection-closed by construction: no check needed.
-        slots = sorted([slot[u] for u in close(new, and_)])
-        fams[psi] = [masks[i] for i in slots]
-        splittings[psi] = Splitting(tuple([opens[i] for i in slots]), s)
-    return SplittingTable(splittings, ev)
+        slots[psi] = ours = tuple(sorted([slot[u] for u in close(new, and_)]))
+        fams[psi] = [masks[i] for i in ours]
+        splittings[psi] = Splitting(tuple([opens[i] for i in ours]), s)
+    return SplittingTable(splittings, ev, slots)

@@ -607,9 +607,9 @@ def search_passes(spaces, names):
     """The passes of `decide._space_passes` over the spaces, each with an
     evaluator over its frame, every frame built afresh: the passes that a
     search runs, without the layout memo."""
-    for group, lo, firsts, frame in t.decide._space_passes(spaces, names):
+    for group, lo, firsts, _ in t.decide._space_passes(spaces, names, 0):
         yield group, lo, firsts, t.Evaluator(
-            frame or t.decide._new_frame(group, names, lo, firsts))
+            t.decide._new_frame(group, names, lo, firsts))
 
 
 def homeomorphism_class(s: t.SubsetSpace) -> tuple:
@@ -618,3 +618,70 @@ def homeomorphism_class(s: t.SubsetSpace) -> tuple:
     perms = itertools.permutations(range(len(s.point_names)))
     return min(tuple(sorted(tuple(sorted(perm[x] for x in U))
                             for U in s.opens)) for perm in perms)
+
+
+def reference_model_from_document(doc: dict) -> tuple:
+    """The frozenset loader that `modelfile.model_from_document` replaced:
+    each open a set of point indices, sorted by `set_key`, its mask built
+    afterwards.  Returns (point names, opens, masks, valuation), or raises
+    the library's SpaceError with the library's message."""
+    for key in ("points", "opens", "valuation"):
+        if key not in doc:
+            raise t.SpaceError(f"model document is missing the {key!r} key")
+    points = doc["points"]
+    if (not isinstance(points, list)
+            or not all(isinstance(p, str) for p in points)):
+        raise t.SpaceError("'points' must be a list of identifiers")
+    index = {name: i for i, name in enumerate(points)}
+
+    def to_set(raw, where: str) -> frozenset:
+        if (not isinstance(raw, list)
+                or not all(isinstance(name, str) for name in raw)):
+            raise t.SpaceError(f"{where} must be a list of point identifiers")
+        out = set()
+        for name in raw:
+            if name not in index:
+                raise t.SpaceError(
+                    f"{where} mentions undeclared point {name!r}")
+            out.add(index[name])
+        return frozenset(out)
+
+    if not isinstance(doc["opens"], list):
+        raise t.SpaceError("'opens' must be a list of opens")
+    opens = [to_set(raw, "each open") for raw in doc["opens"]]
+    if not isinstance(doc["valuation"], dict):
+        raise t.SpaceError("'valuation' must be a map from atoms to point lists")
+    valuation = {atom: to_set(raw, f"valuation of {atom!r}")
+                 for atom, raw in doc["valuation"].items()}
+    names = tuple(points)
+    if not names:
+        raise t.SpaceError("a space needs at least one point")
+    if len(set(names)) != len(names):
+        raise t.SpaceError("duplicate point names")
+    family = tuple(sorted(set(opens), key=set_key))
+    masks = tuple(sum(1 << x for x in U) for U in family)
+    if (1 << len(names)) - 1 not in masks:
+        raise t.SpaceError("the full point set X must be open")
+    for atom in valuation:
+        if atom in ("top", "bot"):
+            raise t.SpaceError(f"atom name {atom!r} is reserved")
+    return names, family, masks, valuation
+
+
+def reference_point_quotient(m: t.Model, atom_list) -> tuple:
+    """`finitemodel.point_quotient` by membership tests over frozensets:
+    (point classes, open classes, quotient point names, opens, masks,
+    valuation)."""
+    names = tuple(sorted(set(atom_list)))
+    s = m.space
+    profiles: dict = {}
+    point_class = {}
+    for x in range(len(s.point_names)):
+        profile = (tuple(x in U for U in s.opens),
+                   tuple(x in m.atom_set(a) for a in names))
+        point_class[x] = profiles.setdefault(profile, len(profiles))
+    open_class = {U: F(point_class[x] for x in U) for U in s.opens}
+    family = tuple(sorted(set(open_class.values()), key=set_key))
+    return (point_class, open_class, tuple(f"c{i}" for i in range(len(profiles))),
+            family, tuple(sum(1 << x for x in U) for U in family),
+            {a: F(point_class[x] for x in m.atom_set(a)) for a in names})

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import topologic as t
 from topologic import cli, finitemodel
 from topologic.cli import main
-from conftest import FORMULA_TEXT
+from conftest import FORMULA_TEXT, reference_model_from_document
 
 F = frozenset
 
@@ -664,6 +664,30 @@ def test_model_document_fuzz(doc):
 
 
 @pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs") / "doc.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_load_model_matches_reference(doc_path, doc):
+    """On the fuzz documents, `load_model` gives the frozenset loader's
+    point names, opens, masks in order and valuation, or its SpaceError
+    message."""
+    doc_path.write_text(json.dumps(doc))
+    try:
+        want = reference_model_from_document(json.loads(doc_path.read_text()))
+    except t.SpaceError as exc:
+        with pytest.raises(t.SpaceError) as got:
+            t.load_model(doc_path)
+        assert str(got.value) == str(exc)
+        return
+    m = t.load_model(doc_path)
+    assert (m.space.point_names, m.space.opens, m.space.masks,
+            m.valuation) == want
+
+
+@pytest.fixture(scope="module")
 def m0_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "m0.json"
     path.write_text(json.dumps(M0_DOC))
@@ -795,13 +819,34 @@ def test_cached_parser_keeps_no_state(m0_file, tmp_path, monkeypatch):
 
 
 def test_internal_error_exits_3(m0_file, monkeypatch, capsys):
-    # A restricted family without the empty set fails the topology check.
-    monkeypatch.setattr(
-        finitemodel, "close_under_union",
-        lambda family: tuple(U for U in t.sort_family(family) if U))
+    # A restricted family without the empty set fails the topology check:
+    # its union closure, of masks, loses the empty mask 0.
+    close = finitemodel.close
+    monkeypatch.setattr(finitemodel, "close",
+                        lambda family, op: close(family, op) - {0})
     assert main(["quotient", m0_file, "A"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and "Traceback" not in err
+
+
+def test_basis_builds_each_plan_once(m0_file, tmp_path, monkeypatch):
+    """Parsed texts are kept, so a second basis command over the same
+    formula file walks the plans that the first one built."""
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(M0_DOC["opens"]))
+    texts = ["K (B & ~A) -> [] (A | L B)", "L [] ~(B & K ~A) & top"]
+    formulas = tmp_path / "formulas.txt"
+    formulas.write_text("\n".join(texts) + "\n")
+    built = []  # texts, as a formula held here would keep its plan
+    subformulas = t.semantics.subformulas
+    monkeypatch.setattr(t.semantics, "subformulas", lambda f: built.append(
+        t.print_formula(f)) or subformulas(f))
+    argv = ["basis", m0_file, str(basis), "--formulas", str(formulas)]
+    assert main(argv) == 0
+    assert set(texts) <= set(built) and len(built) == len(set(built))
+    before = len(built)
+    assert main(argv) == 0
+    assert len(built) == before
 
 
 def test_split_unstable_block_exits_3(m0_file, monkeypatch, capsys):

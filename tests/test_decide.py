@@ -668,6 +668,28 @@ def test_frame_memo_stays_bounded(monkeypatch):
         assert held == _held_frames() == 2 and len(layout) == 4
 
 
+def test_layout_builds_each_frame_once(monkeypatch):
+    """A layout of more packed passes than FRAME_CAP builds the frames it
+    keeps as it lays out its passes, and each other one once, as it is
+    walked: on a first run, one frame per pass."""
+    spaces = list(t.enumerate_topologies(3))
+    b = t.SearchBound(3, ("A",))
+    want = t.axiom_soundness_sweep(b, [7, 11], 3, 5, spaces=spaces)
+    monkeypatch.setattr(t.decide, "FRAME_CAP", 2)
+    monkeypatch.setattr(t.decide, "LANE_CAP", 64)  # 8 spaces a pass
+    built = []
+    new_frame = t.decide._new_frame
+    monkeypatch.setattr(t.decide, "_new_frame",
+                        lambda *args: built.append(args) or new_frame(*args))
+    t.decide._LAYOUTS.clear()
+    assert t.axiom_soundness_sweep(b, [7, 11], 3, 5, spaces=spaces) == want
+    (held, layout), = t.decide._LAYOUTS.values()
+    assert held == 2 and len(layout) == len(built) == 4
+    built.clear()  # a warm run builds the frames that were not kept
+    assert t.axiom_soundness_sweep(b, [7, 11], 3, 5, spaces=spaces) == want
+    assert len(built) == 2
+
+
 def test_boundary_instances_share_atoms_and_are_kept(monkeypatch):
     for sid, names in ((11, ("A",)), (12, ("A", "B", "C"))):
         got_names, instances = _boundary_instances(sid)

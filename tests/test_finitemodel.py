@@ -7,7 +7,7 @@ import topologic as t
 from topologic import Pair, finitemodel
 from conftest import (basis_witness, minimal_neighborhood_basis, not_chain,
                       random_model, reference_basis_equivalent,
-                      reference_check_basis)
+                      reference_check_basis, reference_point_quotient)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -159,6 +159,22 @@ def test_basis_equivalent_disagreements_match_reference(monkeypatch):
         kinds["agree" if got is None else
               "validity" if got.pair is None else "pair"] += 1
     assert min(kinds["agree"], kinds["validity"], kinds["pair"]) >= 10
+
+
+def test_point_quotient_matches_reference():
+    # Every topology on 1 to 4 points, and every subset space on 1 to 3
+    # points with at most 4 opens, under every valuation of one atom.
+    spaces = [*(s for n in range(1, 5) for s in t.enumerate_topologies(n)),
+              *(s for n in range(1, 4) for s in t.enumerate_subset_spaces(n, 4))]
+    for s in spaces:
+        for val in t.enumerate_valuations(len(s.point_names), ["A"]):
+            m = t.make_model(s, val)
+            for atom_list in (["A"], []):
+                q = t.point_quotient(m, atom_list)
+                qs = q.model.space
+                assert (q.point_class, q.open_class, qs.point_names, qs.opens,
+                        qs.masks, q.model.valuation
+                        ) == reference_point_quotient(m, atom_list)
 
 
 def test_point_quotient_m0(m0):

@@ -2,6 +2,8 @@ import copy
 import gc
 import pickle
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -225,6 +227,50 @@ def test_late_callback_keeps_newer_node():
     formula._drop(stale)
     assert formula._nodes[key]() is g
     assert Atom("late_probe") is g
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_interning_is_thread_safe():
+    # Four threads build and free equal nodes, switching as often as the
+    # interpreter allows: a node stays the one its key names while it
+    # lives, and no callback fails.
+    mixed = []
+
+    def churn():
+        for _ in range(3000):
+            for i in range(4):
+                f = Not(Atom(f"P{i}"))
+                if f.arg is not Atom(f"P{i}") or Not(f.arg) is not f:
+                    mixed.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    gc.collect()
+    assert not any(thread.is_alive() for thread in threads) and not mixed
+    for i in range(4):
+        a = Atom(f"P{i}")
+        assert Atom(f"P{i}") is a and formula._nodes[Atom, f"P{i}"]() is a
+
+
+def test_parse_keeps_texts_not_errors():
+    # A repeated text gives the same node; a bad text raises the same
+    # ParseError, at the same position, each time it is parsed.
+    assert t.parse("K A -> [] K A") is t.parse("K A -> [] K A")
+    for text in ("K A ->", "(A & B", "A $ B", "A B", ""):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(t.ParseError) as info:
+                t.parse(text)
+            seen.append((str(info.value), info.value.position))
+        assert seen[0] == seen[1]
 
 
 def test_constructors_check_arity_and_stay_immutable():

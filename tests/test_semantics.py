@@ -498,7 +498,7 @@ def test_search_pass_keeps_only_asked_rows():
             held.append(set(ev._rows))
             return dict.get(self, name)
 
-    for group, lo, count, _ in decide._space_passes(spaces, names):
+    for group, lo, count, _ in decide._space_passes(spaces, names, 0):
         frame = decide._new_frame(group, names, lo, count)  # not kept
         frame.atoms = Atoms(frame.atoms)
         ev = t.Evaluator(frame)
