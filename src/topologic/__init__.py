@@ -7,8 +7,8 @@ from .formula import (Atom, And, Bot, Box, Diamond, Formula, Implies, Knows, L,
                       print_formula, subformulas)
 from .space import (InternalError, Model, PointSet, SpaceError, SubsetSpace,
                     close_under_intersection, close_under_union,
-                    closure_family, generate_topology, heyting_implication,
-                    interior, is_topology, make_model, make_space, sort_family)
+                    heyting_implication, interior, is_topology, make_model,
+                    make_space, sort_family)
 from .semantics import (Evaluator, Pair, SchemeError, extension,
                         find_counterexample, instantiate_axiom, model_valid,
                         pairs_in_order, satisfies)

@@ -110,7 +110,7 @@ def cmd_split(args) -> int:
     all_stable = True
     for psi in order:
         inner = [*filter(set(walk_plan(psi)[0]).__contains__, order), psi]
-        fam = table.slots[psi]
+        fam = table.splittings[psi].slots
         if fam not in shown:
             shown[fam] = listing(fam), [
                 (r, b, f"  block of {label[r]}: {listing(b)}", {}) for r, b in

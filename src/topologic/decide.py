@@ -42,7 +42,7 @@ from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
 from .semantics import (Evaluator, Pair, PassFrame, _ones,
                         instantiate_axiom, scheme_metavars, walk_plan)
 from .space import (InternalError, Model, PointSet, SpaceError,
-                    SubsetSpace, make_model, make_space, space_from_masks,
+                    SubsetSpace, from_mask, make_model, space_from_masks,
                     to_mask)
 
 HARD_POINT_CAP = 5
@@ -88,9 +88,10 @@ def _point_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
-def _subsets_in_order(n: int) -> list[PointSet]:
-    return [frozenset(c) for k in range(n + 1)
-            for c in itertools.combinations(range(n), k)]
+@lru_cache(maxsize=HARD_POINT_CAP)
+def _subsets_in_order(n: int) -> tuple[int, ...]:  # in `set_key` order
+    return tuple([to_mask(c) for k in range(n + 1)
+                  for c in itertools.combinations(range(n), k)])
 
 
 def _preorder_opens(n: int) -> list[list[int]]:
@@ -126,7 +127,7 @@ def _topologies(n: int) -> tuple[SubsetSpace, ...]:
     each family lists its opens in `set_key` order, and the families are
     ordered by those lists.
     """
-    subsets = list(map(to_mask, _subsets_in_order(n)))
+    subsets = _subsets_in_order(n)
     rank = {u: i for i, u in enumerate(subsets)}
     families = sorted(tuple(sorted(rank[O] for O in opens))
                       for opens in _preorder_opens(n))
@@ -174,14 +175,14 @@ def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
     *others, universe = _subsets_in_order(n)  # X comes last
     for k in range(min(max_opens, len(others) + 1)):
         for combo in itertools.combinations(others, k):
-            yield make_space(names, set(combo) | {universe})
+            yield space_from_masks(names, (*combo, universe))
 
 
 def _valuation(n: int, atom_names: Sequence[str], v: int
                ) -> dict[str, PointSet]:
     """The v-th valuation of `enumerate_valuations`."""
     subsets, k = _subsets_in_order(n), len(atom_names)
-    return {a: subsets[v >> n * (k - 1 - i) & (1 << n) - 1]
+    return {a: from_mask(subsets[v >> n * (k - 1 - i) & (1 << n) - 1])
             for i, a in enumerate(atom_names)}
 
 
@@ -204,7 +205,7 @@ def _atom_rows(n: int, k: int, lo: int, count: int, w: int
     index, a digit of v, stays put for `run` lanes and cycles through all
     2**n subsets every `period` lanes, so a row is at most 2**n + 1 runs,
     then copies of that period.  A 4-atom search to 4 points asks for 19."""
-    subsets = list(map(to_mask, _subsets_in_order(n)))
+    subsets = _subsets_in_order(n)
     rows = []
     for i in range(k):
         run = 1 << n * (k - 1 - i)

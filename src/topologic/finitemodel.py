@@ -35,9 +35,9 @@ def _check_basis(m: Model, basis: Sequence[PointSet]) -> None:
         raise SpaceError("basis is not closed under union")
     # The union of the members inside an open is itself a member, so a
     # union-closed basis generates a nonempty open iff the open is a member.
-    for U, u in zip(m.space.opens, m.space.masks):
+    for u in m.space.masks:
         if u and u not in members:
-            raise SpaceError(f"basis does not generate the open {format_set(U, names)}")
+            raise SpaceError(f"basis does not generate the open {format_set(from_mask(u), names)}")
 
 
 @dataclass
@@ -67,14 +67,14 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
                       {a: to_mask(S) * (1 | 1 << w)
                        for a, S in m.valuation.items()})
     ev = Evaluator(frame)
-    slots = [(frame.index[U], U) for U in bspace.opens]
+    slots = [frame.slots.index(u) for u in bspace.masks]
     for f in formulas:
         row = ev.row(f)
-        for i, U in slots:
+        for i in slots:
             differ = (row[i] ^ row[i] >> w) & (1 << w - 1) - 1
             if differ:
                 least = (differ & -differ).bit_length() - 1
-                return BasisCounterexample(f, Pair(least, U))
+                return BasisCounterexample(f, Pair(least, from_mask(frame.slots[i])))
         if len([lane for lane, _ in ev.hits(f, False)]) == 1:
             return BasisCounterexample(f, None)
     return None
@@ -106,7 +106,8 @@ def point_quotient(m: Model, atom_list: Iterable[str]) -> QuotientMap:
     profiles: dict[tuple, int] = {}
     point_class = dict(enumerate([profiles.setdefault(p, len(profiles))
                                   for p in zip(*digits)]))
-    images = [to_mask({point_class[x] for x in U}) for U in s.opens]
+    images = [to_mask({c for x, c in point_class.items() if u >> x & 1})
+              for u in s.masks]
     qspace = space_from_masks([f"c{i}" for i in range(len(profiles))], images)
     open_class = {U: from_mask(u) for U, u in zip(s.opens, images)}
     # Class members agree on every atom: the profile contains the atoms.
@@ -135,9 +136,8 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     """
     if not is_topology(m.space):
         raise SpaceError("extract_finite_model requires a topology")
-    table, masks = build_splitting(m, f), m.space.masks
     restricted_space = space_from_masks(m.space.point_names, close(
-        [0, *[masks[i] for i in table.slots[f]]], or_))
+        [0, *build_splitting(m, f).splittings[f].masks], or_))
     # Union closure of an intersection-closed family of opens stays
     # intersection-closed (the open-set lattice is distributive).
     if not is_topology(restricted_space):

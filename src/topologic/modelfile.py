@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .space import (Model, SpaceError, from_mask, make_model, sort_family,
-                    space_from_masks)
+from .formula import is_atom_name
+from .space import Model, SpaceError, from_mask, make_model, space_from_masks
 
 
 def model_from_document(doc: dict) -> Model:
@@ -47,6 +47,9 @@ def model_from_document(doc: dict) -> Model:
     opens = [to_mask(raw, "each open") for raw in doc["opens"]]
     if not isinstance(doc["valuation"], dict):
         raise SpaceError("'valuation' must be a map from atoms to point lists")
+    for atom in doc["valuation"]:
+        if not is_atom_name(atom):
+            raise SpaceError(f"valuation: {atom!r} is not an atom name")
     valuation = {atom: from_mask(to_mask(raw, f"valuation of {atom!r}"))
                  for atom, raw in doc["valuation"].items()}
     return make_model(space_from_masks(points, opens), valuation)
@@ -56,8 +59,8 @@ def model_to_document(m: Model) -> dict:
     names = m.space.point_names
     return {
         "points": list(names),
-        "opens": [[names[i] for i in sorted(U)]
-                  for U in sort_family(m.space.opens)],
+        "opens": [[x for i, x in enumerate(names) if u >> i & 1]
+                  for u in m.space.masks],
         "valuation": {atom: [names[i] for i in sorted(s)]
                       for atom, s in sorted(m.valuation.items())},
     }

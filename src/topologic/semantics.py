@@ -11,7 +11,7 @@ A row can carry many models side by side, one lane each: the valuations
 of one or more spaces.  With n the most points of a space, each lane is
 n + 1 bits wide: bit l*(n+1) + x is point x in lane l, a lane's bits past
 its space's points are 0, and the top bit is a guard that stays 0.  A
-row's slots are the spaces' opens merged in `sort_family` order, and a
+row's slots are the spaces' open masks merged in `set_key` order, and a
 slot's mask holds its points in the lanes of each space that has it as an
 open and 0 in the others.  So `~`, `&` and atoms are the one-lane bit
 operations unchanged, and so is `[]`, which ORs each slot's misses with
@@ -26,10 +26,12 @@ is read off in one scan.
 
 What a pass fixes before any formula is its `PassFrame`: the slots and
 their masks over the lanes, `K`'s per-lane constants, the atoms' rows, and,
-built at first use, each open's slot, the slot order of `hits` and the
-covers of `[]`.  An evaluator owns only its rows (see `Evaluator`);
-a search pass walks each formula's plan in `_PLANS`, which drops each
-operand's row right after its last parent: a wide pass holds few rows.
+built at first use, the slot order of `hits`, the covers of `[]` and, for
+the frozenset methods only, the slots' point sets and each one's slot: a
+search makes no point set but its witness's.  An evaluator owns only its
+rows (see `Evaluator`); a search pass walks each formula's plan in
+`_PLANS`, which drops each operand's row right after its last parent: a
+wide pass holds few rows.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -45,8 +47,8 @@ from weakref import WeakKeyDictionary
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
                       post_order, subformulas)
-from .space import (Model, PointSet, SpaceError, SubsetSpace, sort_family,
-                    to_mask)
+from .space import (Model, PointSet, SpaceError, SubsetSpace, from_mask,
+                    sort_masks, to_mask)
 
 
 @dataclass(frozen=True)
@@ -91,28 +93,25 @@ class PassFrame:
         self.width = w = n + 1
         ones = _ones(sum(lanes), w)  # bit 0 of each lane
         self.fill, self.guard = ones * ((1 << n) - 1), ones << n
-        if len(spaces) == 1:
-            self.opens, self.slots = spaces[0].opens, spaces[0].masks
-            # One lane: the space's own masks, no copy.
-            self.masks = (self.slots if ones == 1
-                          else [u * ones for u in self.slots])
-        else:
-            slot = {U: u for s in spaces for U, u in zip(s.opens, s.masks)}
-            self.opens = sort_family(slot)
-            self.slots = [slot[U] for U in self.opens]
-            # own[U]: bit 0 of each lane of the spaces that have U as open.
-            own, first = dict.fromkeys(self.opens, 0), 0
-            for s, count in zip(spaces, lanes):
-                block = _ones(count, w) << first * w
-                for U in s.opens:
-                    own[U] |= block
-                first += count
-            self.masks = [u * o for u, o in zip(self.slots, own.values())]
+        # own[u]: bit 0 of each lane of the spaces that have u as open.
+        own, first = {}, 0
+        for s, count in zip(spaces, lanes):
+            block = _ones(count, w) << first * w
+            for u in s.masks:
+                own[u] = own.get(u, 0) | block
+            first += count
+        self.slots = sort_masks(own, n)
+        self.masks = [u * own[u] for u in self.slots]
         self.atoms = atoms
 
     @cached_property
+    def opens(self) -> tuple[PointSet, ...]:
+        """The slots' point sets, which searches never read."""
+        return tuple(map(from_mask, self.slots))
+
+    @cached_property
     def index(self) -> dict[PointSet, int]:
-        """Each open's slot; searches, which read rows whole, never ask."""
+        """Each open's slot."""
         return {U: i for i, U in enumerate(self.opens)}
 
     @cached_property
@@ -135,7 +134,8 @@ class PassFrame:
     @cached_property
     def order(self) -> list[int]:
         """The slots largest open first, as `pairs_in_order` takes them."""
-        return sorted(range(len(self.opens)), key=lambda i: -len(self.opens[i]))
+        return sorted(range(len(self.slots)),
+                      key=lambda i: -self.slots[i].bit_count())
 
 
 class Evaluator:
@@ -290,7 +290,7 @@ class Evaluator:
                 bits = read(data[i:i + span], "little") >> shift & points
                 if bits:
                     yield lane, Pair((bits & -bits).bit_length() - 1,
-                                     fr.opens[order[k]])
+                                     from_mask(fr.slots[order[k]]))
                     break
             lane += 1
 
@@ -349,16 +349,14 @@ def extension(m: Model, U: PointSet, f: Formula) -> PointSet:
     return Evaluator(m).extension(U, f)
 
 
-def find_counterexample(m: Model, f: Formula,
-                        evaluator: Evaluator | None = None) -> Pair | None:
+def find_counterexample(m: Model, f: Formula) -> Pair | None:
     """Least falsifying pair in the deterministic order, or None."""
-    return (evaluator or Evaluator(m)).first_pair(f, False)
+    return Evaluator(m).first_pair(f, False)
 
 
-def model_valid(m: Model, f: Formula,
-                evaluator: Evaluator | None = None) -> bool:
+def model_valid(m: Model, f: Formula) -> bool:
     """True iff f holds at every pair of the model."""
-    return find_counterexample(m, f, evaluator) is None
+    return find_counterexample(m, f) is None
 
 
 class SchemeError(SpaceError):

@@ -1,35 +1,28 @@
 """Finite subset spaces and topologies as explicit set families.
 
-Points are indices into a name table; point sets are frozensets of
-indices, so equality is structural.  Wherever a deterministic iteration
-order is needed, families are sorted by (cardinality, sorted members).
-
-Frozensets are what the library takes, returns, saves and prints.  Inside,
-a space keeps each open's int bitmask (bit x for point x) in `masks`, read
-by `is_closed`, `interior_mask`, the splittings and the evaluator, whose
-rows also give block stability (`Evaluator.stable`, over a block's slots).
-Model files, quotients, restricted and basis spaces and the labeled
-topologies build their spaces from masks (`space_from_masks`, each open's
-frozenset made once, by `from_mask`); `make_space` takes frozensets.
-`interior_mask` is the one interior: `interior` and `heyting_implication`
-wrap it for frozensets.  Families are closed and checked here only: `close`
-closes frozensets or masks under & or | in one pass, as both are
-associative, commutative and idempotent; `closure_family` runs a worklist;
-`is_closed` is the one closure check, for a space's closure flags (computed
-when `is_topology` first reads them), `make_splitting` and bases.
+Points are indices into a name table.  Inside the library a point set is
+an int bitmask, bit x for point x: a space stores only its open masks, in
+`set_key` order (by cardinality, then sorted members), and its equality
+and hash go over its point names and masks.  Frozensets of indices are
+what the library takes, returns, saves and prints: a space's `opens` is a
+view of its masks, made by `from_mask` on first read, which no search
+does.  `space_from_masks` builds every space, `make_space` from
+frozensets.  `interior_mask` is the one interior.  Families are closed and
+checked here only: `close` closes frozensets or masks under & or | in one
+pass, as both are associative, commutative and idempotent; `is_closed` is
+the one closure check, for a space's closure flags (computed when
+`is_topology` first reads them), `make_splitting` and bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, starmap
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 PointSet = frozenset[int]
-
-EMPTY: PointSet = frozenset()
 
 
 class SpaceError(ValueError):
@@ -70,18 +63,20 @@ def format_family(family: Iterable[PointSet], names: tuple[str, ...]) -> str:
 
 @dataclass(frozen=True)
 class SubsetSpace:
-    """A pair (X, opens) with X a finite point set and X itself open;
-    `space_from_masks` lists the opens in `sort_family` order, and
-    `masks[i]` is the bitmask of `opens[i]`.  The closure flags are
-    computed when first read, as only `is_topology` reads them."""
+    """A pair (X, opens) with X a finite point set and X itself open, its
+    opens stored as masks in `set_key` order (see `space_from_masks`).
+    `opens` and the closure flags are computed when first read."""
 
     point_names: tuple[str, ...]
-    opens: tuple[PointSet, ...]
-    masks: tuple[int, ...] = field(compare=False, repr=False)
+    masks: tuple[int, ...]
 
     @property
     def universe(self) -> PointSet:
         return frozenset(range(len(self.point_names)))
+
+    @cached_property
+    def opens(self) -> tuple[PointSet, ...]:
+        return tuple(map(from_mask, self.masks))
 
     @cached_property
     def is_intersection_closed(self) -> bool:
@@ -109,20 +104,25 @@ def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetS
     return space_from_masks(names, map(mask, opens))  # names checked first
 
 
+def sort_masks(masks: Iterable[int], n: int) -> list[int]:
+    """The distinct masks below 2**n in `set_key` order: by size, then by
+    complement as a string of binary digits, least significant first."""
+    X = (1 << n) - 1
+    return sorted(set(masks), key=lambda u: (u.bit_count(), bin(X ^ u)[:1:-1]))
+
+
 def space_from_masks(point_names: Iterable[str], masks: Iterable[int]) -> SubsetSpace:
     """The space on the named points with opens of the given masks, each
-    below 2**n.  `set_key` order is by size, then by complement, read as a
-    string of binary digits, least significant first."""
+    below 2**n, sorted by `sort_masks`."""
     names = tuple(point_names)
     if not names:
         raise SpaceError("a space needs at least one point")
     if len(set(names)) != len(names):
         raise SpaceError("duplicate point names")
-    X = (1 << len(names)) - 1
-    order = sorted(set(masks), key=lambda u: (u.bit_count(), bin(X ^ u)[:1:-1]))
-    if not order or order[-1] != X:  # X is the one open of n points
+    order = sort_masks(masks, len(names))
+    if not order or order[-1] != (1 << len(names)) - 1:  # X has n points
         raise SpaceError("the full point set X must be open")
-    return SubsetSpace(names, tuple([from_mask(u) for u in order]), tuple(order))
+    return SubsetSpace(names, tuple(order))
 
 
 def is_closed(masks: Sequence[int], members: set[int], op: Callable) -> bool:
@@ -133,24 +133,9 @@ def is_closed(masks: Sequence[int], members: set[int], op: Callable) -> bool:
 def is_topology(s: SubsetSpace) -> bool:
     """True iff opens contain both X and the empty set and are closed
     under pairwise intersection and union."""
-    return (EMPTY in s.opens
+    return (s.masks[0] == 0
             and s.is_intersection_closed
             and s.is_union_closed)
-
-
-def generate_topology(subbasis: Iterable[PointSet],
-                      point_names: Iterable[str]) -> SubsetSpace:
-    """Least topology on the named points containing every subbasis set."""
-    names = tuple(point_names)
-    universe = frozenset(range(len(names)))
-    family = {EMPTY, universe}
-    for raw in subbasis:
-        s = frozenset(raw)
-        if not s <= universe:
-            raise SpaceError(f"subbasis set {sorted(s)} has out-of-range points")
-        family.add(s)
-    # Still intersection-closed: the opens form a distributive lattice.
-    return make_space(names, close_under_union(close_under_intersection(family)))
 
 
 def interior_mask(masks: Iterable[int], outside: int) -> int:
@@ -165,10 +150,12 @@ def interior_mask(masks: Iterable[int], outside: int) -> int:
 
 def interior(s: SubsetSpace, S: PointSet) -> PointSet:
     """Union of all opens contained in S, itself an open.  Requires a
-    topology."""
+    topology, and S a set of its points."""
     if not is_topology(s):
         raise SpaceError("interior requires a topology")
-    return s.opens[s.masks.index(interior_mask(s.masks, ~to_mask(S)))]
+    if not s.universe.issuperset(S):
+        raise SpaceError(f"{sorted(S)} has points outside the space")
+    return from_mask(interior_mask(s.masks, ~to_mask(S)))
 
 
 def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
@@ -177,7 +164,7 @@ def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
         raise SpaceError("Heyting implication requires a topology")
     if U not in s.opens or W not in s.opens:
         raise SpaceError("Heyting implication arguments must be open")
-    return s.opens[s.masks.index(interior_mask(s.masks, to_mask(U - W)))]
+    return from_mask(interior_mask(s.masks, to_mask(U - W)))
 
 
 def close(family: Iterable, op: Callable) -> set:
@@ -229,25 +216,3 @@ def make_model(space: SubsetSpace, valuation: Mapping[str, PointSet]) -> Model:
             raise SpaceError(f"valuation of {name!r} has out-of-range points")
         val[name] = s
     return Model(space, val)
-
-
-def closure_family(m: Model, atom_list: Iterable[str]
-                   ) -> tuple[tuple[PointSet, ...], tuple[PointSet, ...]]:
-    """The least family containing every i(A), X and the empty set, closed
-    under complement, pairwise intersection and interior.
-
-    Returns the family together with its open part (the set of interiors).
-    """
-    s = m.space
-    if not is_topology(s):
-        raise SpaceError("closure_family requires a topology")
-    universe = s.universe
-    family = {universe, EMPTY, *map(m.atom_set, atom_list)}
-    todo = list(family)
-    while todo:  # each member is popped once, and meets every other then
-        a = todo.pop()
-        for b in (universe - a, interior(s, a), *(a & c for c in family)):
-            if b not in family:
-                family.add(b)
-                todo.append(b)
-    return sort_family(family), sort_family(interior(s, a) for a in family)

@@ -8,40 +8,43 @@ block is stable: the truth value at a point is constant across the block
 members containing that point.  `build_splitting` performs that
 refinement inductively for a formula and all its subformulas.
 
-Inside, families are the masks of their members, and a block is the
-slots (indices into the space's opens) of its members: `build_splitting`
-and `remainder_blocks` build no frozenset but `Splitting.family`.
+A splitting is stored once, as its slots: its members' indices, ascending,
+among the space's open masks.  Its `family` of frozensets is a view made
+when read: `build_splitting` and `remainder_blocks` build no frozenset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import and_
 from typing import Iterable, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
 from .space import (Model, PointSet, SpaceError, SubsetSpace, close,
-                    interior_mask, is_closed, is_topology, sort_family,
-                    to_mask)
+                    from_mask, interior_mask, is_closed, is_topology,
+                    sort_family, to_mask)
 from .semantics import Evaluator
 
 
 @dataclass(frozen=True)
 class Splitting:
-    """An intersection-closed family of opens inside an ambient space.
+    """An intersection-closed family of opens inside an ambient space, as
+    the slots of its members, ascending, which is `sort_family` order.
 
     Build one from a caller's family with `make_splitting`, which checks
     both conditions.
     """
 
-    family: tuple[PointSet, ...]
+    slots: tuple[int, ...]
     space: SubsetSpace
 
-    @cached_property
-    def _by_mask(self) -> dict[int, PointSet]:
-        """The family members by bitmask, in family order."""
-        return {to_mask(U): U for U in self.family}
+    @property
+    def masks(self) -> list[int]:
+        return [self.space.masks[i] for i in self.slots]
+
+    @property
+    def family(self) -> tuple[PointSet, ...]:
+        return tuple(map(from_mask, self.masks))
 
 
 def _least_above(fam: Iterable[int], v: int) -> int:
@@ -55,24 +58,23 @@ def _least_above(fam: Iterable[int], v: int) -> int:
 
 
 def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
-    fam = sort_family(family)
-    for U in fam:
+    slots = []
+    for U in sort_family(family):
         if U not in space.opens:
             raise SpaceError(f"{sorted(U)} is not an open of the space")
-    masks = tuple(map(to_mask, fam))
-    if not is_closed(masks, set(masks), and_):
+        slots.append(space.opens.index(U))
+    sp = Splitting(tuple(slots), space)
+    if not is_closed(sp.masks, set(sp.masks), and_):
         raise SpaceError("splitting family is not intersection-closed")
-    return Splitting(fam, space)
+    return sp
 
 
 def classify(s: Splitting, V: PointSet) -> PointSet:
     """The least family member above V; V lies in its remainder."""
-    rep = _least_above(s._by_mask, to_mask(V))
+    rep = _least_above(s.masks, to_mask(V))
     if rep == -1:
         raise SpaceError(f"{sorted(V)} is below no member of the splitting")
-    # The meet is a member when the family is intersection-closed.
-    return s._by_mask.get(rep) or frozenset(
-        x for x in s.space.universe if rep >> x & 1)
+    return from_mask(rep)  # a member when the family is intersection-closed
 
 
 def remainder_blocks(masks: Sequence[int], family: Sequence[int]
@@ -94,7 +96,7 @@ def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
     member's block, in family order."""
     opens = s.space.opens
     return {U: frozenset([opens[i] for i in b]) for U, b in zip(
-        s.family, remainder_blocks(s.space.masks, tuple(s._by_mask)))}
+        s.family, remainder_blocks(s.space.masks, s.masks))}
 
 
 def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
@@ -107,12 +109,11 @@ def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
 
 @dataclass
 class SplittingTable:
-    """Stable splittings, and their families' slots, ascending, per
-    subformula in post-order (the formula last), and their evaluator."""
+    """Stable splittings per subformula in post-order (the formula last),
+    and their evaluator."""
 
     splittings: dict[Formula, Splitting]
     evaluator: Evaluator
-    slots: dict[Formula, tuple[int, ...]]
 
 
 def build_splitting(m: Model, f: Formula) -> SplittingTable:
@@ -123,44 +124,41 @@ def build_splitting(m: Model, f: Formula) -> SplittingTable:
     union; K adds the interior of the operand's extension at each member
     when it falls inside that member's remainder; [] adds all Heyting
     implications among the operand's family members.  The families are
-    built as masks of opens, ordered by slot, which is `sort_family` order.
+    built as masks of opens and stored as their slots.
     """
     s = m.space
     if not is_topology(s):
         raise SpaceError("build_splitting requires a topology")
     ev = Evaluator(m)
-    opens, masks = s.opens, s.masks
+    masks = s.masks
     slot = {u: i for i, u in enumerate(masks)}  # every member is an open
-    fams: dict[Formula, list[int]] = {}  # each family's masks, by slot
     splittings: dict[Formula, Splitting] = {}
-    slots: dict[Formula, tuple[int, ...]] = {}
     for psi in subformulas(f):
         match psi:
             case Not(x):
-                fams[psi], slots[psi] = fams[x], slots[x]
-                splittings[psi] = Splitting(splittings[x].family, s)
+                splittings[psi] = splittings[x]
                 continue
             case Atom(_) | Top() | Bot():
                 new: Iterable[int] = (masks[-1], 0)
             case And(a, b):
-                new = (*fams[a], *fams[b])
+                new = (*splittings[a].masks, *splittings[b].masks)
             case Knows(x):
-                sub, row = fams[x], ev.row(x)
+                sp, row = splittings[x], ev.row(x)
+                sub = sp.masks
                 new = [*sub]
-                for u in sub:
+                for i, u in zip(sp.slots, sub):
                     # The interior of x's extension at u, which lies in u's
                     # remainder iff u is the least member above it.
-                    w = interior_mask(masks, ~row[slot[u]])
+                    w = interior_mask(masks, ~row[i])
                     if _least_above(sub, w) == u:
                         new.append(w)
             case Box(x):
-                sub = fams[x]
+                sub = splittings[x].masks
                 new = (*sub, *(interior_mask(masks, u & ~v)
                                for u in sub for v in sub))
             case _:
                 raise TypeError(f"not a formula: {psi!r}")
-        # Sorted opens, intersection-closed by construction: no check needed.
-        slots[psi] = ours = tuple(sorted([slot[u] for u in close(new, and_)]))
-        fams[psi] = [masks[i] for i in ours]
-        splittings[psi] = Splitting(tuple([opens[i] for i in ours]), s)
-    return SplittingTable(splittings, ev, slots)
+        # Intersection-closed by construction: no check needed.
+        splittings[psi] = Splitting(
+            tuple(sorted([slot[u] for u in close(new, and_)])), s)
+    return SplittingTable(splittings, ev)

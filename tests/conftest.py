@@ -27,12 +27,27 @@ def m0(m0_space):
     return t.make_model(m0_space, {"A": F({0}), "B": F({0, 1})})
 
 
+def generate_topology(subbasis, point_names) -> t.SubsetSpace:
+    """Least topology on the named points containing every subbasis set."""
+    names = tuple(point_names)
+    universe = F(range(len(names)))
+    family = {F(), universe}
+    for raw in subbasis:
+        s = F(raw)
+        if not s <= universe:
+            raise t.SpaceError(f"subbasis set {sorted(s)} has out-of-range points")
+        family.add(s)
+    # Still intersection-closed: the opens form a distributive lattice.
+    return t.make_space(
+        names, t.close_under_union(t.close_under_intersection(family)))
+
+
 def random_topology(rng: random.Random, n: int) -> t.SubsetSpace:
     names = [f"x{i}" for i in range(n)]
     k = rng.randint(0, 4)
     subbasis = [frozenset(i for i in range(n) if rng.random() < 0.5)
                 for _ in range(k)]
-    return t.generate_topology(subbasis, names)
+    return generate_topology(subbasis, names)
 
 
 def random_model(rng: random.Random, n: int, atom_names=("A", "B")) -> t.Model:
@@ -419,7 +434,7 @@ def reference_build_splitting(m: t.Model, f: Formula) -> dict:
             case And(a, b):
                 fam = reference_close_under_intersection(fams[a] + fams[b])
             case Knows(x):
-                sub = t.Splitting(fams[x], s)
+                sub = t.Splitting(tuple(map(s.opens.index, fams[x])), s)
                 extra = []
                 for U in sub.family:
                     W = reference_interior(s, t.extension(m, U, x))
@@ -448,7 +463,8 @@ def reference_basis_equivalent(m: t.Model, basis, formulas):
             if differ:
                 least = (differ & -differ).bit_length() - 1
                 return BasisCounterexample(f, t.Pair(least, U))
-        if t.model_valid(m, f, ev_t) != t.model_valid(mb, f, ev_b):
+        if ((ev_t.first_pair(f, False) is None)
+                != (ev_b.first_pair(f, False) is None)):
             return BasisCounterexample(f, None)
     return None
 
@@ -651,6 +667,10 @@ def reference_model_from_document(doc: dict) -> tuple:
     opens = [to_set(raw, "each open") for raw in doc["opens"]]
     if not isinstance(doc["valuation"], dict):
         raise t.SpaceError("'valuation' must be a map from atoms to point lists")
+    for atom in doc["valuation"]:
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", atom) or atom in (
+                "K", "L"):
+            raise t.SpaceError(f"valuation: {atom!r} is not an atom name")
     valuation = {atom: to_set(raw, f"valuation of {atom!r}")
                  for atom, raw in doc["valuation"].items()}
     names = tuple(points)

@@ -11,7 +11,8 @@ from collections import Counter
 import topologic as t
 from topologic import Pair
 from conftest import (basis_witness, down, enumerate_closed_families,
-                      fast_satisfies, minimal_neighborhood_basis, random_model)
+                      fast_satisfies, minimal_neighborhood_basis, random_model,
+                      reference_closure_family)
 
 F = frozenset
 
@@ -45,7 +46,7 @@ def test_criterion_2_partition_theorem_suite():
         m = random_model(rng, n)
         f = t.random_formula(rng, ["A", "B"], 4)
         table = t.build_splitting(m, f)
-        fam_m, open_part = t.closure_family(m, sorted(t.atoms(f)))
+        fam_m, open_part = reference_closure_family(m, sorted(t.atoms(f)))
         fam_m, open_part = set(fam_m), set(open_part)
         ev = t.Evaluator(m)
         opens = set(m.space.opens)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import topologic as t
 from topologic import cli, finitemodel
 from topologic.cli import main
-from conftest import FORMULA_TEXT, reference_model_from_document
+from conftest import (FORMULA_TEXT, generate_topology,
+                      reference_model_from_document)
 
 F = frozenset
 
@@ -275,7 +276,7 @@ def _golden_model(rng: random.Random, n: int) -> t.Model:
                 for _ in range(rng.randint(2, 5))]
     valuation = {a: F(i for i in range(n) if rng.random() < 0.5)
                  for a in ("A", "B")}
-    return t.make_model(t.generate_topology(subbasis, names), valuation)
+    return t.make_model(generate_topology(subbasis, names), valuation)
 
 
 def _golden_formula(rng: random.Random) -> t.Formula:
@@ -611,6 +612,9 @@ def test_axioms_model_file_above_cap(tmp_path, capsys):
     ["check", "BINARY", "A"],
     ["check", "NO_POINTS", "A"],
     ["axioms", "--enumerate", "0"],
+    ["check", "ATOM_K", "A"],
+    ["axioms", "ATOM_SPACE", "--trials", "2", "--schemes", "7"],
+    ["basis", "ATOM_EMPTY", "OPENS"],
 ])
 def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
     """Bad numbers, vacuous requests and malformed files exit 2."""
@@ -624,6 +628,10 @@ def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
                                            "valuation": {"A": [["x0"]]}}),
         "NO_POINTS": json.dumps({"points": [], "opens": [[]],
                                  "valuation": {"A": []}}),
+        # Valuations naming what the parser cannot read as an atom.
+        "ATOM_K": json.dumps({**M0_DOC, "valuation": {"K": ["x0"]}}),
+        "ATOM_SPACE": json.dumps({**M0_DOC, "valuation": {"A B": ["x0"]}}),
+        "ATOM_EMPTY": json.dumps({**M0_DOC, "valuation": {"": []}}),
     }
     files = {"M0": m0_file, "DIRECTORY": str(tmp_path)}
     for key, text in texts.items():

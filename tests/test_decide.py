@@ -703,6 +703,59 @@ def test_boundary_instances_share_atoms_and_are_kept(monkeypatch):
         t.find_subset_space_countermodel(7, t.SearchBound(1, ()))
 
 
+def _cold_search_memos():
+    """Empty the memos of spaces and pass layouts, as in a new process."""
+    for memo in (t.decide._topologies, t.decide._representatives,
+                 t.decide._subset_spaces):
+        memo.cache_clear()
+    t.decide._LAYOUTS.clear()
+
+
+def test_cold_searches_make_no_views():
+    """Cold searches read masks only: no space that a full scan to 4
+    points or a boundary search scans, and no frame they keep, makes its
+    frozenset view, though each search ends with a hit or a verdict."""
+    _cold_search_memos()
+    verdict = t.decide_valid(t.parse("K A -> A"), t.SearchBound(4, ("A",)))
+    assert verdict.kind is t.VerdictKind.VALID_WITHIN_BOUND
+    assert t.find_subset_space_countermodel(
+        11, t.SearchBound(3, ())) is not None
+    spaces = [s for n in range(1, 5) for s in t.decide._topologies(n)]
+    spaces += [s for n in range(1, 4) for s in _subset_spaces(n, 4)]
+    frames = [frame for _, layout in t.decide._LAYOUTS.values()
+              for *_, frame in layout if frame is not None]
+    assert len(spaces) == 1 + 4 + 29 + 355 + 2 + 8 + 64 and frames
+    assert not [s for s in spaces if "opens" in vars(s)]
+    assert not [f for f in frames if {"opens", "index"} & vars(f).keys()]
+
+
+@pytest.mark.parametrize("search", [
+    lambda: t.decide_valid(t.parse("A -> K A"), t.SearchBound(3, ("A",))),
+    lambda: t.decide_sat(t.parse("A & ~K A"), t.SearchBound(4, ("A", "B"))),
+    lambda: t.find_subset_space_countermodel(11, t.SearchBound(3, ())),
+])
+def test_search_with_hit_makes_only_its_witness_point_sets(monkeypatch,
+                                                          search):
+    """A cold search with a hit makes the point sets of its witness only:
+    the pair's open and the valuation of its model.  Each of the boundary
+    search's three instances makes the pair of its first hit, which here
+    is at the witness's open."""
+    made = []
+    real = t.space.from_mask
+    for module in (t.space, t.semantics, t.decide):
+        monkeypatch.setattr(module, "from_mask",
+                            lambda u: made.append(u) or real(u))
+    _cold_search_memos()
+    hit = search()
+    model, pair = (hit.model, hit.pair) if isinstance(hit, t.Verdict) else (
+        hit[0], hit[2])
+    assert pair is not None
+    witness = [t.space.to_mask(S) for S in (pair.open,
+                                            *model.valuation.values())]
+    assert set(made) == set(witness)
+    assert len(made) == len(witness) + (2 if isinstance(hit, tuple) else 0)
+
+
 def test_subset_spaces_memo():
     for n, max_opens in ((1, 4), (2, 2), (3, 4)):
         spaces = _subset_spaces(n, max_opens)

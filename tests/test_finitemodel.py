@@ -5,7 +5,8 @@ import pytest
 
 import topologic as t
 from topologic import Pair, finitemodel
-from conftest import (basis_witness, minimal_neighborhood_basis, not_chain,
+from conftest import (basis_witness, generate_topology,
+                      minimal_neighborhood_basis, not_chain,
                       random_model, reference_basis_equivalent,
                       reference_check_basis, reference_point_quotient)
 
@@ -187,7 +188,7 @@ def test_point_quotient_m0(m0):
 
 
 def test_point_quotient_indiscrete():
-    s = t.generate_topology([], ["x0", "x1", "x2", "x3"])
+    s = generate_topology([], ["x0", "x1", "x2", "x3"])
     m = t.make_model(s, {"A": F({0})})
     qm = t.point_quotient(m, ["A"])
     assert len(set(qm.point_class.values())) == 2

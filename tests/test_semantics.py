@@ -69,6 +69,24 @@ def test_evaluator_rejects_mismatched_lanes(m0):
             t.Evaluator(*args)
 
 
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_one_space_frame_keeps_the_space_layout(lanes):
+    """A frame over one space has the space's masks as its slots, in its
+    order, each mask repeated in every lane, and reads the slots in
+    `pairs_in_order` order, largest open first."""
+    spaces = [s for n in range(1, 5) for s in t.decide._topologies(n)]
+    spaces += t.decide._subset_spaces(3, 3)
+    for s in spaces:
+        w = len(s.point_names) + 1
+        frame = PassFrame([s], [lanes], {})
+        assert list(frame.slots) == list(s.masks)
+        assert list(frame.masks) == [
+            sum(u << lane * w for lane in range(lanes)) for u in s.masks]
+        assert frame.order == sorted(range(len(s.opens)),
+                                     key=lambda i: -len(s.opens[i]))
+        assert frame.opens == s.opens
+
+
 @pytest.mark.parametrize("names", [["A"], ["A", "B"]])
 def test_frame_pads_lanes_to_widest_space(names):
     """A frame over spaces of 1 to 4 points gives every lane the widest
@@ -147,7 +165,7 @@ def test_evaluator_matches_reference():
                 for g in t.subformulas(f):
                     for U in m.space.opens:
                         assert ev.extension(U, g) == ref.extension(U, g)
-                assert t.find_counterexample(m, f, ev) == ref.find_counterexample(f)
+                assert ev.first_pair(f, False) == ref.find_counterexample(f)
                 assert ev.first_pair(f, True) == next(
                     (p for p in t.pairs_in_order(m) if ref.satisfies(p, f)), None)
 
@@ -165,7 +183,7 @@ def test_deep_chain_closed_form(m0, blocks):
     odd = blocks % 2 == 1
     for U in m0.space.opens:
         assert ev.extension(U, f) == (F() if odd else U)
-    assert t.find_counterexample(m0, f, ev) == (Pair(0, X) if odd else None)
+    assert ev.first_pair(f, False) == (Pair(0, X) if odd else None)
 
 
 def test_model_valid_axiom7_instance(m0):

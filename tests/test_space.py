@@ -3,7 +3,9 @@ import random
 import pytest
 
 import topologic as t
-from conftest import (random_model, random_topology, reference_closure_family,
+from topologic.space import from_mask, space_from_masks
+from conftest import (generate_topology, random_model, random_topology,
+                      reference_closure_family,
                       reference_close_under_intersection,
                       reference_close_under_union, reference_closure_flags,
                       reference_interior)
@@ -52,18 +54,18 @@ def test_is_topology_indiscrete():
 
 
 def test_generate_topology_two_sets():
-    s = t.generate_topology([F({0, 1}), F({0, 2})], ["x0", "x1", "x2"])
+    s = generate_topology([F({0, 1}), F({0, 2})], ["x0", "x1", "x2"])
     assert set(s.opens) == {F(), F({0}), F({0, 1}), F({0, 2}), X}
     assert t.is_topology(s)
 
 
 def test_generate_topology_empty_subbasis():
-    s = t.generate_topology([], ["x0", "x1"])
+    s = generate_topology([], ["x0", "x1"])
     assert set(s.opens) == {F(), F({0, 1})}
 
 
 def test_generate_topology_discrete():
-    s = t.generate_topology([F({i}) for i in range(3)], ["x0", "x1", "x2"])
+    s = generate_topology([F({i}) for i in range(3)], ["x0", "x1", "x2"])
     assert len(s.opens) == 8
 
 
@@ -142,21 +144,21 @@ def test_close_under_intersection_idempotent_extensive():
 
 
 def test_closure_family_m0(m0):
-    fam, open_part = t.closure_family(m0, ["A"])
+    fam, open_part = reference_closure_family(m0, ["A"])
     assert {F(), F({0}), F({1, 2}), X} <= set(fam)
     assert set(open_part) == {F(), F({0}), X}
 
 
 def test_closure_family_no_atoms(m0):
-    fam, open_part = t.closure_family(m0, [])
+    fam, open_part = reference_closure_family(m0, [])
     assert set(fam) == {F(), X}
     assert set(open_part) == {F(), X}
 
 
 def test_closure_family_discrete_boolean():
-    s = t.generate_topology([F({i}) for i in range(3)], ["x0", "x1", "x2"])
+    s = generate_topology([F({i}) for i in range(3)], ["x0", "x1", "x2"])
     m = t.make_model(s, {"A": F({0})})
-    fam, open_part = t.closure_family(m, ["A"])
+    fam, open_part = reference_closure_family(m, ["A"])
     assert set(fam) == {F(), F({0}), F({1, 2}), X}
     assert set(open_part) == set(fam)  # discrete: everything open
 
@@ -165,7 +167,7 @@ def test_closure_family_closed_under_generators():
     rng = random.Random(5)
     for _ in range(15):
         m = random_model(rng, 4)
-        fam, open_part = t.closure_family(m, sorted(m.valuation))
+        fam, open_part = reference_closure_family(m, sorted(m.valuation))
         fam = set(fam)
         universe = m.space.universe
         for a in fam:
@@ -209,16 +211,52 @@ def test_closures_match_reference():
     assert 0 in sizes and max(sizes) >= 8
 
 
-def test_closure_family_matches_reference():
-    # Both outputs of the worklist against the parent's fixpoint, on
-    # random models of 1-5 points with 0-3 atoms.
-    rng = random.Random(31)
-    for _ in range(200):
+def test_interior_rejects_points_outside_the_space():
+    two = t.make_space(["x0", "x1"], [F(), F({0}), F({0, 1})])
+    for S in (F({-1}), F({5}), F({0, 2})):
+        with pytest.raises(t.SpaceError, match="outside the space"):
+            t.interior(two, S)
+    assert t.interior(two, F({0})) == F({0})
+
+
+def _spaces_of_every_source():
+    rng = random.Random(41)
+    m0_doc = {"points": ["x0", "x1", "x2"],
+              "opens": [["x0", "x1", "x2"], ["x0"], [], ["x0", "x1"]],
+              "valuation": {"A": ["x0"]}}
+    model = t.model_from_document(m0_doc)
+    yield t.make_space(["x0", "x1", "x2"], [X, F({1}), F(), F({0, 1})])
+    for _ in range(20):
         n = rng.randint(1, 5)
-        m = random_model(rng, n, ("A", "B", "C")[:rng.randint(0, 3)])
-        atom_list = sorted(m.valuation)
-        assert (t.closure_family(m, atom_list)
-                == reference_closure_family(m, atom_list))
+        yield space_from_masks([f"x{i}" for i in range(n)], [
+            rng.randrange(1 << n) for _ in range(rng.randint(0, 5))] + [
+            (1 << n) - 1])
+        m = random_model(rng, n)
+        yield t.point_quotient(m, ["A"]).model.space
+    yield model.space
+    yield t.point_quotient(model, ["A"]).model.space
+    for n in range(1, 5):
+        yield from t.decide._topologies(n)
+
+
+def test_space_is_its_masks():
+    """A space stores its names and masks; `opens` is their view, made on
+    first read, in `sort_family` order.  Equality and hash follow names
+    and masks, whether or not the view was made."""
+    count = 0
+    for s in _spaces_of_every_source():
+        twin = t.SubsetSpace(s.point_names, s.masks)
+        assert "opens" not in vars(twin)
+        assert twin == s and hash(twin) == hash(s) and {s, twin} == {s}
+        assert s.opens == tuple(map(from_mask, s.masks))
+        assert s.opens == t.sort_family(s.opens)
+        assert "opens" in vars(s)
+        renamed = t.SubsetSpace(tuple(f"y{x}" for x in s.universe), s.masks)
+        assert renamed != s and renamed.opens == s.opens
+        if len(s.masks) > 1:
+            assert t.SubsetSpace(s.point_names, s.masks[1:]) != s
+        count += 1
+    assert count == 1 + 40 + 2 + 1 + 4 + 29 + 355
 
 
 def test_interior_and_heyting_match_reference():
