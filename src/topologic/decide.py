@@ -10,7 +10,7 @@ lane per model (`_space_passes`), and reports the least hit by space,
 formula, valuation and pair (`_first_hit`).  Its passes and their frames
 (see `semantics.PassFrame`) are fixed by its spaces and atoms, so those of
 recent searches are kept under keys of plain data naming the spaces
-(`_passes`): a warm search hashes no space and builds no packed frame.
+(`_passes`): a warm search hashes no space and builds no frame.
 A pass holds one formula's row at a time, and no verdict or hit is kept.
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
@@ -42,8 +42,8 @@ from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
 from .semantics import (Evaluator, Pair, PassFrame, _ones,
                         instantiate_axiom, scheme_metavars, walk_plan)
 from .space import (InternalError, Model, PointSet, SpaceError,
-                    SubsetSpace, from_mask, make_model, space_from_masks,
-                    to_mask)
+                    SubsetSpace, check_atom_name, from_mask, make_model,
+                    space_from_masks, to_mask)
 
 HARD_POINT_CAP = 5
 # Lanes per evaluator pass, a memory guard: on n points a row takes n + 1
@@ -61,8 +61,7 @@ class SearchBound:
         if self.max_points < 1:
             raise SpaceError("the point bound must be at least 1")
         for name in self.atoms:
-            if name in ("top", "bot"):
-                raise SpaceError(f"atom name {name!r} is reserved")
+            check_atom_name(name)
 
 
 class VerdictKind(str, Enum):
@@ -224,42 +223,36 @@ def _atom_rows(n: int, k: int, lo: int, count: int, w: int
     return tuple(rows)
 
 
-def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str],
-                  frames: int
-                  ) -> Iterator[tuple[list, int, list[int], PassFrame | None]]:
-    """(group, lo, firsts, frame) per pass over the models on the spaces,
-    at most LANE_CAP lanes each: lane firsts[k] + v is valuation lo + v of
-    group[k], so the lowest lane with a hit is the least (space, valuation)
-    with one, and firsts[-1] is the pass's lane count.  A group is a run of
-    consecutive spaces of any point counts, as many as fit whole, while a
-    space has at most sqrt(LANE_CAP) = 64 valuations: a shared pass saves
-    the overhead of many short operations, but each space's lanes carry
-    every slot of the group (packed, full scans ran up to 3.3 times slower
-    from 256 lanes per space on, and up to 4.8 times faster at 64 or fewer).
-    A wider space passes alone, over several passes past LANE_CAP, and its
-    frame is None, built per search (keeping the 139 on 5 points with two
-    atoms made that search slower), as is a packed pass's past `frames`."""
-    group, firsts, packed = [], [0], itertools.count()  # the pass being filled
+def _space_passes(spaces: Iterable[SubsetSpace], atom_names: Sequence[str]
+                  ) -> Iterator[tuple[list, int, list[int]]]:
+    """(group, lo, firsts) per pass over the models on the spaces, at most
+    LANE_CAP lanes each: lane firsts[k] + v is valuation lo + v of group[k],
+    so the lowest lane with a hit is the least (space, valuation) with one,
+    and firsts[-1] is the pass's lane count.  A group is a run of spaces of
+    any point counts, as many as fit whole, each with at most sqrt(LANE_CAP)
+    = 64 valuations; a wider space passes alone, over several passes past
+    LANE_CAP.  Packing every space made full scans 1.5-2.9 times faster but
+    early hits 5-8 times slower, as a pass is scanned whole: 0.05 ms became
+    0.26-0.43 ms for "[] (A -> K B) -> <> L A" on 4 points with A and B."""
+    group, firsts = [], [0]  # the pass being filled
     for s in spaces:
         total = 1 << len(s.point_names) * len(atom_names)
         wide = total * total > LANE_CAP
         if group and (wide or firsts[-1] + total > LANE_CAP):
-            yield group, 0, firsts, (_new_frame(group, atom_names, 0, firsts)
-                                     if next(packed) < frames else None)
+            yield group, 0, firsts
             group, firsts = [], [0]
         if wide:
             for lo in range(0, total, LANE_CAP):
-                yield [s], lo, [0, min(LANE_CAP, total - lo)], None
+                yield [s], lo, [0, min(LANE_CAP, total - lo)]
         else:
             group.append(s)
             firsts.append(firsts[-1] + total)
     if group:
-        yield group, 0, firsts, (_new_frame(group, atom_names, 0, firsts)
-                                 if next(packed) < frames else None)
+        yield group, 0, firsts
 
 
-def _new_frame(group: Sequence[SubsetSpace], atom_names: Sequence[str],
-               lo: int, firsts: Sequence[int]) -> PassFrame:
+def _new_frame(group: Sequence[SubsetSpace], lo: int, firsts: Sequence[int],
+               atom_names: Sequence[str]) -> PassFrame:
     """The frame of `_space_passes`' pass (group, lo, firsts)."""
     w = max(len(s.point_names) for s in group) + 1
     lanes = [b - a for a, b in itertools.pairwise(firsts)]
@@ -272,8 +265,8 @@ def _new_frame(group: Sequence[SubsetSpace], atom_names: Sequence[str],
 
 
 # Recent layouts, least recently used first: (key, atoms, LANE_CAP) ->
-# (frame count, at least 1; passes), evicted whole past FRAME_CAP frames.
-_LAYOUTS: dict[tuple, tuple[int, list]] = {}
+# passes, the first FRAME_CAP with frames; evicted whole past FRAME_CAP frames.
+_LAYOUTS: dict[tuple, list] = {}
 FRAME_CAP = 64
 
 
@@ -282,17 +275,17 @@ def _passes(key: tuple, spaces: Iterable[SubsetSpace], names: tuple[str, ...]
     """(group, lo, firsts, evaluator) per pass of `_space_passes` over the
     spaces, which key names as plain data; kept in _LAYOUTS."""
     key = (key, names, LANE_CAP)
-    kept = _LAYOUTS.pop(key, None)
-    if kept is None:
-        layout = list(_space_passes(spaces, names, FRAME_CAP))
-        kept = max(1, sum(frame is not None for *_, frame in layout)), layout
+    layout = _LAYOUTS.pop(key, None)
+    if layout is None:
+        layout = [(*p, _new_frame(*p, names) if i < FRAME_CAP else None)
+                  for i, p in enumerate(_space_passes(spaces, names))]
         # On copies, so that searches in other threads cannot break it.
-        while kept[0] + sum(n for n, _ in [*_LAYOUTS.values()]) > FRAME_CAP:
+        while sum(min(len(kept), FRAME_CAP)
+                  for kept in [layout, *_LAYOUTS.values()]) > FRAME_CAP:
             _LAYOUTS.pop(next(iter([*_LAYOUTS]), None), None)
-    _LAYOUTS[key] = kept  # the most recently used
-    for group, lo, firsts, frame in kept[1]:
-        yield group, lo, firsts, Evaluator(
-            frame or _new_frame(group, names, lo, firsts))
+    _LAYOUTS[key] = layout  # the most recently used
+    for *p, frame in layout:
+        yield *p, Evaluator(frame or _new_frame(*p, names))
 
 
 def _lane_model(group: Sequence[SubsetSpace], lo: int, firsts: Sequence[int],
@@ -478,11 +471,6 @@ def _boundary_instances(sid: int) -> tuple[Sequence[str], Sequence[Formula]]:
     return tuple(sorted(atoms(fs[0]))), fs
 
 
-@lru_cache(maxsize=32)
-def _subset_spaces(n: int, max_opens: int) -> tuple[SubsetSpace, ...]:
-    return tuple(enumerate_subset_spaces(n, max_opens))
-
-
 def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
                                    max_opens: int = 4
                                    ) -> tuple[Model, Formula, Pair] | None:
@@ -495,7 +483,8 @@ def find_subset_space_countermodel(scheme_id: int, b: SearchBound,
         raise SpaceError("the open bound must be at least 1")
     names, instances = _boundary_instances(scheme_id)
     for counts in _point_runs(b):
-        spaces = (s for n in counts for s in _subset_spaces(n, max_opens))
+        spaces = (s for n in counts
+                  for s in enumerate_subset_spaces(n, max_opens))
         hit = _first_hit(_passes(("subsets", counts, max_opens), spaces,
                                  names), names, instances, False)
         if hit is not None:

@@ -22,6 +22,8 @@ from itertools import product, starmap
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .formula import is_atom_name
+
 PointSet = frozenset[int]
 
 
@@ -205,12 +207,19 @@ class Model:
             raise SpaceError(f"unknown atom {name!r}") from None
 
 
+def check_atom_name(name: str) -> None:
+    """Raise SpaceError unless parse reads name alone as an atom."""
+    if name in ("top", "bot"):
+        raise SpaceError(f"atom name {name!r} is reserved")
+    if not (isinstance(name, str) and is_atom_name(name)):
+        raise SpaceError(f"{name!r} is not an atom name")
+
+
 def make_model(space: SubsetSpace, valuation: Mapping[str, PointSet]) -> Model:
     universe = space.universe
     val = {}
     for name, raw in valuation.items():
-        if name in ("top", "bot"):
-            raise SpaceError(f"atom name {name!r} is reserved")
+        check_atom_name(name)
         s = frozenset(raw)
         if not s <= universe:
             raise SpaceError(f"valuation of {name!r} has out-of-range points")

@@ -71,6 +71,8 @@ def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
 
 def classify(s: Splitting, V: PointSet) -> PointSet:
     """The least family member above V; V lies in its remainder."""
+    if not s.space.universe.issuperset(V):
+        raise SpaceError(f"{sorted(V)} has points outside the space")
     rep = _least_above(s.masks, to_mask(V))
     if rep == -1:
         raise SpaceError(f"{sorted(V)} is below no member of the splitting")
@@ -99,11 +101,10 @@ def partition(s: Splitting) -> dict[PointSet, frozenset[PointSet]]:
         s.family, remainder_blocks(s.space.masks, s.masks))}
 
 
-def is_stable(m: Model, block: Iterable[PointSet], f: Formula,
-              evaluator: Evaluator | None = None) -> bool:
+def is_stable(m: Model, block: Iterable[PointSet], f: Formula) -> bool:
     """`Evaluator.stable` over the block's slots: True iff f's truth at each
     point is constant over the block members containing that point."""
-    ev = evaluator if evaluator is not None else Evaluator(m)
+    ev = Evaluator(m)
     return ev.stable(ev.slots(block), f)
 
 

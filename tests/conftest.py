@@ -623,9 +623,9 @@ def search_passes(spaces, names):
     """The passes of `decide._space_passes` over the spaces, each with an
     evaluator over its frame, every frame built afresh: the passes that a
     search runs, without the layout memo."""
-    for group, lo, firsts, _ in t.decide._space_passes(spaces, names, 0):
+    for group, lo, firsts in t.decide._space_passes(spaces, names):
         yield group, lo, firsts, t.Evaluator(
-            t.decide._new_frame(group, names, lo, firsts))
+            t.decide._new_frame(group, lo, firsts, names))
 
 
 def homeomorphism_class(s: t.SubsetSpace) -> tuple:

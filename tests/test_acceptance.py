@@ -66,7 +66,7 @@ def test_criterion_2_partition_theorem_suite():
                             if v1 <= v2 <= v3:
                                 assert v2 in block
                 for phi in t.subformulas(psi):
-                    assert t.is_stable(m, block, phi, ev)
+                    assert ev.stable(ev.slots(block), phi)
             for phi in t.subformulas(psi):
                 assert set(table.splittings[phi].family) <= family
             for U in sp.family:

@@ -881,6 +881,19 @@ def test_roundtrip_model_document(m0):
     assert again.valuation == m0.valuation
 
 
+def test_made_models_save_and_load(tmp_path):
+    """`make_model` takes only the names that parse reads as atoms, so a
+    model that it makes saves to a file that `load_model` reads back."""
+    space = t.make_space(["x0", "x1"], [F(), F({0}), F({0, 1})])
+    for name in ("A B", "K", "", "->", "1A", 3):
+        with pytest.raises(t.SpaceError, match="is not an atom name"):
+            t.make_model(space, {name: F({0})})
+    m = t.make_model(space, {"A_1": F({0}), "_b": F({0, 1})})
+    t.save_model(m, tmp_path / "m.json")
+    again = t.load_model(tmp_path / "m.json")
+    assert (again.space, again.valuation) == (m.space, m.valuation)
+
+
 def test_model_document_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": ["x0"], "opens": [["x0"]]}))

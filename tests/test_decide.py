@@ -12,7 +12,7 @@ from conftest import (ReferenceEvaluator, enumerate_closed_families,
                       homeomorphism_class, reference_labeled_decide,
                       search_passes)
 from topologic.decide import (_BOUNDARY_SUBSTITUTIONS, _boundary_instances,
-                              _first_hit, _representatives, _subset_spaces)
+                              _first_hit, _representatives)
 
 F = frozenset
 
@@ -198,6 +198,15 @@ def test_search_bound_rejects_reserved_atoms():
             t.SearchBound(2, ("A", name))
         with pytest.raises(t.SpaceError, match=f"atom name '{name}' is reserved"):
             t.make_model(next(t.enumerate_topologies(1)), {name: F()})
+
+
+def test_search_bound_rejects_non_atom_names():
+    """A bound lists atoms only, so no witness is made over an operator or
+    a name that parse cannot read."""
+    for name in ("K", "A B", "", "[]"):
+        with pytest.raises(t.SpaceError, match="is not an atom name"):
+            t.SearchBound(1, ("A", name))
+    assert t.SearchBound(1, ("A_1", "_b")).atoms == ("A_1", "_b")
 
 
 def test_decide_sat_negated_axiom():
@@ -476,7 +485,7 @@ def _mixed_searches():
 
 def _held_frames() -> int:
     """The frames that the kept layouts hold."""
-    return sum(frame is not None for _, layout in t.decide._LAYOUTS.values()
+    return sum(frame is not None for layout in t.decide._LAYOUTS.values()
                for *_, frame in layout)
 
 
@@ -495,6 +504,9 @@ def test_kept_frames_change_no_result(monkeypatch):
             yield p
 
     with pytest.MonkeyPatch.context() as spying:
+        # Room for every layout at both caps: at 5 lanes a pass, each space
+        # of more than 2 valuations passes alone, with a frame.
+        spying.setattr(t.decide, "FRAME_CAP", 4096)
         spying.setattr(t.decide, "_passes", walk)
         spying.setattr(t.decide, "_space_passes",
                        lambda *args: built.append(args) or space_passes(*args))
@@ -597,14 +609,23 @@ def test_warm_search_builds_nothing(monkeypatch):
         lambda: t.decide_valid(t.parse("A -> K A"), b),
         lambda: t.decide_sat(t.parse("A & ~K A"), b),
         lambda: t.decide_sat(t.parse("K A & ~A"), b),
-        lambda: t.find_subset_space_countermodel(11, t.SearchBound(3, ()))]
+        lambda: t.find_subset_space_countermodel(11, t.SearchBound(3, ())),
+        # Spaces of more than 64 valuations, each passing alone.
+        lambda: t.decide_valid(t.parse("K A & K B -> K (A & B)"),
+                               t.SearchBound(4, ("A", "B"))),
+        lambda: t.decide_valid(t.parse("K A -> A"),
+                               t.SearchBound(3, ("A", "B", "C")))]
     t.decide._LAYOUTS.clear()
     first = [search() for search in searches]
-    assert built["_space_passes"] == 2 and built["_new_frame"] >= 2
+    # One frame a pass: one pass each for the one-atom searches, 1 + 33
+    # with two atoms to 4 points and 1 + 9 with three atoms to 3 points.
+    assert built["_space_passes"] == 4
+    assert built["_new_frame"] == 1 + 1 + 34 + 10
     assert {v.kind for v in first[:4]} == {
         t.VerdictKind.VALID_WITHIN_BOUND, t.VerdictKind.INVALID,
         t.VerdictKind.SATISFIABLE, t.VerdictKind.NO_MODEL_WITHIN_BOUND}
     assert first[4] is not None
+    assert first[5].positive and first[6].positive
     built.clear()
     for search, before in zip(searches, first):
         got = search()
@@ -620,20 +641,24 @@ def test_warm_search_builds_nothing(monkeypatch):
 
 
 def test_frame_memo_stays_bounded(monkeypatch):
-    """The kept layouts hold at most FRAME_CAP frames: a space with more
-    than 64 valuations passes alone and its frames are not kept, and the
-    least recently used layouts are evicted whole."""
+    """The kept layouts hold at most FRAME_CAP frames: a layout keeps the
+    frames of its first FRAME_CAP passes, packed or passing one space
+    alone, and the least recently used layouts are evicted whole."""
     memo = t.decide._LAYOUTS
     memo.clear()
     f = t.parse("K A & K B -> K (A & B)")
     assert t.decide_valid(f, t.SearchBound(5, ("A", "B"))).positive
-    # The 13 classes on 1 to 3 points share one kept frame; the 33 on 4
-    # points and the 139 on 5 pass alone.
-    assert len(memo) == 2 and _held_frames() == 1
+    # The 13 classes on 1 to 3 points share a pass, and the 33 on 4 points
+    # pass alone: 34 frames.  Each of the 139 classes on 5 points passes
+    # alone, so their layout keeps its first 64 frames, and the layout to 4
+    # points is evicted to make room.
+    (layout,) = memo.values()
+    assert len(layout) == 139 and _held_frames() == t.decide.FRAME_CAP
     # On one atom, the 46 classes on 1 to 4 points share one pass, and 128
-    # of the 139 classes on 5 points another, the other 11 a third: all kept.
+    # of the 139 classes on 5 points another, the other 11 a third: all
+    # kept, and the two-atom layout evicted.
     assert t.decide_valid(t.parse("K A -> A"), t.SearchBound(5, ("A",))).positive
-    assert len(memo) == 4 and _held_frames() == 1 + 1 + 2
+    assert len(memo) == 2 and _held_frames() == 1 + 2
     # The largest searches of the CLI and the benchmark, in one process.
     assert main(["axioms", "--enumerate", "5", "--trials", "2"]) == 0
     assert 40 < _held_frames() <= t.decide.FRAME_CAP
@@ -651,8 +676,8 @@ def test_frame_memo_stays_bounded(monkeypatch):
                        t.SearchBound(3, atoms))
         keys.append(next(reversed(memo)))
     assert list(memo) == [keys[0], keys[3]] and _held_frames() == 2
-    # A layout of more packed passes than FRAME_CAP keeps the first
-    # FRAME_CAP frames, and its other passes build theirs per search.  At
+    # A layout of more passes than FRAME_CAP keeps the first FRAME_CAP
+    # frames, and its other passes build theirs per search.  At
     # 64 lanes a pass, the 34 topologies on 1 to 3 points take 4 passes.
     # Scheme 7 is replaced by the unsound phi -> K phi, so that the
     # reports hold violations.
@@ -664,12 +689,12 @@ def test_frame_memo_stays_bounded(monkeypatch):
     memo.clear()
     for _ in range(2):
         assert t.axiom_soundness_sweep(b, [7, 11], 3, 5) == want
-        (held, layout), = memo.values()
-        assert held == _held_frames() == 2 and len(layout) == 4
+        layout, = memo.values()
+        assert _held_frames() == 2 and len(layout) == 4
 
 
 def test_layout_builds_each_frame_once(monkeypatch):
-    """A layout of more packed passes than FRAME_CAP builds the frames it
+    """A layout of more passes than FRAME_CAP builds the frames it
     keeps as it lays out its passes, and each other one once, as it is
     walked: on a first run, one frame per pass."""
     spaces = list(t.enumerate_topologies(3))
@@ -683,8 +708,8 @@ def test_layout_builds_each_frame_once(monkeypatch):
                         lambda *args: built.append(args) or new_frame(*args))
     t.decide._LAYOUTS.clear()
     assert t.axiom_soundness_sweep(b, [7, 11], 3, 5, spaces=spaces) == want
-    (held, layout), = t.decide._LAYOUTS.values()
-    assert held == 2 and len(layout) == len(built) == 4
+    layout, = t.decide._LAYOUTS.values()
+    assert _held_frames() == 2 and len(layout) == len(built) == 4
     built.clear()  # a warm run builds the frames that were not kept
     assert t.axiom_soundness_sweep(b, [7, 11], 3, 5, spaces=spaces) == want
     assert len(built) == 2
@@ -705,8 +730,7 @@ def test_boundary_instances_share_atoms_and_are_kept(monkeypatch):
 
 def _cold_search_memos():
     """Empty the memos of spaces and pass layouts, as in a new process."""
-    for memo in (t.decide._topologies, t.decide._representatives,
-                 t.decide._subset_spaces):
+    for memo in (t.decide._topologies, t.decide._representatives):
         memo.cache_clear()
     t.decide._LAYOUTS.clear()
 
@@ -720,11 +744,13 @@ def test_cold_searches_make_no_views():
     assert verdict.kind is t.VerdictKind.VALID_WITHIN_BOUND
     assert t.find_subset_space_countermodel(
         11, t.SearchBound(3, ())) is not None
+    # The labeled spaces, then the kept layouts' classes and subset spaces.
+    kept = [p for layout in t.decide._LAYOUTS.values() for p in layout]
     spaces = [s for n in range(1, 5) for s in t.decide._topologies(n)]
-    spaces += [s for n in range(1, 4) for s in _subset_spaces(n, 4)]
-    frames = [frame for _, layout in t.decide._LAYOUTS.values()
-              for *_, frame in layout if frame is not None]
-    assert len(spaces) == 1 + 4 + 29 + 355 + 2 + 8 + 64 and frames
+    spaces += [s for group, *_ in kept for s in group]
+    frames = [frame for *_, frame in kept]
+    assert len(spaces) == 1 + 4 + 29 + 355 + 46 + 2 + 8 + 64
+    assert len(frames) == 2
     assert not [s for s in spaces if "opens" in vars(s)]
     assert not [f for f in frames if {"opens", "index"} & vars(f).keys()]
 
@@ -756,18 +782,10 @@ def test_search_with_hit_makes_only_its_witness_point_sets(monkeypatch,
     assert len(made) == len(witness) + (2 if isinstance(hit, tuple) else 0)
 
 
-def test_subset_spaces_memo():
-    for n, max_opens in ((1, 4), (2, 2), (3, 4)):
-        spaces = _subset_spaces(n, max_opens)
-        assert spaces is _subset_spaces(n, max_opens)
-        assert spaces == tuple(t.enumerate_subset_spaces(n, max_opens))
-
-
 def test_boundary_search_checks_bounds_first(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated before checking the bounds")
     monkeypatch.setattr(t.decide, "enumerate_subset_spaces", no_enumeration)
-    monkeypatch.setattr(t.decide, "_subset_spaces", no_enumeration)
     with pytest.raises(t.SpaceError, match="point bound 6 exceeds the cap 5"):
         t.find_subset_space_countermodel(11, t.SearchBound(6, ()))
     for max_opens in (0, -1):
@@ -852,7 +870,7 @@ def test_search_below_cap_builds_no_space_at_cap(monkeypatch):
             return memo(n, *args)
         return counted
 
-    for name in ("_representatives", "_subset_spaces"):
+    for name in ("_representatives", "enumerate_subset_spaces"):
         monkeypatch.setattr(t.decide, name, spy(getattr(t.decide, name)))
     v = t.decide_sat(t.parse("A"), t.SearchBound(5, ("A",)))
     one = next(t.enumerate_topologies(1))

@@ -75,7 +75,7 @@ def test_one_space_frame_keeps_the_space_layout(lanes):
     order, each mask repeated in every lane, and reads the slots in
     `pairs_in_order` order, largest open first."""
     spaces = [s for n in range(1, 5) for s in t.decide._topologies(n)]
-    spaces += t.decide._subset_spaces(3, 3)
+    spaces += t.enumerate_subset_spaces(3, 3)
     for s in spaces:
         w = len(s.point_names) + 1
         frame = PassFrame([s], [lanes], {})
@@ -516,8 +516,8 @@ def test_search_pass_keeps_only_asked_rows():
             held.append(set(ev._rows))
             return dict.get(self, name)
 
-    for group, lo, count, _ in decide._space_passes(spaces, names, 0):
-        frame = decide._new_frame(group, names, lo, count)  # not kept
+    for group, lo, count in decide._space_passes(spaces, names):
+        frame = decide._new_frame(group, lo, count, names)  # not kept
         frame.atoms = Atoms(frame.atoms)
         ev = t.Evaluator(frame)
         first = list(ev.hits(f, False))

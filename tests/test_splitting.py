@@ -92,6 +92,18 @@ def test_classify_outside_ideal(m0_space):
         t.classify(chain, F({0, 1}))
 
 
+def test_classify_rejects_points_outside_the_space():
+    """A set with a point outside the space is an input error, as for
+    `interior`: not a shift error, nor a set below no member."""
+    two = t.make_space(["x0", "x1"], [F(), F({0}), F({0, 1})])
+    sp = t.make_splitting(two, [F({0}), F({0, 1})])
+    for V in (F({-1}), F({5}), F({0, 2})):
+        with pytest.raises(t.SpaceError, match="outside the space"):
+            t.classify(sp, V)
+    assert t.classify(sp, F({0})) == F({0})
+    assert t.classify(sp, F({1})) == F({0, 1})
+
+
 def test_same_class(m0_space):
     g = [X, F({0, 1})]
     assert same_class(g, F({0}), F())
@@ -200,7 +212,7 @@ def _check_theorem_items(m, f, table):
         assert set(sp.family) <= open_part
         for block in t.partition(sp).values():
             for phi in t.subformulas(psi):
-                assert t.is_stable(m, block, phi, ev)
+                assert ev.stable(ev.slots(block), phi)
         for U in sp.family:
             ext = table.evaluator.extension(U, psi)
             assert ext == ev.extension(U, psi)
@@ -348,13 +360,12 @@ def test_mask_helpers_match_reference():
                 assert [opens[i] for i in slots] == list(t.sort_family(block))
                 for phi in subs:
                     want = reference_is_stable(ev, block, phi)
-                    assert t.is_stable(m, block, phi, ev) == want
                     assert ev.stable(slots, phi) == want
                     unstable += not want
     assert unstable > 100  # 202 of about 31,000 verdicts
     # An empty block is stable for any formula: it asks the evaluator
     # nothing, so an atom the model does not value is no error.
-    assert t.is_stable(m, [], t.Atom("Z"), ev)
+    assert ev.stable(ev.slots([]), t.Atom("Z"))
     assert t.is_stable(m, (), t.Not(t.Atom("Z")))
     assert ev.slots([]) == [] and ev.stable([], t.Atom("Z"))
     # A member that is not an open is an error, raised before any row is
