@@ -20,7 +20,10 @@ every valuation and pair along, so a space has a hit iff its class's
 representative, the first labeled space of the class, does.  Scanned in
 labeled order, the first representative with a hit is the first labeled
 space with one, so the witness is the least labeled hit, at no rescan.
-The axiom sweep stays labeled, as its report counts labeled lanes.
+The axiom sweep stays labeled, as its report counts labeled lanes, and
+walks each scheme's template under its substitutions, building no
+instance but a violated one (`axiom_soundness_sweep`).  A search makes
+the `Pair` and `Model` of a reported hit only.
 
 The boundary search scans subset spaces in the same passes: a scheme's
 instances share their atoms, and so every pass, and the least hit is by
@@ -39,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
                       parse)
-from .semantics import (Evaluator, Pair, PassFrame, _ones,
+from .semantics import (_TEMPLATES, Evaluator, Pair, PassFrame, _ones,
                         instantiate_axiom, scheme_metavars, walk_plan)
 from .space import (InternalError, Model, PointSet, SpaceError,
                     SubsetSpace, check_atom_name, from_mask, make_model,
@@ -304,21 +307,26 @@ def _first_hit(passes: Iterable[tuple[list, int, list[int], Evaluator]],
     None.  Each pass serves every formula in turn, one row held at a time.
     A formula's first hit lane is its least (space, valuation), so only the
     least (space, formula) among those is kept, until its space is done:
-    at the end of its pass, unless it has more than LANE_CAP valuations."""
-    best = None  # (space k of the group, formula j, model, pair)
-    for group, lo, firsts, ev in passes:
+    at the end of its pass, unless it has more than LANE_CAP valuations.
+    Only the kept hit makes its model and pair, once the search ends."""
+    best = None  # (space k of the group, formula j, pass, lane, point, slot)
+    for p in passes:
+        group, lo, firsts, ev = p
         for j in range(best[1] if best else len(formulas)):
-            for lane, pair in ev.hits(formulas[j], holds):
+            for lane, point, slot in ev.hit_slots(formulas[j], holds):
                 k = bisect_right(firsts, lane) - 1
                 if best is None or (k, j) < best[:2]:
-                    m = _lane_model(group, lo, firsts, atom_names, lane)
-                    best = (k, j, m, pair)
+                    best = (k, j, p, lane, point, slot)
                 break
         # Only a space passing alone can go on in the next pass.
         if best and (best[1] == 0 or lo + firsts[-1]
                      >= 1 << len(group[0].point_names) * len(atom_names)):
             break
-    return None if best is None else (best[2], formulas[best[1]], best[3])
+    if best is None:
+        return None
+    _, j, (group, lo, firsts, ev), lane, point, slot = best
+    return (_lane_model(group, lo, firsts, atom_names, lane), formulas[j],
+            ev.pair(point, slot))
 
 
 def _point_runs(b: SearchBound) -> list[range]:
@@ -413,7 +421,13 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
                           ) -> SweepReport:
     """Check random instances of the axiom schemes for validity over all
     enumerated topologies (or supplied spaces) up to the bound.  Expected
-    outcome on topologies: no violations for any of the twelve schemes."""
+    outcome on topologies: no violations for any of the twelve schemes.
+
+    Every substitution is drawn first, scheme by scheme and trial by
+    trial.  Each pass then walks each scheme's template under each of its
+    distinct substitutions, so no instance is built or walked; an instance
+    is built once, by `instantiate_axiom`, when it is first reported
+    violated.  Violations come by pass, then lane, then draw."""
     if trials < 1:
         raise SpaceError("the number of trials must be at least 1")
     metavars = [scheme_metavars(scheme_id) for scheme_id in scheme_ids]
@@ -425,28 +439,36 @@ def axiom_soundness_sweep(b: SearchBound, scheme_ids: Sequence[int],
         key = spaces = tuple(spaces)
     rng = random.Random(seed)
     atom_names = tuple(b.atoms) or ("A",)
-    instances: list[tuple[int, Formula]] = []
+    draws: list[tuple[int, dict[str, Formula]]] = []
     for scheme_id, names in zip(scheme_ids, metavars):
         for _ in range(trials):
-            subst = {var: Atom(rng.choice(atom_names)) if scheme_id == 2
-                     else random_formula(rng, atom_names, 2) for var in names}
-            instances.append((scheme_id, instantiate_axiom(scheme_id, subst)))
+            draws.append((scheme_id, {
+                var: Atom(rng.choice(atom_names)) if scheme_id == 2
+                else random_formula(rng, atom_names, 2) for var in names}))
+    # Equal draws, of one scheme and the same interned formulas, share the
+    # walk of the first of them.
+    first: dict[tuple, int] = {}
+    same = [first.setdefault((sid, *subst.values()), j)
+            for j, (sid, subst) in enumerate(draws)]
     checked = {sid: 0 for sid in scheme_ids}
     violations: list[SchemeViolation] = []
+    instances: dict[int, Formula] = {}  # by first draw, once one is violated
     for group, lo, firsts, ev in _passes(key, spaces, atom_names):
-        found = sorted(((lane, j, pair)
-                        for j, (_, instance) in enumerate(instances)
-                        for lane, pair in ev.hits(instance, False)),
-                       key=lambda hit: hit[:2])
+        lanes = {j: list(ev.hit_slots(_TEMPLATES[draws[j][0]], False,
+                                      draws[j][1])) for j in first.values()}
+        found = sorted((lane, j, point, slot) for j, r in enumerate(same)
+                       for lane, point, slot in lanes[r])
         models: dict[int, Model] = {}
-        for lane, j, pair in found:
+        for lane, j, point, slot in found:
             if lane not in models:
                 models[lane] = _lane_model(group, lo, firsts, atom_names,
                                            lane)
-            scheme_id, instance = instances[j]
-            violations.append(
-                SchemeViolation(scheme_id, instance, models[lane], pair))
-        for scheme_id, _ in instances:
+            if same[j] not in instances:
+                instances[same[j]] = instantiate_axiom(*draws[j])
+            violations.append(SchemeViolation(
+                draws[j][0], instances[same[j]], models[lane],
+                ev.pair(point, slot)))
+        for scheme_id, _ in draws:
             checked[scheme_id] += firsts[-1]
     return SweepReport(checked, violations)
 

@@ -75,7 +75,7 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
             if differ:
                 least = (differ & -differ).bit_length() - 1
                 return BasisCounterexample(f, Pair(least, from_mask(frame.slots[i])))
-        if len([lane for lane, _ in ev.hits(f, False)]) == 1:
+        if len(list(ev.hit_slots(f, False))) == 1:
             return BasisCounterexample(f, None)
     return None
 

@@ -31,7 +31,10 @@ the frozenset methods only, the slots' point sets and each one's slot: a
 search makes no point set but its witness's.  An evaluator owns only its
 rows (see `Evaluator`); a search pass walks each formula's plan in
 `_PLANS`, which drops each operand's row right after its last parent: a
-wide pass holds few rows.
+wide pass holds few rows.  A pass can also walk a formula under a
+substitution for its atoms, as sweeps walk a scheme's template: a
+substituted atom's row is its formula's, walked by that formula's own
+plan in rows of its own, and no row is kept under the template.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -150,8 +153,9 @@ class Evaluator:
     `Evaluator(m)` has one lane, valued by the model m, and keeps every row
     it computes.  `Evaluator(frame)` is a search pass over a `PassFrame`:
     it holds only the row of the formula it answered last, and drops it
-    before it walks another, so a walk that fails leaves no row.  `mask`
-    returns every lane; `extension` and `satisfies` read lane 0.
+    before it walks another, so a walk that fails leaves no row; a walk
+    under a substitution (`hit_slots`) leaves none.  `mask` returns every
+    lane; `extension` and `satisfies` read lane 0.
     """
 
     __slots__ = ("_keep", "_frame", "_rows")
@@ -167,16 +171,33 @@ class Evaluator:
         self._frame = m
         self._rows: dict[Formula, list[int]] = {}
 
-    def _row(self, f: Formula) -> list[int]:
+    def _row(self, f: Formula, subst: Mapping[str, Formula] | None = None
+             ) -> list[int]:
+        """f's row, kept; or, on a search pass given subst, the row of f
+        with each atom named in subst read as its formula, kept nowhere."""
+        if self._keep:
+            if subst is not None:
+                raise TypeError("a model's evaluator takes no substitution")
+            return self._walk(f, None, self._rows)
+        self._rows.clear()  # a search pass: release the last row
+        row = self._walk(f, subst)
+        if subst is None:
+            self._rows[f] = row
+        return row
+
+    def _walk(self, f: Formula, subst: Mapping[str, Formula] | None,
+              kept: dict[Formula, list[int]] | None = None) -> list[int]:
+        """f's row: its subformulas' rows put into kept, or, with no kept,
+        walked by f's plan in rows of its own.  At an atom that subst
+        names, the row is its formula's, walked apart, so that an atom of
+        that formula is never taken for one of subst's names."""
+        if kept is None:
+            body, plan = walk_plan(f)
+            walk, rows, drops = (*body, f), {}, iter(plan)
+        else:
+            walk, rows, drops = post_order(f, kept), kept, None
         fr = self._frame
         masks = fr.masks
-        if self._keep:
-            rows, walk, drops = self._rows, post_order(f, self._rows), None
-        else:  # a search pass: release the last row, then walk f's plan
-            self._rows.clear()
-            rows = {}
-            body, plan = walk_plan(f)
-            walk, drops = (*body, f), iter(plan)
         for g in walk:
             t = type(g)
             if t is Not:
@@ -201,10 +222,13 @@ class Evaluator:
                     down.append(d)
                 row = [u & ~d for u, d in zip(masks, down)]
             elif t is Atom:
-                a = fr.atoms.get(g.name)
-                if a is None:
-                    raise SpaceError(f"unknown atom {g.name!r}")
-                row = [u & a for u in masks]
+                if subst is not None and g.name in subst:
+                    row = self._walk(subst[g.name], None)
+                else:
+                    a = fr.atoms.get(g.name)
+                    if a is None:
+                        raise SpaceError(f"unknown atom {g.name!r}")
+                    row = [u & a for u in masks]
             elif t is Top:
                 row = masks
             elif t is Bot:
@@ -215,7 +239,6 @@ class Evaluator:
             if drops is not None:
                 for o in next(drops):
                     del rows[o]
-        self._rows[f] = row
         return row
 
     def row(self, f: Formula) -> list[int]:
@@ -257,15 +280,20 @@ class Evaluator:
     def satisfies(self, p: Pair, f: Formula) -> bool:
         return bool(self.mask(p.open, f) >> p.point & 1)
 
-    def hits(self, f: Formula, holds: bool) -> Iterator[tuple[int, Pair]]:
-        """Each lane in which the truth of f equals holds at some pair,
-        ascending, with the least such pair in `pairs_in_order`.
+    def hit_slots(self, f: Formula, holds: bool,
+                  subst: Mapping[str, Formula] | None = None
+                  ) -> Iterator[tuple[int, int, int]]:
+        """(lane, point, slot) for each lane in which the truth of f equals
+        holds at some pair, ascending, with the least such pair in
+        `pairs_in_order`: `pair(point, slot)`.  Given subst, f is read with
+        each atom named in subst as its formula (see `_row`).
 
         Each row is read once, into bytes: the union of the rows, and a
         slot's row when a lane first asks it.  A lane's points start at bit
         0 to 7 of its first byte, so they lie in its first (width + 13) // 8
         bytes, and reading them costs no shift of a row."""
-        row = self._rows.get(f) or self._row(f)
+        row = (self._row(f, subst) if subst is not None
+               else self._rows.get(f) or self._row(f))
         fr = self._frame
         masks, order = fr.masks, fr.order
         found = [row[i] if holds else masks[i] ^ row[i] for i in order]
@@ -289,10 +317,18 @@ class Evaluator:
                     data = found[k] = data.to_bytes(size, "little")
                 bits = read(data[i:i + span], "little") >> shift & points
                 if bits:
-                    yield lane, Pair((bits & -bits).bit_length() - 1,
-                                     from_mask(fr.slots[order[k]]))
+                    yield lane, (bits & -bits).bit_length() - 1, order[k]
                     break
             lane += 1
+
+    def pair(self, point: int, slot: int) -> Pair:
+        """The pair of a point and a slot whose open holds it."""
+        return Pair(point, from_mask(self._frame.slots[slot]))
+
+    def hits(self, f: Formula, holds: bool) -> Iterator[tuple[int, Pair]]:
+        """Each lane of `hit_slots`, with its pair."""
+        return ((lane, self.pair(point, slot))
+                for lane, point, slot in self.hit_slots(f, holds))
 
     def first_pair(self, f: Formula, holds: bool) -> Pair | None:
         """The least pair in `pairs_in_order` at which the truth of f

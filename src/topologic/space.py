@@ -3,7 +3,8 @@
 Points are indices into a name table.  Inside the library a point set is
 an int bitmask, bit x for point x: a space stores only its open masks, in
 `set_key` order (by cardinality, then sorted members), and its equality
-and hash go over its point names and masks.  Frozensets of indices are
+and hash go over its point names and masks; the hash is kept from its
+first use, but never copied or pickled.  Frozensets of indices are
 what the library takes, returns, saves and prints: a space's `opens` is a
 view of its masks, made by `from_mask` on first read, which no search
 does.  `space_from_masks` builds every space, `make_space` from
@@ -71,6 +72,19 @@ class SubsetSpace:
 
     point_names: tuple[str, ...]
     masks: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once, on first use."""
+        return hash((self.point_names, self.masks))
+
+    def __getstate__(self) -> dict:
+        """The state to copy or pickle, without the stored hash: string
+        hashes are salted per process."""
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def universe(self) -> PointSet:

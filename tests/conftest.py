@@ -628,6 +628,40 @@ def search_passes(spaces, names):
             t.decide._new_frame(group, lo, firsts, names))
 
 
+def reference_sweep(b: t.SearchBound, scheme_ids, trials: int, seed: int,
+                    spaces=None) -> t.SweepReport:
+    """`axiom_soundness_sweep` as it ran before sweeps walked templates: it
+    draws the same substitutions, builds every instance before the first
+    pass, and asks each pass, every frame built afresh, for the instances'
+    own hits, in order."""
+    if spaces is None:
+        spaces = [s for n in range(1, b.max_points + 1)
+                  for s in t.enumerate_topologies(n)]
+    rng = random.Random(seed)
+    names = tuple(b.atoms) or ("A",)
+    instances = []
+    for sid in scheme_ids:
+        for _ in range(trials):
+            subst = {var: Atom(rng.choice(names)) if sid == 2
+                     else t.random_formula(rng, names, 2)
+                     for var in t.semantics.AXIOM_METAVARS[sid]}
+            instances.append((sid, t.instantiate_axiom(sid, subst)))
+    checked = {sid: 0 for sid in scheme_ids}
+    violations = []
+    for group, lo, firsts, ev in search_passes(spaces, names):
+        found = sorted(((lane, j, pair)
+                        for j, (_, instance) in enumerate(instances)
+                        for lane, pair in ev.hits(instance, False)),
+                       key=lambda hit: hit[:2])
+        for lane, j, pair in found:
+            model = t.decide._lane_model(group, lo, firsts, names, lane)
+            violations.append(t.decide.SchemeViolation(*instances[j], model,
+                                                       pair))
+        for sid, _ in instances:
+            checked[sid] += firsts[-1]
+    return t.SweepReport(checked, violations)
+
+
 def homeomorphism_class(s: t.SubsetSpace) -> tuple:
     """Brute-force canonical form: the least image of the opens, as sorted
     point tuples, under every permutation of the points."""

@@ -10,7 +10,7 @@ import topologic as t
 from topologic.cli import main
 from conftest import (ReferenceEvaluator, enumerate_closed_families,
                       homeomorphism_class, reference_labeled_decide,
-                      search_passes)
+                      reference_sweep, search_passes)
 from topologic.decide import (_BOUNDARY_SUBSTITUTIONS, _boundary_instances,
                               _first_hit, _representatives)
 
@@ -418,17 +418,17 @@ def test_first_hit_order_matches_reference(monkeypatch, cap, texts):
 def test_first_hit_holds_one_asked_row(monkeypatch):
     """Each formula of a pass is asked with at most the row of the formula
     asked before it held."""
-    hits = t.Evaluator.hits
+    hit_slots = t.Evaluator.hit_slots
     asked = []
     last = {}  # evaluator -> the formula it was last asked
 
-    def spy(ev, f, holds):
-        assert set(ev._rows) <= {last.get(ev)}
+    def spy(ev, f, holds, subst=None):
+        assert set(ev._rows) <= {last.get(ev)} and subst is None
         asked.append(f)
         last[ev] = f
-        return hits(ev, f, holds)
+        return hit_slots(ev, f, holds)
 
-    monkeypatch.setattr(t.Evaluator, "hits", spy)
+    monkeypatch.setattr(t.Evaluator, "hit_slots", spy)
     for sid in (11, 12):
         assert t.find_subset_space_countermodel(sid, t.SearchBound(3, ()))
     assert len(set(asked)) == 6
@@ -436,28 +436,32 @@ def test_first_hit_holds_one_asked_row(monkeypatch):
 
 
 def test_sweep_pass_holds_one_row(monkeypatch):
-    """A sweep asks each pass for every instance in turn, and the pass
-    holds at most the row of the instance asked before; the report is the
-    one of an unwatched sweep."""
-    hits = t.Evaluator.hits
-    asked: dict = {}  # evaluator -> the formulas it was asked, in order
+    """A sweep asks each pass for every scheme's template under each of its
+    substitutions in turn, and the pass holds no row after such a walk, so
+    at most the row of the formula asked before; the report is the one of
+    an unwatched sweep."""
+    hit_slots = t.Evaluator.hit_slots
+    asked: dict = {}  # evaluator -> (formula, substitution) asked, in order
 
-    def spy(ev, f, holds):
+    def spy(ev, f, holds, subst=None):
         done = asked.setdefault(ev, [])
-        assert set(ev._rows) <= set(done[-1:])
-        done.append(f)
-        return hits(ev, f, holds)
+        assert set(ev._rows) <= {f for f, s in done[-1:] if s is None}
+        done.append((f, subst))
+        return hit_slots(ev, f, holds, subst)
 
     b, spaces = t.SearchBound(3, ("A", "B")), list(t.enumerate_subset_spaces(3, 3))
     runs = [lambda: t.axiom_soundness_sweep(b, [11, 12], 4, 4, spaces=spaces),
             lambda: t.axiom_soundness_sweep(b, [3, 7, 8], 3, 1)]
     reports = [run() for run in runs]
-    monkeypatch.setattr(t.Evaluator, "hits", spy)
+    monkeypatch.setattr(t.Evaluator, "hit_slots", spy)
     assert [run() for run in runs] == reports
     assert reports[0].violations
     # One pass each: the 29 subset spaces of 64 lanes, and the 1 + 4 + 29
     # topologies on 1 to 3 points, 4 + 64 + 1,856 lanes in one pass.
     assert len(asked) == 2 and all(len(fs) in (8, 9) for fs in asked.values())
+    assert all(f in t.semantics._TEMPLATES.values() and s is not None
+               for fs in asked.values() for f, s in fs)
+    assert not any(ev._rows for ev in asked)
 
 
 def _mixed_searches():
@@ -763,9 +767,8 @@ def test_cold_searches_make_no_views():
 def test_search_with_hit_makes_only_its_witness_point_sets(monkeypatch,
                                                           search):
     """A cold search with a hit makes the point sets of its witness only:
-    the pair's open and the valuation of its model.  Each of the boundary
-    search's three instances makes the pair of its first hit, which here
-    is at the witness's open."""
+    the pair's open and the valuation of its model, once, though each of
+    the boundary search's three instances hits."""
     made = []
     real = t.space.from_mask
     for module in (t.space, t.semantics, t.decide):
@@ -779,7 +782,7 @@ def test_search_with_hit_makes_only_its_witness_point_sets(monkeypatch,
     witness = [t.space.to_mask(S) for S in (pair.open,
                                             *model.valuation.values())]
     assert set(made) == set(witness)
-    assert len(made) == len(witness) + (2 if isinstance(hit, tuple) else 0)
+    assert len(made) == len(witness)
 
 
 def test_boundary_search_checks_bounds_first(monkeypatch):
@@ -831,6 +834,55 @@ def test_sweep_violations_match_reference():
     assert [(v.scheme_id, v.instance, v.model, v.pair)
             for v in report.violations] == violations
     assert len({v.instance for v in report.violations}) > 1
+
+
+@pytest.mark.parametrize("bound, schemes, trials, seed, spaces, count", [
+    # Every scheme over atoms named like the metavariables, on topologies
+    # and on subset spaces.
+    ((3, ("phi", "psi")), range(1, 13), 3, 2, None, 0),
+    ((3, ("psi", "chi", "phi")), range(1, 13), 5, 7, "subsets", 576),
+    ((3, ("A", "B")), [11, 12], 4, 4, "subsets", 96),
+    # "unsound" puts the unsound phi -> K phi in place of scheme 7.
+    ((3, ("phi",)), [7, 1], 30, 3, "unsound", 728),
+    ((3, ("psi", "phi")), [7, 1, 12], 10, 5, "unsound subsets", 5568),
+])
+def test_sweep_matches_reference_sweep(monkeypatch, bound, schemes, trials,
+                                       seed, spaces, count):
+    """A sweep, which walks each scheme's template under its substitutions,
+    reports what the sweep that builds every instance reports: the counts,
+    and the violations in order, each with its instance, model and pair."""
+    if "unsound" in (spaces or ""):
+        monkeypatch.setitem(t.semantics._TEMPLATES, 7,
+                            t.parse("phi -> K phi"))
+    spaces = (list(t.enumerate_subset_spaces(3, 3))
+              if "subsets" in (spaces or "") else None)
+    b = t.SearchBound(*bound)
+    report = t.axiom_soundness_sweep(b, list(schemes), trials, seed, spaces)
+    assert report == reference_sweep(b, list(schemes), trials, seed, spaces)
+    assert len(report.violations) == count
+
+
+def test_sweep_walks_equal_draws_once(monkeypatch):
+    """Draws of one scheme with the same formulas share one walk per pass,
+    and each still counts and reports: scheme 2's five draws over one atom
+    are all A, and two of the unsound phi -> K phi's five are equal."""
+    monkeypatch.setitem(t.semantics._TEMPLATES, 7, t.parse("phi -> K phi"))
+    b = t.SearchBound(3, ("A",))
+    hit_slots, walked = t.Evaluator.hit_slots, Counter()
+
+    def spy(ev, f, holds, subst=None):
+        walked[ev, f, *subst.values()] += 1
+        return hit_slots(ev, f, holds, subst)
+
+    expected = reference_sweep(b, [2, 7], 5, 5)
+    monkeypatch.setattr(t.Evaluator, "hit_slots", spy)
+    report = t.axiom_soundness_sweep(b, [2, 7], 5, 5)
+    assert report == expected
+    assert set(walked.values()) == {1}
+    assert len({ev for ev, *_ in walked}) == 1  # one pass
+    # One walk for scheme 2 and four for scheme 7, over 2 + 16 + 232 lanes.
+    assert len(walked) == 1 + 4 and report.checked == {2: 1250, 7: 1250}
+    assert len(report.violations) == 546
 
 
 @pytest.mark.parametrize("cap", [None, 64])

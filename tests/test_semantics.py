@@ -230,6 +230,53 @@ def test_instantiate_axiom_matches_constructors():
                     is reference_instantiate_axiom(sid, subst))
 
 
+def _template_substitutions(sid: int, rng: random.Random) -> list[dict]:
+    """Seeded substitutions for a scheme over the atoms phi and psi, named
+    like its metavariables: top and bot leaves, the metavariables swapped,
+    and random formulas; atoms and constants only for scheme 2."""
+    metavars = t.semantics.AXIOM_METAVARS[sid]
+    leaves = [Atom("phi"), Atom("psi"), t.TOP, t.BOT]
+    fixed = [dict(zip(metavars, [Atom("psi"), Atom("phi"), t.BOT])),
+             dict.fromkeys(metavars, t.TOP), dict.fromkeys(metavars, t.BOT)]
+    drawn = [{var: rng.choice(leaves) if sid == 2
+              else t.random_formula(rng, ("phi", "psi"), 2)
+              for var in metavars} for _ in range(8)]
+    return fixed + drawn
+
+
+def test_template_walk_matches_instance_walk():
+    """A pass's row of a scheme's template under a substitution is the row
+    of its instance, though the atoms share the metavariables' names, and
+    its hits are the instance's; the walk keeps no row."""
+    rng = random.Random(26)
+    names = ["phi", "psi"]
+    spaces = [s for n in (1, 2, 3) for s in t.enumerate_topologies(n)]
+    passes = [*search_passes(spaces, names),
+              *search_passes(t.enumerate_subset_spaces(3, 3), names)]
+    # One pass each: 4 + 64 + 1,856 lanes, and the 29 spaces' 64 each.
+    assert [firsts[-1] for _, _, firsts, _ in passes] == [1924, 29 * 64]
+    walks = 0
+    for sid, template in t.semantics._TEMPLATES.items():
+        for subst in _template_substitutions(sid, rng):
+            instance = t.instantiate_axiom(sid, subst)
+            for *_, ev in passes:
+                assert ev._row(template, subst) == ev.row(instance)
+                for holds in (True, False):
+                    assert (list(ev.hit_slots(template, holds, subst))
+                            == list(ev.hit_slots(instance, holds)))
+                    assert set(ev._rows) <= {instance}
+                walks += 1
+    assert walks == 12 * 11 * len(passes)
+
+
+def test_model_evaluator_takes_no_substitution(m0):
+    ev = t.Evaluator(m0)
+    with pytest.raises(TypeError, match="takes no substitution"):
+        list(ev.hit_slots(t.semantics._TEMPLATES[4], False,
+                          {"phi": Atom("A")}))
+    assert not ev._rows
+
+
 def test_axiom_metavars_pinned():
     # The sweep draws one substitution per metavariable in this order.
     assert t.semantics.AXIOM_METAVARS == {

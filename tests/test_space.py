@@ -1,4 +1,10 @@
+import copy
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -257,6 +263,41 @@ def test_space_is_its_masks():
             assert t.SubsetSpace(s.point_names, s.masks[1:]) != s
         count += 1
     assert count == 1 + 40 + 2 + 1 + 4 + 29 + 355
+
+
+def test_space_hash_is_stored_and_not_copied():
+    """A space hashes its names and masks once, on first use; a copy or a
+    pickle carries no hash, and stays equal to the space it came from."""
+    for s in _spaces_of_every_source():
+        twin = space_from_masks(s.point_names, reversed(s.masks))
+        assert hash(twin) == hash(s) == hash((s.point_names, s.masks))
+        assert vars(s)["_hash"] == hash(s)
+        for other in (copy.copy(s), copy.deepcopy(s),
+                      pickle.loads(pickle.dumps(s))):
+            assert "_hash" not in vars(other)
+            assert other == s and hash(other) == hash(s)
+            assert {other: 1}[s] == 1
+
+
+def test_space_pickled_under_another_hash_seed_is_found():
+    """A space pickled by a process under another string-hash salt, after
+    it hashed the space, is found as a dict key next to its twin here."""
+    names, masks = ("p", "q", "r"), (0, 1, 3, 7)
+    child = (f"import pickle, sys\n"
+             f"from topologic.space import space_from_masks\n"
+             f"s = space_from_masks({names!r}, {masks!r})\n"
+             f"{{s: 1}}\n"
+             f"sys.stdout.buffer.write(pickle.dumps(s))\n")
+    salt = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = str(pathlib.Path(t.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", child], check=True,
+                         capture_output=True, timeout=60,
+                         env={**os.environ, "PYTHONHASHSEED": salt,
+                              "PYTHONPATH": src}).stdout
+    there = pickle.loads(out)
+    here = space_from_masks(names, masks)
+    table = {space_from_masks(("p", "q"), (0, 3)): 0, here: 1}
+    assert table[there] == 1 and there == here and hash(there) == hash(here)
 
 
 def test_interior_and_heyting_match_reference():
