@@ -32,13 +32,13 @@ from .modelfile import (load_model, model_to_document, read_json,
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
                         find_counterexample, walk_plan)
 from .space import (InternalError, Model, SpaceError, format_family,
-                    format_set, is_topology)
+                    format_set, is_topology, to_mask)
 from .splitting import build_splitting, remainder_blocks
 
 
 def _parse_formula(m: Model, text: str) -> Formula:
     f = parse(text)
-    undeclared = atoms(f) - set(m.valuation)
+    undeclared = atoms(f) - m.masks.keys()
     if undeclared:
         raise SpaceError(f"unknown atom {', '.join(sorted(undeclared))}")
     return f
@@ -52,7 +52,7 @@ def _parse_pair(m: Model, spec: str) -> Pair:
     members = frozenset(m.space.index_of(n.strip())
                         for n in open_part.split(",") if n.strip())
     names = m.space.point_names
-    if members not in m.space.opens:
+    if to_mask(members) not in m.space.masks:
         raise SpaceError(f"{format_set(members, names)} is not an open of the model")
     if point not in members:
         raise SpaceError(f"point {names[point]} not in open {format_set(members, names)}")
@@ -174,7 +174,7 @@ def cmd_basis(args) -> int:
         if args.depth < 0:
             raise SpaceError("--depth must be at least 0")
         rng = random.Random(args.seed)
-        names = sorted(m.valuation)
+        names = sorted(m.masks)
         formulas = [random_formula(rng, names, args.depth)
                     for _ in range(args.trials)]
     if not formulas:
@@ -219,7 +219,7 @@ def cmd_axioms(args) -> int:
         m = load_model(args.model)
         spaces = [m.space]
         bound = SearchBound(len(m.space.point_names),
-                            tuple(sorted(m.valuation)) or ("A",))
+                            tuple(sorted(m.masks)) or ("A",))
     elif args.enumerate is not None:
         bound = SearchBound(args.enumerate, ("A",))
         spaces = None

@@ -10,8 +10,9 @@ lane per model (`_space_passes`), and reports the least hit by space,
 formula, valuation and pair (`_first_hit`).  Its passes and their frames
 (see `semantics.PassFrame`) are fixed by its spaces and atoms, so those of
 recent searches are kept under keys of plain data naming the spaces
-(`_passes`): a warm search hashes no space and builds no frame.
-A pass holds one formula's row at a time, and no verdict or hit is kept.
+(`_passes`), each frame built when its pass is first walked: a warm search
+hashes no space and builds no kept frame.  A pass holds one formula's row
+at a time, and no verdict or hit is kept.
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
 1, 3, 9, 33 and 139 of them on 1 to 5 points (OEIS A001930), against 1, 4,
@@ -23,7 +24,7 @@ space with one, so the witness is the least labeled hit, at no rescan.
 The axiom sweep stays labeled, as its report counts labeled lanes, and
 walks each scheme's template under its substitutions, building no
 instance but a violated one (`axiom_soundness_sweep`).  A search makes
-the `Pair` and `Model` of a reported hit only.
+the `Pair` and `Model` of a reported hit only, the model from masks.
 
 The boundary search scans subset spaces in the same passes: a scheme's
 instances share their atoms, and so every pass, and the least hit is by
@@ -45,8 +46,8 @@ from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
 from .semantics import (_TEMPLATES, Evaluator, Pair, PassFrame, _ones,
                         instantiate_axiom, scheme_metavars, walk_plan)
 from .space import (InternalError, Model, PointSet, SpaceError,
-                    SubsetSpace, check_atom_name, from_mask, make_model,
-                    space_from_masks, to_mask)
+                    SubsetSpace, check_atom_name, from_mask, space_from_masks,
+                    to_mask)
 
 HARD_POINT_CAP = 5
 # Lanes per evaluator pass, a memory guard: on n points a row takes n + 1
@@ -180,11 +181,10 @@ def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
             yield space_from_masks(names, (*combo, universe))
 
 
-def _valuation(n: int, atom_names: Sequence[str], v: int
-               ) -> dict[str, PointSet]:
-    """The v-th valuation of `enumerate_valuations`."""
+def _valuation(n: int, atom_names: Sequence[str], v: int) -> dict[str, int]:
+    """The v-th valuation of `enumerate_valuations`, as masks."""
     subsets, k = _subsets_in_order(n), len(atom_names)
-    return {a: from_mask(subsets[v >> n * (k - 1 - i) & (1 << n) - 1])
+    return {a: subsets[v >> n * (k - 1 - i) & (1 << n) - 1]
             for i, a in enumerate(atom_names)}
 
 
@@ -195,7 +195,7 @@ def enumerate_valuations(n: int, atom_names: Sequence[str]
     atom, the first atom's most significant, and each digit indexes the
     subsets in cardinality-then-members order."""
     for v in range(1 << n * len(atom_names)):
-        yield _valuation(n, atom_names, v)
+        yield {a: from_mask(u) for a, u in _valuation(n, atom_names, v).items()}
 
 
 @lru_cache(maxsize=64)
@@ -267,8 +267,8 @@ def _new_frame(group: Sequence[SubsetSpace], lo: int, firsts: Sequence[int],
     return PassFrame(group, lanes, dict(zip(atom_names, rows)))
 
 
-# Recent layouts, least recently used first: (key, atoms, LANE_CAP) ->
-# passes, the first FRAME_CAP with frames; evicted whole past FRAME_CAP frames.
+# Recent layouts, least recently used first: (key, atoms, LANE_CAP) -> passes,
+# the first FRAME_CAP with frames once walked; evicted whole past FRAME_CAP.
 _LAYOUTS: dict[tuple, list] = {}
 FRAME_CAP = 64
 
@@ -276,18 +276,20 @@ FRAME_CAP = 64
 def _passes(key: tuple, spaces: Iterable[SubsetSpace], names: tuple[str, ...]
             ) -> Iterator[tuple[list, int, list[int], Evaluator]]:
     """(group, lo, firsts, evaluator) per pass of `_space_passes` over the
-    spaces, which key names as plain data; kept in _LAYOUTS."""
+    spaces, which key names as plain data; kept in _LAYOUTS.  A frame is
+    built when its pass is walked, by each thread that walks it at once."""
     key = (key, names, LANE_CAP)
     layout = _LAYOUTS.pop(key, None)
     if layout is None:
-        layout = [(*p, _new_frame(*p, names) if i < FRAME_CAP else None)
-                  for i, p in enumerate(_space_passes(spaces, names))]
+        layout = [(*p, None) for p in _space_passes(spaces, names)]
         # On copies, so that searches in other threads cannot break it.
         while sum(min(len(kept), FRAME_CAP)
                   for kept in [layout, *_LAYOUTS.values()]) > FRAME_CAP:
             _LAYOUTS.pop(next(iter([*_LAYOUTS]), None), None)
     _LAYOUTS[key] = layout  # the most recently used
-    for *p, frame in layout:
+    for i, (*p, frame) in enumerate(layout):
+        if frame is None and i < FRAME_CAP:
+            layout[i] = (*p, frame := _new_frame(*p, names))
         yield *p, Evaluator(frame or _new_frame(*p, names))
 
 
@@ -295,8 +297,8 @@ def _lane_model(group: Sequence[SubsetSpace], lo: int, firsts: Sequence[int],
                 atom_names: Sequence[str], lane: int) -> Model:
     """The model of a lane of `_space_passes`' pass (group, lo, firsts)."""
     k = bisect_right(firsts, lane) - 1
-    return make_model(group[k], _valuation(len(group[k].point_names),
-                                           atom_names, lo + lane - firsts[k]))
+    return Model(group[k], _valuation(len(group[k].point_names), atom_names,
+                                      lo + lane - firsts[k]))
 
 
 def _first_hit(passes: Iterable[tuple[list, int, list[int], Evaluator]],

@@ -19,15 +19,15 @@ from typing import Iterable, Sequence
 from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, PassFrame
 from .space import (InternalError, Model, PointSet, SpaceError, close,
-                    format_set, from_mask, is_closed, is_topology, make_model,
+                    format_set, from_mask, is_closed, is_topology,
                     space_from_masks, to_mask)
 from .splitting import build_splitting
 
 
 def _check_basis(m: Model, basis: Sequence[PointSet]) -> None:
     names = m.space.point_names
-    for B in basis:
-        if B not in m.space.opens:
+    for B in basis:  # points first: to_mask takes no negative point
+        if not (m.space.universe.issuperset(B) and to_mask(B) in m.space.masks):
             raise SpaceError(f"basis member {format_set(B, names)} is not open")
     masks = tuple(map(to_mask, set(basis)))
     members = set(masks)
@@ -64,8 +64,7 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     bspace = space_from_masks(m.space.point_names, map(to_mask, basis))
     w = len(m.space.point_names) + 1  # the lane width
     frame = PassFrame((m.space, bspace), (1, 1),
-                      {a: to_mask(S) * (1 | 1 << w)
-                       for a, S in m.valuation.items()})
+                      {a: u * (1 | 1 << w) for a, u in m.masks.items()})
     ev = Evaluator(frame)
     slots = [frame.slots.index(u) for u in bspace.masks]
     for f in formulas:
@@ -100,21 +99,25 @@ def point_quotient(m: Model, atom_list: Iterable[str]) -> QuotientMap:
     """
     names = tuple(sorted(set(atom_list)))
     s = m.space
+    try:
+        masks = (*s.masks, *[m.masks[a] for a in names])
+    except KeyError as exc:
+        raise SpaceError(f"unknown atom {exc.args[0]!r}") from None
     # Point x's profile: its digit in each open's mask, then in each atom's.
-    digits = [format(u, f"0{len(s.point_names)}b")[::-1] for u in (
-        *s.masks, *[to_mask(m.atom_set(a)) for a in names])]
+    digits = [format(u, f"0{len(s.point_names)}b")[::-1] for u in masks]
     profiles: dict[tuple, int] = {}
     point_class = dict(enumerate([profiles.setdefault(p, len(profiles))
                                   for p in zip(*digits)]))
-    images = [to_mask({c for x, c in point_class.items() if u >> x & 1})
-              for u in s.masks]
-    qspace = space_from_masks([f"c{i}" for i in range(len(profiles))], images)
-    open_class = {U: from_mask(u) for U, u in zip(s.opens, images)}
     # Class members agree on every atom: the profile contains the atoms.
-    qval = {a: frozenset(point_class[x] for x in m.atom_set(a)) for a in names}
+    images = [to_mask({c for x, c in point_class.items() if u >> x & 1})
+              for u in masks]
+    qspace = space_from_masks([f"c{i}" for i in range(len(profiles))],
+                              images[:len(s.masks)])
+    open_class = {U: from_mask(u) for U, u in zip(s.opens, images)}
     if is_topology(s) and not is_topology(qspace):
         raise InternalError("the quotient of a topology is not a topology")
-    return QuotientMap(point_class, open_class, make_model(qspace, qval))
+    return QuotientMap(point_class, open_class,
+                       Model(qspace, dict(zip(names, images[len(s.masks):]))))
 
 
 @dataclass
@@ -143,6 +146,6 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     if not is_topology(restricted_space):
         raise InternalError("the restricted family is not a topology")
     names = atoms(f)
-    restricted = make_model(restricted_space,
-                            {a: m.atom_set(a) for a in names})
+    restricted = Model(restricted_space,  # point_quotient checks the names
+                       {a: u for a, u in m.masks.items() if a in names})
     return ExtractionResult(restricted, point_quotient(restricted, names))

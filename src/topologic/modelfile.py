@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from .formula import is_atom_name
-from .space import Model, SpaceError, from_mask, make_model, space_from_masks
+from .space import Model, SpaceError, check_atom_name, space_from_masks
 
 
 def model_from_document(doc: dict) -> Model:
@@ -50,9 +50,12 @@ def model_from_document(doc: dict) -> Model:
     for atom in doc["valuation"]:
         if not is_atom_name(atom):
             raise SpaceError(f"valuation: {atom!r} is not an atom name")
-    valuation = {atom: from_mask(to_mask(raw, f"valuation of {atom!r}"))
-                 for atom, raw in doc["valuation"].items()}
-    return make_model(space_from_masks(points, opens), valuation)
+    masks = {atom: to_mask(raw, f"valuation of {atom!r}")
+             for atom, raw in doc["valuation"].items()}
+    space = space_from_masks(points, opens)
+    for atom in masks:  # top and bot, once the space is checked
+        check_atom_name(atom)
+    return Model(space, masks)
 
 
 def model_to_document(m: Model) -> dict:
@@ -61,8 +64,8 @@ def model_to_document(m: Model) -> dict:
         "points": list(names),
         "opens": [[x for i, x in enumerate(names) if u >> i & 1]
                   for u in m.space.masks],
-        "valuation": {atom: [names[i] for i in sorted(s)]
-                      for atom, s in sorted(m.valuation.items())},
+        "valuation": {atom: [x for i, x in enumerate(names) if u >> i & 1]
+                      for atom, u in sorted(m.masks.items())},
     }
 
 

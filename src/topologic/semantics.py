@@ -25,16 +25,16 @@ points, which K clears.  Sorted by size, a space's opens keep their
 is read off in one scan.
 
 What a pass fixes before any formula is its `PassFrame`: the slots and
-their masks over the lanes, `K`'s per-lane constants, the atoms' rows, and,
-built at first use, the slot order of `hits`, the covers of `[]` and, for
-the frozenset methods only, the slots' point sets and each one's slot: a
-search makes no point set but its witness's.  An evaluator owns only its
-rows (see `Evaluator`); a search pass walks each formula's plan in
-`_PLANS`, which drops each operand's row right after its last parent: a
-wide pass holds few rows.  A pass can also walk a formula under a
-substitution for its atoms, as sweeps walk a scheme's template: a
-substituted atom's row is its formula's, walked by that formula's own
-plan in rows of its own, and no row is kept under the template.
+their masks over the lanes, `K`'s per-lane constants, the atoms' rows,
+and, built at first use, the slot order of `hits` and the covers of `[]`.
+A frame keeps no point set: the frozenset methods find an open's slot by
+its mask, and a search makes no point set but its witness's.  An evaluator
+owns only its rows (see `Evaluator`); a search pass walks each formula's
+plan in `_PLANS`, which drops each operand's row right after its last
+parent: a wide pass holds few rows.  A pass can also walk a formula under
+a substitution for its atoms, as sweeps walk a scheme's template: a
+substituted atom's row is its formula's, walked by that formula's own plan
+in rows of its own, and no row is kept under the template.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -108,16 +108,6 @@ class PassFrame:
         self.atoms = atoms
 
     @cached_property
-    def opens(self) -> tuple[PointSet, ...]:
-        """The slots' point sets, which searches never read."""
-        return tuple(map(from_mask, self.slots))
-
-    @cached_property
-    def index(self) -> dict[PointSet, int]:
-        """Each open's slot."""
-        return {U: i for i, U in enumerate(self.opens)}
-
-    @cached_property
     def covers(self) -> list[list[int]]:
         """Each slot's maximal proper sub-slots, by the slots' own point
         sets, found scanning the smaller slots downwards: one under a cover
@@ -163,8 +153,7 @@ class Evaluator:
     def __init__(self, m: Model | PassFrame):
         self._keep = isinstance(m, Model)
         if self._keep:
-            m = PassFrame((m.space,), (1,), {a: to_mask(s) for a, s
-                                             in m.valuation.items()})
+            m = PassFrame((m.space,), (1,), m.masks)
         elif not isinstance(m, PassFrame):
             raise TypeError(f"an evaluator needs a model or a frame, "
                             f"not {type(m).__name__}")
@@ -246,20 +235,21 @@ class Evaluator:
         satisfy f there, in every lane."""
         return self._rows.get(f) or self._row(f)  # rows are never empty
 
+    def _slot(self, U: PointSet) -> int:
+        """The slot of the open U, found by its mask."""
+        try:  # a set of other than points has no mask, or no slot
+            return self._frame.slots.index(to_mask(U))
+        except (TypeError, ValueError):
+            raise SpaceError(f"{sorted(U)} is not an open of the space") from None
+
     def mask(self, U: PointSet, f: Formula) -> int:
         """The points of the open U that satisfy f at U, as a bitmask."""
-        i = self._frame.index.get(U)
-        if i is None:
-            raise SpaceError(f"{sorted(U)} is not an open of the space")
+        i = self._slot(U)
         return (self._rows.get(f) or self._row(f))[i]  # rows are never empty
 
     def slots(self, opens: Iterable[PointSet]) -> list[int]:
         """The slots of the given opens, ascending: in `sort_family` order."""
-        try:
-            return sorted([self._frame.index[U] for U in opens])
-        except KeyError as exc:
-            raise SpaceError(f"{sorted(exc.args[0])} is not an open of the "
-                             "space") from None
+        return sorted(map(self._slot, opens))
 
     def stable(self, slots: Sequence[int], f: Formula) -> bool:
         """True iff f's truth at each point is constant over the given slots

@@ -2,12 +2,13 @@
 
 Points are indices into a name table.  Inside the library a point set is
 an int bitmask, bit x for point x: a space stores only its open masks, in
-`set_key` order (by cardinality, then sorted members), and its equality
-and hash go over its point names and masks; the hash is kept from its
-first use, but never copied or pickled.  Frozensets of indices are
-what the library takes, returns, saves and prints: a space's `opens` is a
-view of its masks, made by `from_mask` on first read, which no search
-does.  `space_from_masks` builds every space, `make_space` from
+`set_key` order (by cardinality, then sorted members), and a model one
+mask per atom.  A space's equality goes over its point names and masks,
+its hash over its masks: kept from first use, and alike in every process.
+Frozensets of indices are what the library takes, returns, saves and
+prints: a space's `opens` and a model's `valuation` are views of masks,
+made by `from_mask` on first read, which no search does.
+`space_from_masks` builds every space, `make_space` and `make_model` take
 frozensets.  `interior_mask` is the one interior.  Families are closed and
 checked here only: `close` closes frozensets or masks under & or | in one
 pass, as both are associative, commutative and idempotent; `is_closed` is
@@ -78,13 +79,9 @@ class SubsetSpace:
 
     @cached_property
     def _hash(self) -> int:
-        """The hash of the fields, computed once, on first use."""
-        return hash((self.point_names, self.masks))
-
-    def __getstate__(self) -> dict:
-        """The state to copy or pickle, without the stored hash: string
-        hashes are salted per process."""
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        """The hash of the masks, computed once, on first use: int tuples
+        hash alike in every process, so copies and pickles keep it."""
+        return hash(self.masks)
 
     @property
     def universe(self) -> PointSet:
@@ -209,10 +206,14 @@ def close_under_union(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
 
 @dataclass(frozen=True)
 class Model:
-    """A subset space with an atom valuation."""
+    """A subset space with one point mask per atom; `valuation` is a view."""
 
     space: SubsetSpace
-    valuation: Mapping[str, PointSet]
+    masks: Mapping[str, int]
+
+    @cached_property
+    def valuation(self) -> dict[str, PointSet]:
+        return {a: from_mask(u) for a, u in self.masks.items()}
 
     def atom_set(self, name: str) -> PointSet:
         try:
@@ -231,11 +232,11 @@ def check_atom_name(name: str) -> None:
 
 def make_model(space: SubsetSpace, valuation: Mapping[str, PointSet]) -> Model:
     universe = space.universe
-    val = {}
+    masks = {}
     for name, raw in valuation.items():
         check_atom_name(name)
         s = frozenset(raw)
         if not s <= universe:
             raise SpaceError(f"valuation of {name!r} has out-of-range points")
-        val[name] = s
-    return Model(space, val)
+        masks[name] = to_mask(s)
+    return Model(space, masks)

@@ -475,12 +475,14 @@ def reference_hits(ev: t.Evaluator, f: Formula, holds: bool,
     first and the points ascending, each slot's row shifted to the lane."""
     frame = ev._frame
     w = frame.width
+    slots = sorted(enumerate(map(t.space.from_mask, frame.slots)),
+                   key=lambda slot: -len(slot[1]))
     out = []
     for lane in range(lanes):
-        for U in sorted(frame.opens, key=len, reverse=True):
+        for i, U in slots:
             row = ev.mask(U, f)
             if not holds:
-                row ^= frame.masks[frame.index[U]]
+                row ^= frame.masks[i]
             bits = row >> lane * w & (1 << w - 1) - 1
             if bits:
                 out.append((lane, t.Pair((bits & -bits).bit_length() - 1, U)))

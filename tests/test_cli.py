@@ -62,6 +62,27 @@ def test_check_at_pair(m0_file, capsys):
     assert "satisfied" in capsys.readouterr().out
 
 
+def test_check_at_and_basis_make_no_point_set(m0_file, tmp_path):
+    """`load_model`, `check --at` and `basis` read the model's masks: none
+    makes a point set through `space.from_mask`, as the frozenset views
+    of a space and a model do when read."""
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(M0_DOC["opens"]))
+
+    def made():  # every call of from_mask is a hit or a miss
+        return sum(t.space.from_mask.cache_info()[:2])
+
+    before = made()
+    m = t.load_model(m0_file)
+    assert main(["check", m0_file, "K B", "--at", "x0:x0,x1"]) == 0
+    assert main(["check", m0_file, "K A", "--at", "x1:x0,x1"]) == 1
+    assert main(["basis", m0_file, str(basis), "--trials", "20"]) == 0
+    assert made() == before
+    assert m.masks == {"A": 1, "B": 3}
+    assert m.valuation == {"A": F({0}), "B": F({0, 1})}
+    assert made() == before + 2
+
+
 def test_check_at_point_outside_open(m0_file, capsys):
     assert main(["check", m0_file, "A", "--at", "x1:x0"]) == 2
     captured = capsys.readouterr()
@@ -879,6 +900,8 @@ def test_roundtrip_model_document(m0):
     again = t.model_from_document(doc)
     assert again.space.opens == m0.space.opens
     assert again.valuation == m0.valuation
+    assert again.masks == {a: t.space.to_mask(S)
+                           for a, S in m0.valuation.items()}
 
 
 def test_made_models_save_and_load(tmp_path):
@@ -892,6 +915,9 @@ def test_made_models_save_and_load(tmp_path):
     t.save_model(m, tmp_path / "m.json")
     again = t.load_model(tmp_path / "m.json")
     assert (again.space, again.valuation) == (m.space, m.valuation)
+    assert again.masks == {a: t.space.to_mask(S)
+                           for a, S in m.valuation.items()} == {"A_1": 1,
+                                                                "_b": 3}
 
 
 def test_model_document_errors(tmp_path):

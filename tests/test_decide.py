@@ -698,9 +698,10 @@ def test_frame_memo_stays_bounded(monkeypatch):
 
 
 def test_layout_builds_each_frame_once(monkeypatch):
-    """A layout of more passes than FRAME_CAP builds the frames it
-    keeps as it lays out its passes, and each other one once, as it is
-    walked: on a first run, one frame per pass."""
+    """A layout of more passes than FRAME_CAP builds each frame as its
+    pass is walked: on a first run, one frame per pass.  It keeps the
+    frames of its first FRAME_CAP passes, and a warm run builds each
+    other one again."""
     spaces = list(t.enumerate_topologies(3))
     b = t.SearchBound(3, ("A",))
     want = t.axiom_soundness_sweep(b, [7, 11], 3, 5, spaces=spaces)
@@ -739,6 +740,27 @@ def _cold_search_memos():
     t.decide._LAYOUTS.clear()
 
 
+@pytest.mark.parametrize("search", [
+    lambda: t.decide_sat(t.parse("A & ~K A"), t.SearchBound(4, ("A", "B"))),
+    lambda: t.decide_valid(t.parse("[] (A -> K B) -> <> L A"),
+                           t.SearchBound(4, ("A", "B"))),
+])
+def test_early_hit_builds_only_its_pass_frame(monkeypatch, search):
+    """A search builds a pass's frame when it first walks the pass: with
+    the memo cleared, a hit in the first of the 34 passes of two atoms to
+    4 points builds one frame, and a warm repeat builds none."""
+    built = []
+    new_frame = t.decide._new_frame
+    monkeypatch.setattr(t.decide, "_new_frame",
+                        lambda *args: built.append(args) or new_frame(*args))
+    t.decide._LAYOUTS.clear()
+    verdict = search()
+    assert verdict.model is not None
+    layout, = t.decide._LAYOUTS.values()
+    assert len(layout) == 34 and len(built) == _held_frames() == 1
+    assert search() == verdict and len(built) == 1
+
+
 def test_cold_searches_make_no_views():
     """Cold searches read masks only: no space that a full scan to 4
     points or a boundary search scans, and no frame they keep, makes its
@@ -756,7 +778,8 @@ def test_cold_searches_make_no_views():
     assert len(spaces) == 1 + 4 + 29 + 355 + 46 + 2 + 8 + 64
     assert len(frames) == 2
     assert not [s for s in spaces if "opens" in vars(s)]
-    assert not [f for f in frames if {"opens", "index"} & vars(f).keys()]
+    # A frame keeps ints, and lists and maps of them: no point set.
+    assert not [f for f in frames if "frozenset" in repr(vars(f))]
 
 
 @pytest.mark.parametrize("search", [

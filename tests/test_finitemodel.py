@@ -84,6 +84,10 @@ def test_check_basis_matches_reference():
         assert verdict == _basis_verdict(reference_check_basis, m, basis)
         verdicts.add(verdict)
     assert verdicts == {"ok", "not open", "not closed", "generate"}
+    # A member with a negative point, which has no mask, is not open.
+    basis = [F({-1}), *m.space.opens]
+    assert (_basis_verdict(finitemodel._check_basis, m, basis)
+            == _basis_verdict(reference_check_basis, m, basis) == "not open")
 
 
 def test_accepted_bases_are_the_nonempty_opens():

@@ -84,7 +84,7 @@ def test_one_space_frame_keeps_the_space_layout(lanes):
             sum(u << lane * w for lane in range(lanes)) for u in s.masks]
         assert frame.order == sorted(range(len(s.opens)),
                                      key=lambda i: -len(s.opens[i]))
-        assert frame.opens == s.opens
+        assert tuple(map(t.space.from_mask, frame.slots)) == s.opens
 
 
 @pytest.mark.parametrize("names", [["A"], ["A", "B"]])
@@ -125,7 +125,7 @@ def test_frame_pads_lanes_to_widest_space(names):
     formulas += [t.random_formula(rng, names, 4) for _ in range(6)]
     for f in formulas:
         for g in t.subformulas(f):
-            for U in ev._frame.opens:
+            for U in map(t.space.from_mask, ev._frame.slots):
                 row = ev.mask(U, g)
                 for lane, (m, one, ref) in enumerate(zip(lanes, ones, refs)):
                     bits = row >> lane * w & (1 << w) - 1
@@ -479,15 +479,16 @@ def test_box_matches_reference_lane_by_lane(spaces, names, texts):
     lacking = 0  # lanes whose space lacks a cover of one of its opens
     for group, lo, firsts, ev in search_passes(spaces(), names):
         frame, w = ev._frame, ev._frame.width
+        index = {t.space.from_mask(u): i for i, u in enumerate(frame.slots)}
         assert len(group) > 1
         for lane in range(firsts[-1]):
             m = decide._lane_model(group, lo, firsts, names, lane)
             ref, opens = ReferenceEvaluator(m), set(m.space.opens)
-            lacking += any(frame.opens[c] not in opens
-                           for U in opens for c in frame.covers[frame.index[U]])
+            lacking += any(frame.slots[c] not in m.space.masks
+                           for U in opens for c in frame.covers[index[U]])
             for f in formulas:
                 row = ev.row(f)
-                for U, i in frame.index.items():
+                for U, i in index.items():
                     bits = row[i] >> lane * w & (1 << w) - 1
                     assert bits == (to_mask(ref.extension(U, f))
                                     if U in opens else 0)
