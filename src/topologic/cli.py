@@ -31,8 +31,8 @@ from .modelfile import (load_model, model_to_document, read_json,
                         save_model)
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
                         find_counterexample, walk_plan)
-from .space import (InternalError, Model, SpaceError, format_family,
-                    format_set, is_topology, to_mask)
+from .space import (InternalError, Model, SpaceError, checked_mask,
+                    format_family, format_set, is_topology)
 from .splitting import build_splitting, remainder_blocks
 
 
@@ -52,7 +52,7 @@ def _parse_pair(m: Model, spec: str) -> Pair:
     members = frozenset(m.space.index_of(n.strip())
                         for n in open_part.split(",") if n.strip())
     names = m.space.point_names
-    if to_mask(members) not in m.space.masks:
+    if checked_mask(len(names), members, "--at open") not in m.space.masks:
         raise SpaceError(f"{format_set(members, names)} is not an open of the model")
     if point not in members:
         raise SpaceError(f"point {names[point]} not in open {format_set(members, names)}")

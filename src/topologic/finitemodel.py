@@ -18,26 +18,27 @@ from typing import Iterable, Sequence
 
 from .formula import Formula, atoms
 from .semantics import Evaluator, Pair, PassFrame
-from .space import (InternalError, Model, PointSet, SpaceError, close,
-                    format_set, from_mask, is_closed, is_topology,
-                    space_from_masks, to_mask)
+from .space import (InternalError, Model, PointSet, SpaceError,
+                    checked_mask, close, format_set, from_mask, is_closed,
+                    is_topology, sort_masks, space_from_masks, to_mask)
 from .splitting import build_splitting
 
 
-def _check_basis(m: Model, basis: Sequence[PointSet]) -> None:
+def _check_basis(m: Model, basis: Sequence[PointSet]) -> set[int]:
+    """The masks of the basis members, once checked."""
     names = m.space.point_names
-    for B in basis:  # points first: to_mask takes no negative point
-        if not (m.space.universe.issuperset(B) and to_mask(B) in m.space.masks):
-            raise SpaceError(f"basis member {format_set(B, names)} is not open")
-    masks = tuple(map(to_mask, set(basis)))
-    members = set(masks)
-    if not is_closed(masks, members, or_):
+    members = {checked_mask(len(names), B, "basis member is not open")
+               for B in basis}
+    for u in sort_masks(members.difference(m.space.masks), len(names))[:1]:  # the least
+        raise SpaceError(f"basis member {format_set(from_mask(u), names)} is not open")
+    if not is_closed(members, members, or_):
         raise SpaceError("basis is not closed under union")
     # The union of the members inside an open is itself a member, so a
     # union-closed basis generates a nonempty open iff the open is a member.
     for u in m.space.masks:
         if u and u not in members:
             raise SpaceError(f"basis does not generate the open {format_set(from_mask(u), names)}")
+    return members
 
 
 @dataclass
@@ -60,8 +61,7 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     empty open, which holds no point and so is in no pair.  The models are
     lanes 0 and 1 of one evaluator, so each formula is walked once.
     """
-    _check_basis(m, basis)  # so every member is an open of m
-    bspace = space_from_masks(m.space.point_names, map(to_mask, basis))
+    bspace = space_from_masks(m.space.point_names, _check_basis(m, basis))
     w = len(m.space.point_names) + 1  # the lane width
     frame = PassFrame((m.space, bspace), (1, 1),
                       {a: u * (1 | 1 << w) for a, u in m.masks.items()})

@@ -50,8 +50,8 @@ from weakref import WeakKeyDictionary
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
                       post_order, subformulas)
-from .space import (Model, PointSet, SpaceError, SubsetSpace, from_mask,
-                    sort_masks, to_mask)
+from .space import (Model, PointSet, SpaceError, SubsetSpace, checked_mask,
+                    from_mask, sort_masks)
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,10 @@ class Evaluator:
 
     def _slot(self, U: PointSet) -> int:
         """The slot of the open U, found by its mask."""
-        try:  # a set of other than points has no mask, or no slot
-            return self._frame.slots.index(to_mask(U))
-        except (TypeError, ValueError):
-            raise SpaceError(f"{sorted(U)} is not an open of the space") from None
+        u = checked_mask(self._frame.width - 1, U, "open")
+        if u in self._frame.slots:
+            return self._frame.slots.index(u)
+        raise SpaceError(f"{sorted(from_mask(u))} is not an open of the space")
 
     def mask(self, U: PointSet, f: Formula) -> int:
         """The points of the open U that satisfy f at U, as a bitmask."""
@@ -264,8 +264,7 @@ class Evaluator:
         return not sat & fail
 
     def extension(self, U: PointSet, f: Formula) -> PointSet:
-        bits = self.mask(U, f)
-        return frozenset(x for x in U if bits >> x & 1)
+        return from_mask(self.mask(U, f) & (1 << self._frame.width - 1) - 1)
 
     def satisfies(self, p: Pair, f: Formula) -> bool:
         return bool(self.mask(p.open, f) >> p.point & 1)

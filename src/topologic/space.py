@@ -1,21 +1,21 @@
 """Finite subset spaces and topologies as explicit set families.
 
 Points are indices into a name table.  Inside the library a point set is
-an int bitmask, bit x for point x: a space stores only its open masks, in
-`set_key` order (by cardinality, then sorted members), and a model one
-mask per atom.  A space's equality goes over its point names and masks,
-its hash over its masks: kept from first use, and alike in every process.
-Frozensets of indices are what the library takes, returns, saves and
-prints: a space's `opens` and a model's `valuation` are views of masks,
-made by `from_mask` on first read, which no search does.
-`space_from_masks` builds every space, `make_space` and `make_model` take
-frozensets.  `interior_mask` is the one interior.  Families are closed and
-checked here only: `close` closes frozensets or masks under & or | in one
-pass, as both are associative, commutative and idempotent; `is_closed` is
-the one closure check, for a space's closure flags (computed when
-`is_topology` first reads them), `make_splitting` and bases.
+an int bitmask, bit x for point x: a space stores its open masks in
+`set_key` order (by cardinality, then sorted members), a model one mask
+per atom.  A space's equality goes over its point names and masks, its
+hash over its masks, kept from first use and alike in every process.
+The library returns, saves and prints frozensets of indices: `opens`
+and `valuation` are views made by `from_mask` on first read, which no
+search does.  `checked_mask` is the one door from a caller's point set to
+a mask: any iterable of int points below the point count (`bool`s are the
+points 0 and 1), else SpaceError; a wrong argument type past that (a
+non-space or non-`Model` first argument, a non-iterable family) may still
+raise TypeError or AttributeError.  `space_from_masks` builds every space,
+`interior_mask` is the one interior, `close` closes frozensets or masks
+under & or | in one pass (both are associative, commutative and
+idempotent), and `is_closed` is the one closure check.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -49,6 +49,21 @@ def sort_family(family: Iterable[PointSet]) -> tuple[PointSet, ...]:
 def to_mask(s: Iterable[int]) -> int:
     """The bitmask of a point set: bit x is set iff x is in s."""
     return sum(map((1).__lshift__, s))
+
+
+def checked_mask(n: int, S: Iterable[int], what: str) -> int:
+    """The mask of S when each member is an int point below n: the one
+    check of a caller's point set.  Else SpaceError, naming what."""
+    u = 0
+    try:
+        for x in S:
+            if not (isinstance(x, int) and 0 <= x < n):
+                raise SpaceError(f"{what}: {x!r} is outside the space "
+                                 "(out-of-range, or not an int)")
+            u |= 1 << x
+    except TypeError:  # from iter(S): isinstance guards the comparison
+        raise SpaceError(f"{what}: {S!r} is not a set of points") from None
+    return u
 
 
 @lru_cache(maxsize=1024)
@@ -107,14 +122,8 @@ class SubsetSpace:
 
 
 def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetSpace:
-    names = tuple(point_names)
-
-    def mask(raw: Iterable[int]) -> int:
-        s = frozenset(raw)
-        if s and not (0 <= min(s) and max(s) < len(names)):
-            raise SpaceError(f"open {sorted(s)} has out-of-range points")
-        return to_mask(s)
-    return space_from_masks(names, map(mask, opens))  # names checked first
+    names = tuple(point_names)  # checked by space_from_masks before any open
+    return space_from_masks(names, (checked_mask(len(names), U, "open") for U in opens))
 
 
 def sort_masks(masks: Iterable[int], n: int) -> list[int]:
@@ -166,18 +175,18 @@ def interior(s: SubsetSpace, S: PointSet) -> PointSet:
     topology, and S a set of its points."""
     if not is_topology(s):
         raise SpaceError("interior requires a topology")
-    if not s.universe.issuperset(S):
-        raise SpaceError(f"{sorted(S)} has points outside the space")
-    return from_mask(interior_mask(s.masks, ~to_mask(S)))
+    return from_mask(interior_mask(s.masks, ~checked_mask(
+        len(s.point_names), S, "interior argument")))
 
 
 def heyting_implication(s: SubsetSpace, U: PointSet, W: PointSet) -> PointSet:
     """Largest open V with V & U <= W, i.e. interior(X - (U - W))."""
     if not is_topology(s):
         raise SpaceError("Heyting implication requires a topology")
-    if U not in s.opens or W not in s.opens:
+    u, w = (checked_mask(len(s.point_names), V, "Heyting argument") for V in (U, W))
+    if u not in s.masks or w not in s.masks:
         raise SpaceError("Heyting implication arguments must be open")
-    return from_mask(interior_mask(s.masks, to_mask(U - W)))
+    return from_mask(interior_mask(s.masks, u & ~w))
 
 
 def close(family: Iterable, op: Callable) -> set:
@@ -222,21 +231,16 @@ class Model:
             raise SpaceError(f"unknown atom {name!r}") from None
 
 
-def check_atom_name(name: str) -> None:
-    """Raise SpaceError unless parse reads name alone as an atom."""
+def check_atom_name(name: str) -> str:
+    """name, if parse reads it alone as an atom; else SpaceError."""
     if name in ("top", "bot"):
         raise SpaceError(f"atom name {name!r} is reserved")
     if not (isinstance(name, str) and is_atom_name(name)):
         raise SpaceError(f"{name!r} is not an atom name")
+    return name
 
 
 def make_model(space: SubsetSpace, valuation: Mapping[str, PointSet]) -> Model:
-    universe = space.universe
-    masks = {}
-    for name, raw in valuation.items():
-        check_atom_name(name)
-        s = frozenset(raw)
-        if not s <= universe:
-            raise SpaceError(f"valuation of {name!r} has out-of-range points")
-        masks[name] = to_mask(s)
-    return Model(space, masks)
+    n = len(space.point_names)
+    return Model(space, {check_atom_name(a): checked_mask(n, S, f"valuation of {a!r}")
+                         for a, S in valuation.items()})

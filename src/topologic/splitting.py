@@ -20,9 +20,9 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
-from .space import (Model, PointSet, SpaceError, SubsetSpace, close,
-                    from_mask, interior_mask, is_closed, is_topology,
-                    sort_family, to_mask)
+from .space import (Model, PointSet, SpaceError, SubsetSpace, checked_mask,
+                    close, from_mask, interior_mask, is_closed, is_topology,
+                    sort_masks)
 from .semantics import Evaluator
 
 
@@ -58,22 +58,19 @@ def _least_above(fam: Iterable[int], v: int) -> int:
 
 
 def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
-    slots = []
-    for U in sort_family(family):
-        if U not in space.opens:
-            raise SpaceError(f"{sorted(U)} is not an open of the space")
-        slots.append(space.opens.index(U))
-    sp = Splitting(tuple(slots), space)
-    if not is_closed(sp.masks, set(sp.masks), and_):
+    n = len(space.point_names)
+    masks = {checked_mask(n, U, "splitting member") for U in family}
+    for u in sort_masks(masks.difference(space.masks), n)[:1]:  # the least
+        raise SpaceError(f"{sorted(from_mask(u))} is not an open of the space")
+    sp = Splitting(tuple(sorted(map(space.masks.index, masks))), space)
+    if not is_closed(masks, masks, and_):
         raise SpaceError("splitting family is not intersection-closed")
     return sp
 
 
 def classify(s: Splitting, V: PointSet) -> PointSet:
     """The least family member above V; V lies in its remainder."""
-    if not s.space.universe.issuperset(V):
-        raise SpaceError(f"{sorted(V)} has points outside the space")
-    rep = _least_above(s.masks, to_mask(V))
+    rep = _least_above(s.masks, checked_mask(len(s.space.point_names), V, "classified set"))
     if rep == -1:
         raise SpaceError(f"{sorted(V)} is below no member of the splitting")
     return from_mask(rep)  # a member when the family is intersection-closed

@@ -90,6 +90,17 @@ def test_check_basis_matches_reference():
             == _basis_verdict(reference_check_basis, m, basis) == "not open")
 
 
+def test_basis_member_with_a_point_past_the_space_is_not_open(m0):
+    """A basis member with a point the space lacks is reported as not open,
+    naming that point: not as an IndexError from the point names, and not
+    under the name of another point (the last one, for -1)."""
+    opens = [U for U in m0.space.opens if U]
+    for member, point in ((F({5}), "5"), (F({-1}), "-1"), (F({0, 3}), "3")):
+        with pytest.raises(t.SpaceError, match="not open") as exc:
+            t.basis_equivalent(m0, [member, *opens], [t.parse("A")])
+        assert point in str(exc.value) and "{x" not in str(exc.value)
+
+
 def test_accepted_bases_are_the_nonempty_opens():
     # Why `basis_equivalent` cannot disagree on a finite topology: every
     # basis `_check_basis` accepts is the model's nonempty opens, with or
@@ -148,9 +159,11 @@ def test_basis_equivalent_matches_reference():
 
 def test_basis_equivalent_disagreements_match_reference(monkeypatch):
     # Families of opens with X that are not bases, with the basis check
-    # taken out: the only way to reach the disagreement reports.  Both
-    # report the same formula and pair, or validity.
-    monkeypatch.setattr(finitemodel, "_check_basis", lambda m, basis: None)
+    # taken out (the stub returns the members' masks unchecked): the only
+    # way to reach the disagreement reports.  Both report the same formula
+    # and pair, or validity.
+    monkeypatch.setattr(finitemodel, "_check_basis",
+                        lambda m, basis: {t.space.to_mask(B) for B in basis})
     rng = random.Random(67)
     kinds = Counter()
     for _ in range(800):

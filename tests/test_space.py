@@ -7,14 +7,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import topologic as t
-from topologic.space import from_mask, space_from_masks
-from conftest import (generate_topology, random_model, random_topology,
-                      reference_closure_family,
+from topologic.space import from_mask, set_key, space_from_masks
+from conftest import (ReferenceEvaluator, generate_topology, random_model,
+                      random_topology, reference_basis_equivalent,
+                      reference_classify, reference_closure_family,
                       reference_close_under_intersection,
                       reference_close_under_union, reference_closure_flags,
-                      reference_interior)
+                      reference_interior, reference_is_stable)
 
 F = frozenset
 X = F({0, 1, 2})
@@ -325,3 +327,100 @@ def test_closure_flags_computed_when_read():
     assert "is_union_closed" not in vars(space)
     assert (space.is_intersection_closed, space.is_union_closed) == (
         False, True) == reference_closure_flags(space.opens)
+
+
+# Every exported function that takes a caller's point set, each call given
+# that set S in the one place it reads one: a topology on 3 points with 5
+# opens, its model and splitting, and one formula over both atoms.
+_DOOR_SPACE = t.make_space(["x0", "x1", "x2"],
+                           [F(), F({0}), F({1}), F({0, 1}), X])
+_DOOR_MODEL = t.make_model(_DOOR_SPACE, {"A": F({0}), "B": F({1, 2})})
+_DOOR_SPLIT = t.make_splitting(_DOOR_SPACE, [F({0, 1}), X])
+_DOOR_F = t.parse("A & ~K B | [] (A -> <> B)")
+_DOOR_NONEMPTY = [U for U in _DOOR_SPACE.opens if U]
+_DOOR_CALLS = {  # name -> (call on S, whether S must be an open)
+    "make_space": (lambda S: t.make_space(["x0", "x1", "x2"], [S, X]), False),
+    "make_model": (lambda S: t.make_model(_DOOR_SPACE, {"A": S}), False),
+    "interior": (lambda S: t.interior(_DOOR_SPACE, S), False),
+    "heyting_implication U": (
+        lambda S: t.heyting_implication(_DOOR_SPACE, S, F({0})), True),
+    "heyting_implication W": (
+        lambda S: t.heyting_implication(_DOOR_SPACE, F({1}), S), True),
+    "make_splitting": (lambda S: t.make_splitting(_DOOR_SPACE, [S, X]), True),
+    "classify": (lambda S: t.classify(_DOOR_SPLIT, S), False),
+    "is_stable": (lambda S: t.is_stable(_DOOR_MODEL, [X, S], _DOOR_F), True),
+    "extension": (lambda S: t.extension(_DOOR_MODEL, S, _DOOR_F), True),
+    "satisfies": (lambda S: t.satisfies(
+        _DOOR_MODEL, t.Pair(next(iter(S)), S), _DOOR_F), True),
+    "Evaluator.mask": (lambda S: t.Evaluator(_DOOR_MODEL).mask(S, _DOOR_F), True),
+    "Evaluator.slots": (lambda S: t.Evaluator(_DOOR_MODEL).slots([X, S]), True),
+    "basis_equivalent": (lambda S: t.basis_equivalent(
+        _DOOR_MODEL, [S, *_DOOR_NONEMPTY], [_DOOR_F]), True),
+}
+
+
+def _door_reference(name: str, S: frozenset):
+    """What each call returns on a well-formed S, from the references."""
+    s, m = _DOOR_SPACE, _DOOR_MODEL
+    ref = ReferenceEvaluator(m)
+    return {
+        "make_space": lambda: tuple(sorted({S, X}, key=set_key)),
+        "make_model": lambda: {"A": S},
+        "interior": lambda: reference_interior(s, S),
+        "heyting_implication U": lambda: reference_interior(s, X - (S - F({0}))),
+        "heyting_implication W": lambda: reference_interior(s, X - (F({1}) - S)),
+        "make_splitting": lambda: tuple(sorted({S, X}, key=set_key)),
+        "classify": lambda: reference_classify(_DOOR_SPLIT, S),
+        "is_stable": lambda: reference_is_stable(t.Evaluator(m), [X, S], _DOOR_F),
+        "extension": lambda: ref.extension(S, _DOOR_F),
+        "satisfies": lambda: ref.satisfies(t.Pair(min(S), S), _DOOR_F),
+        "Evaluator.mask": lambda: sum(1 << x for x in ref.extension(S, _DOOR_F)),
+        "Evaluator.slots": lambda: sorted([s.opens.index(S), len(s.opens) - 1]),
+        "basis_equivalent": lambda: reference_basis_equivalent(
+            m, [S, *_DOOR_NONEMPTY], [_DOOR_F]),
+    }[name]()
+
+
+def _door_result(name: str, value):
+    """The part of a call's result that its reference gives."""
+    return {"make_space": lambda: value.opens, "make_model": lambda: value.valuation,
+            "make_splitting": lambda: value.family}.get(name, lambda: value)()
+
+
+# Any iterable of points is a point set: a frozenset, a set, a list, a tuple.
+_CONTAINERS = st.sampled_from([frozenset, set, sorted, tuple])
+_BAD_MEMBERS = st.sampled_from([3, 5, -1, 2**70, -2**70, "a", "0", 1.5, 0.0, None])
+_NOT_ITERABLE = st.sampled_from([7, None, 1.5, 2**70])
+
+
+@pytest.mark.parametrize("name", list(_DOOR_CALLS))
+@settings(max_examples=40, deadline=None)
+@given(points=st.frozensets(st.integers(0, 2), min_size=1),
+       open_=st.sampled_from(_DOOR_NONEMPTY), container=_CONTAINERS,
+       bad=_BAD_MEMBERS, not_iterable=_NOT_ITERABLE)
+def test_point_sets_pass_one_checked_door(name, points, open_, container,
+                                          bad, not_iterable):
+    """A well-formed point set, in any container, gives what the reference
+    gives; one with a member that is not an int point of the space (out of
+    range, negative, 2**70, a str, a float, None), or that is no set at
+    all, is a SpaceError, never a raw TypeError, OverflowError or
+    IndexError.  `basis_equivalent` reports the member as not open."""
+    call, needs_open = _DOOR_CALLS[name]
+    good = open_ if needs_open else points
+    assert _door_result(name, call(container(good))) == _door_reference(name, good)
+    malformed = [[bad, *sorted(good)]]  # the bad member first: Pair holds it
+    if name != "satisfies":  # a Pair's open must be a container of its point
+        malformed.append(not_iterable)
+    for S in malformed:
+        with pytest.raises(t.SpaceError) as exc:
+            call(S)
+        if name == "basis_equivalent":
+            assert "not open" in str(exc.value)
+
+
+def test_bools_are_the_points_0_and_1():
+    """A bool member is the point 0 or 1, as frozenset({True}) equals
+    frozenset({1}): the door takes any int, bool included."""
+    assert t.space.checked_mask(2, [True, False], "set") == 0b11
+    assert t.interior(_DOOR_SPACE, {True}) == F({1})
+    assert t.make_model(_DOOR_SPACE, {"A": [False]}).masks == {"A": 1}
