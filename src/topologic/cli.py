@@ -26,11 +26,11 @@ from .decide import (SearchBound, axiom_soundness_sweep, decide_sat,
                      decide_valid, random_formula)
 from .finitemodel import basis_equivalent, extract_finite_model
 from .formula import (Formula, ParseError, atoms, is_atom_name, parse,
-                      print_formula, print_formulas)
+                      print_formula, print_formulas, subformulas)
 from .modelfile import (load_model, model_to_document, read_json,
                         save_model)
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
-                        find_counterexample, walk_plan)
+                        find_counterexample)
 from .space import (InternalError, Model, SpaceError, checked_mask,
                     format_family, format_set, is_topology)
 from .splitting import build_splitting, remainder_blocks
@@ -109,7 +109,7 @@ def cmd_split(args) -> int:
     shown: dict[tuple[int, ...], tuple[str, list]] = {}
     all_stable = True
     for psi in order:
-        inner = [*filter(set(walk_plan(psi)[0]).__contains__, order), psi]
+        inner = [*filter(set(subformulas(psi)).__contains__, order)]
         fam = table.splittings[psi].slots
         if fam not in shown:
             shown[fam] = listing(fam), [

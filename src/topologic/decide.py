@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
                       parse)
 from .semantics import (_TEMPLATES, Evaluator, Pair, PassFrame, _ones,
-                        instantiate_axiom, scheme_metavars, walk_plan)
+                        instantiate_axiom, program, scheme_metavars)
 from .space import (InternalError, Model, PointSet, SpaceError,
                     SubsetSpace, check_atom_name, from_mask, space_from_masks,
                     to_mask)
@@ -279,14 +279,21 @@ def _passes(key: tuple, spaces: Iterable[SubsetSpace], names: tuple[str, ...]
     spaces, which key names as plain data; kept in _LAYOUTS.  A frame is
     built when its pass is walked, by each thread that walks it at once."""
     key = (key, names, LANE_CAP)
-    layout = _LAYOUTS.pop(key, None)
+    try:  # the most recent layout, found with no hash of its key
+        last, layout = next(reversed(_LAYOUTS.items()), (None, None))
+    except RuntimeError:  # changed in another thread meanwhile
+        last = None
+    hit = last == key
+    if not hit:
+        layout = _LAYOUTS.pop(key, None)
     if layout is None:
         layout = [(*p, None) for p in _space_passes(spaces, names)]
         # On copies, so that searches in other threads cannot break it.
         while sum(min(len(kept), FRAME_CAP)
                   for kept in [layout, *_LAYOUTS.values()]) > FRAME_CAP:
             _LAYOUTS.pop(next(iter([*_LAYOUTS]), None), None)
-    _LAYOUTS[key] = layout  # the most recently used
+    if not hit:
+        _LAYOUTS[key] = layout  # the most recently used
     for i, (*p, frame) in enumerate(layout):
         if frame is None and i < FRAME_CAP:
             layout[i] = (*p, frame := _new_frame(*p, names))
@@ -346,8 +353,7 @@ def _point_runs(b: SearchBound) -> list[range]:
 def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
             no_hit_kind: VerdictKind) -> Verdict:
     runs = _point_runs(b)
-    # f's atoms, read off the plan that its passes walk (an atom's is empty).
-    used = {g.name for g in (*walk_plan(f)[0], f) if type(g) is Atom}
+    used = set(program(f)[3])  # f's atoms, off the program its passes run
     if not used <= set(b.atoms):
         raise SpaceError(f"formula atoms {sorted(used)} not covered by "
                          f"the search bound atoms {list(b.atoms)}")
@@ -488,7 +494,7 @@ _BOUNDARY_SUBSTITUTIONS: dict[int, list[dict[str, Formula]]] = {
 @lru_cache(maxsize=None)
 def _boundary_instances(sid: int) -> tuple[Sequence[str], Sequence[Formula]]:
     """The atoms that a scheme's instances share, and the instances, built
-    once so that their plans stay in `semantics._PLANS`."""
+    once so that their programs stay in `semantics._PROGRAMS`."""
     fs = tuple(instantiate_axiom(sid, s) for s in _BOUNDARY_SUBSTITUTIONS[sid])
     if len({frozenset(atoms(f)) for f in fs}) != 1:
         raise InternalError(f"scheme {sid}'s instances differ in atoms")

@@ -187,8 +187,8 @@ def parse(text: str) -> Formula:
     operators live on two explicit stacks, so nesting depth has no limit.
     A syntax error raises ParseError at the offending token, or at the
     innermost open "(" when its ")" is missing.  The nodes of the 256 texts
-    parsed last are kept by text, and so are their walk plans
-    (`semantics._PLANS`); a ParseError is never kept.
+    parsed last are kept by text, and so are their programs
+    (`semantics._PROGRAMS`); a ParseError is never kept.
     """
     matches = list(_TOKEN_RE.finditer(text))
     for m in matches:

@@ -29,12 +29,13 @@ their masks over the lanes, `K`'s per-lane constants, the atoms' rows,
 and, built at first use, the slot order of `hits` and the covers of `[]`.
 A frame keeps no point set: the frozenset methods find an open's slot by
 its mask, and a search makes no point set but its witness's.  An evaluator
-owns only its rows (see `Evaluator`); a search pass walks each formula's
-plan in `_PLANS`, which drops each operand's row right after its last
-parent: a wide pass holds few rows.  A pass can also walk a formula under
-a substitution for its atoms, as sweeps walk a scheme's template: a
-substituted atom's row is its formula's, walked by that formula's own plan
-in rows of its own, and no row is kept under the template.
+owns only its rows (see `Evaluator`).  A search pass runs a formula's
+program, made once (`program`): a flat list of row ops in which `~` makes
+no row but flips its operand's polarity, and each row is emptied after
+its last reader, so a wide pass holds few rows.  A pass can run a formula
+with a substitution for its atoms, as sweeps run a scheme's template:
+such an atom's row is its formula's, run apart, and no row is kept.  A
+model's evaluator runs ops of the same kind, one per subformula.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -44,7 +45,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_, xor
+from itertools import repeat
+from operator import add, and_, mul, or_, rshift, xor
 from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
@@ -60,8 +62,12 @@ class Pair:
     open: PointSet
 
     def __post_init__(self) -> None:
-        if self.point not in self.open:
-            raise SpaceError(f"point {self.point} not in open {sorted(self.open)}")
+        try:  # an open that is no container raises TypeError
+            if isinstance(self.point, int) and self.point in self.open:
+                return
+        except TypeError:
+            pass
+        raise SpaceError(f"point {self.point!r} not in open {self.open!r}")
 
 
 def pairs_in_order(m: Model) -> Iterator[Pair]:
@@ -142,10 +148,10 @@ class Evaluator:
 
     `Evaluator(m)` has one lane, valued by the model m, and keeps every row
     it computes.  `Evaluator(frame)` is a search pass over a `PassFrame`:
-    it holds only the row of the formula it answered last, and drops it
-    before it walks another, so a walk that fails leaves no row; a walk
-    under a substitution (`hit_slots`) leaves none.  `mask` returns every
-    lane; `extension` and `satisfies` read lane 0.
+    it holds only the row of the formula it answered last, negated as its
+    program's, and drops it before it walks another, so a walk that fails
+    leaves no row; a walk under a substitution (`hit_slots`) leaves none.
+    `mask` returns every lane; `extension` and `satisfies` read lane 0.
     """
 
     __slots__ = ("_keep", "_frame", "_rows")
@@ -160,80 +166,96 @@ class Evaluator:
         self._frame = m
         self._rows: dict[Formula, list[int]] = {}
 
-    def _row(self, f: Formula, subst: Mapping[str, Formula] | None = None
-             ) -> list[int]:
-        """f's row, kept; or, on a search pass given subst, the row of f
-        with each atom named in subst read as its formula, kept nowhere."""
+    def _core(self, f: Formula, subst: Mapping[str, Formula] | None = None
+              ) -> tuple[list[int], bool]:
+        """f's row, or with True its complement's: its program's result.
+        On a search pass given subst, each atom named in subst is read as
+        its formula, and no row is kept."""
+        rows = self._rows
         if self._keep:
             if subst is not None:
                 raise TypeError("a model's evaluator takes no substitution")
-            return self._walk(f, None, self._rows)
-        self._rows.clear()  # a search pass: release the last row
-        row = self._walk(f, subst)
+            if f not in rows:
+                self._run(_compile(f, {}, set(), rows), rows, None)
+            return rows[f], False
+        ops, out, neg, _ = program(f)
+        if subst is None and f in rows:
+            return rows[f], neg
+        rows.clear()  # a search pass: release the last row
+        row = self._run(ops, [None] * len(ops), subst)[out]
         if subst is None:
-            self._rows[f] = row
-        return row
+            rows[f] = row
+        return row, neg
 
-    def _walk(self, f: Formula, subst: Mapping[str, Formula] | None,
-              kept: dict[Formula, list[int]] | None = None) -> list[int]:
-        """f's row: its subformulas' rows put into kept, or, with no kept,
-        walked by f's plan in rows of its own.  At an atom that subst
-        names, the row is its formula's, walked apart, so that an atom of
-        that formula is never taken for one of subst's names."""
-        if kept is None:
-            body, plan = walk_plan(f)
-            walk, rows, drops = (*body, f), {}, iter(plan)
-        else:
-            walk, rows, drops = post_order(f, kept), kept, None
+    def _row(self, f: Formula, subst: Mapping[str, Formula] | None = None
+             ) -> list[int]:
+        """f's row (see `_core`): one XOR if its program's result is
+        negated."""
+        if self._keep and f in self._rows:
+            return self._rows[f]
+        row, neg = self._core(f, subst)
+        return list(map(xor, self._frame.masks, row)) if neg else row
+
+    def _run(self, ops: Sequence, regs, subst) -> list | dict:
+        """Run ops (see `program`) on the registers regs, and return them.
+        At an atom that subst names, the row is its formula's, run apart so
+        that an atom of that formula is never taken for one of subst's."""
         fr = self._frame
         masks = fr.masks
-        for g in walk:
-            t = type(g)
-            if t is Not:
-                row = list(map(xor, masks, rows[g.arg]))
-            elif t is And:
-                row = list(map(and_, rows[g.left], rows[g.right]))
-            elif t is Knows:
-                # A lane's guard bit in (u ^ a) + fill is set iff a misses
-                # a point of u; k - (k >> n) covers the points of those
-                # lanes.  A slot of 0 never carries.
-                fill, guard, n = fr.fill, fr.guard, fr.width - 1
-                row = []
-                for u, a in zip(masks, rows[g.arg]):
-                    k = ((u ^ a) + fill) & guard
-                    row.append(u & ~(k - (k >> n)))
-            elif t is Box:
-                # down[i]: where the operand fails at slot i or below it.
-                down = []
-                for d, cs in zip(map(xor, masks, rows[g.arg]), fr.covers):
-                    for c in cs:
-                        d |= down[c]
-                    down.append(d)
-                row = [u & ~d for u, d in zip(masks, down)]
-            elif t is Atom:
-                if subst is not None and g.name in subst:
-                    row = self._walk(subst[g.name], None)
+        for op, dst, a, b, release in ops:
+            if op < _K:  # no local holds an operand past its op
+                if op == _AND:
+                    row = list(map(and_, regs[a], regs[b]))
+                elif op == _ANDNOT:
+                    row = list(map(xor, regs[a], map(and_, regs[a], regs[b])))
+                elif op == _OR:
+                    row = list(map(or_, regs[a], regs[b]))
+                else:  # `_NOT`, which only a model's evaluator runs
+                    row = list(map(xor, masks, regs[a]))
+            elif op < _ATOM:
+                # The operand's misses: its row, if it is negated.
+                misses = iter(regs[a]) if b else map(xor, masks, regs[a])
+                if op < _BOX:
+                    # A lane's guard bit in misses + fill is set iff a point
+                    # of u is missed; shifted down to bit 0 and times
+                    # 2**n - 1, it covers the points of that lane.  A slot
+                    # of 0 never carries.
+                    n = fr.width - 1
+                    misses = map(mul, map(rshift, map(and_, map(
+                        add, misses, repeat(fr.fill)), repeat(fr.guard)),
+                        repeat(n)), repeat((1 << n) - 1))
+                else:  # where the operand fails at slot i or below it
+                    misses = list(misses)
+                    for i, cs in enumerate(fr.covers):
+                        for c in cs:
+                            misses[i] |= misses[c]
+                # K and [] clear the points missed, `~K` and `~[]` keep them.
+                row = list(map(and_, masks, misses)) if op == _NK or op == \
+                    _NBOX else list(map(xor, masks, map(and_, masks, misses)))
+                del misses
+            elif op == _ATOM:
+                if subst is not None and a in subst:
+                    row = self._row(subst[a], ())  # read with its own atoms
                 else:
-                    a = fr.atoms.get(g.name)
-                    if a is None:
-                        raise SpaceError(f"unknown atom {g.name!r}")
-                    row = [u & a for u in masks]
-            elif t is Top:
+                    v = fr.atoms.get(a)
+                    if v is None:
+                        raise SpaceError(f"unknown atom {a!r}")
+                    row = [u & v for u in masks]
+            elif op == _TOP:
                 row = masks
-            elif t is Bot:
-                row = [0] * len(masks)
             else:
-                raise TypeError(f"not a formula: {g!r}")
-            rows[g] = row
-            if drops is not None:
-                for o in next(drops):
-                    del rows[o]
-        return row
+                row = [0] * len(masks)
+            regs[dst] = row
+            if release & 1:
+                regs[a] = None
+            if release & 2:
+                regs[b] = None
+        return regs
 
     def row(self, f: Formula) -> list[int]:
         """f's row: at slot i, the mask of the points of slot i that
         satisfy f there, in every lane."""
-        return self._rows.get(f) or self._row(f)  # rows are never empty
+        return self._row(f)
 
     def _slot(self, U: PointSet) -> int:
         """The slot of the open U, found by its mask."""
@@ -245,7 +267,7 @@ class Evaluator:
     def mask(self, U: PointSet, f: Formula) -> int:
         """The points of the open U that satisfy f at U, as a bitmask."""
         i = self._slot(U)
-        return (self._rows.get(f) or self._row(f))[i]  # rows are never empty
+        return self._row(f)[i]
 
     def slots(self, opens: Iterable[PointSet]) -> list[int]:
         """The slots of the given opens, ascending: in `sort_family` order."""
@@ -256,7 +278,7 @@ class Evaluator:
         whose opens contain it.  No slots ask for no row."""
         if not slots:
             return True
-        row, masks = self._rows.get(f) or self._row(f), self._frame.masks
+        row, masks = self._row(f), self._frame.masks
         sat = fail = 0  # points where f holds, and fails, at some slot
         for i in slots:
             sat |= row[i]
@@ -275,20 +297,21 @@ class Evaluator:
         """(lane, point, slot) for each lane in which the truth of f equals
         holds at some pair, ascending, with the least such pair in
         `pairs_in_order`: `pair(point, slot)`.  Given subst, f is read with
-        each atom named in subst as its formula (see `_row`).
+        each atom named in subst as its formula (see `_core`).
 
-        Each row is read once, into bytes: the union of the rows, and a
-        slot's row when a lane first asks it.  A lane's points start at bit
-        0 to 7 of its first byte, so they lie in its first (width + 13) // 8
-        bytes, and reading them costs no shift of a row."""
-        row = (self._row(f, subst) if subst is not None
-               else self._rows.get(f) or self._row(f))
+        A negated result flips holds, and one test of the row tells a pass
+        with no hit.  Each row is read once, into bytes: the union of the
+        rows, and a slot's row when a lane first asks it.  A lane's points
+        start at bit 0 to 7 of its first byte, so they lie in its first
+        (width + 13) // 8 bytes, and reading them costs no shift of a row."""
+        row, neg = self._core(f, subst)
+        holds = holds != neg
         fr = self._frame
         masks, order = fr.masks, fr.order
+        if not any(row) if holds else row == masks:
+            return
         found = [row[i] if holds else masks[i] ^ row[i] for i in order]
         left = reduce(or_, found)
-        if not left:
-            return
         w = fr.width
         size, span = (left.bit_length() + 7) >> 3, (w + 13) >> 3
         union, read = left.to_bytes(size, "little"), int.from_bytes
@@ -333,35 +356,77 @@ def _ones(count: int, step: int) -> int:
     return ((1 << count * step) - 1) // ((1 << step) - 1)
 
 
-# The plan of each formula, the one every search pass runs for it, kept
-# while the formula lives: a pure function of an interned, immutable key.
-# A plan leaves its formula out, as an entry whose value held its key
-# would keep the key alive.
-_PLANS: WeakKeyDictionary[Formula, tuple] = WeakKeyDictionary()
+# Program ops, binary then unary then leaves; `_NK` is `~K`, `_NBOX` `~[]`.
+_AND, _ANDNOT, _OR, _NOT, _K, _NK, _BOX, _NBOX, _ATOM, _TOP, _BOT = range(11)
 
 
-def walk_plan(f: Formula
-              ) -> tuple[tuple[Formula, ...], tuple[tuple[Formula, ...], ...]]:
-    """The subformulas of f, each after its operands, f left out; and after
-    each of them, then f, the operands whose last parent it is.  Built
-    once while f lives, in `_PLANS`."""
-    plan = _PLANS.get(f)
-    if plan is not None:
-        return plan
-    body = subformulas(f)
-    last: dict[Formula, int] = {}  # operand -> its last parent's place
-    for i, g in enumerate(body):
+def _compile(f: Formula, at: dict, negs: set,
+             kept: Mapping[Formula, list[int]] | None = None
+             ) -> Iterator[list]:
+    """f's ops, [op, dst, a, b, release] each (see `program`), each after
+    its operands'.  at gets the register that each node reads, and negs
+    each node that reads its register negated: `~` makes no op, it flips
+    its operand's polarity.  `K` and `[]` read a negated operand as its
+    misses and make `L` and `<>`, `&` of a negated operand is and-not, and
+    of two, `|` of a negated result.  Given kept, a model's rows, whose
+    taker runs each op before it draws the next, each node is its own
+    register and op, `~` too, and a kept node's row is read."""
+    count = 0
+    for g in subformulas(f) if kept is None else post_order(f, kept):
         t = type(g)
+        if t is Not and kept is None:
+            at[g] = at.get(g.arg, g.arg)
+            if g.arg not in negs:
+                negs.add(g)
+            continue
+        a = b = None
         if t is And:
-            last[g.left] = last[g.right] = i
-        elif t is Not or t is Knows or t is Box:
-            last[g.arg] = i
-    drops: list[list[Formula]] = [[] for _ in body]
-    for o, i in last.items():
-        drops[i].append(o)
-    body.pop()  # f itself, which its plan must not hold: see _PLANS
-    plan = _PLANS[f] = tuple(body), tuple([tuple(d) for d in drops])
-    return plan
+            x, y = g.left, g.right
+            if x in negs and y not in negs:
+                x, y = y, x  # and-not takes the negated operand second
+            a, b = at.get(x, x), at.get(y, y)
+            op = _OR if x in negs else _ANDNOT if y in negs else _AND
+        elif t is Knows or t is Box:
+            a, b = at.get(g.arg, g.arg), g.arg in negs
+            op = (_K if t is Knows else _BOX) + b
+        elif t is Not:
+            op, a = _NOT, g.arg
+        elif t is Atom:
+            op, a = _ATOM, g.name
+        elif t is Top or t is Bot:
+            op = _TOP if t is Top else _BOT
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        if op in (_OR, _NK, _NBOX):
+            negs.add(g)
+        at[g], count = g if kept is not None else count, count + 1
+        yield [op, at[g], a, b, 0]
+
+
+# Each formula's program, run by every search pass, kept while the formula
+# lives; its registers are numbers, so it does not hold its key.
+_PROGRAMS: WeakKeyDictionary[Formula, tuple] = WeakKeyDictionary()
+
+
+def program(f: Formula) -> tuple[tuple, int, bool, tuple[str, ...]]:
+    """f's program, made once while f lives: (ops, out, neg, atoms).  Each
+    op (op, dst, a, b, release) puts a row made from registers a and b in
+    register dst, then empties register a if release has bit 1 and b if it
+    has bit 2, so that each register is emptied by its last reader.  Then
+    register out holds f's row, or if neg its complement."""
+    prog = _PROGRAMS.get(f)
+    if prog is None:
+        at: dict[Formula, int] = {}
+        negs: set[Formula] = set()
+        ops, read = [*_compile(f, at, negs)], set()
+        for op in reversed(ops):  # an operand is first met at its last reader
+            for k in (2, 3) if op[0] < _K else (2,) if op[0] < _ATOM else ():
+                if op[k] not in read:
+                    read.add(op[k])
+                    op[4] |= k - 1
+        prog = _PROGRAMS[f] = tuple(map(tuple, ops)), at[f], f in negs, tuple(
+            {op[2]: 0 for op in ops if op[0] == _ATOM})
+    return prog
 
 
 def satisfies(m: Model, p: Pair, f: Formula) -> bool:

@@ -1050,3 +1050,24 @@ def test_derivable_formulas_valid_within_bound():
                  "K [] A -> [] A",          # schemes 7, 10 chained
                  "K A -> L A"):             # from scheme 7 and duality
         assert t.decide_valid(t.parse(text), b).kind == "valid_within_bound"
+
+
+def test_warm_layout_hit_hashes_no_space(monkeypatch):
+    """A search whose layout is the most recent one finds it with no hash
+    of its key, so a repeated sweep over supplied spaces hashes no space;
+    another layout between them costs one hash of each space per lookup."""
+    spaces = tuple(t.enumerate_subset_spaces(2, 3))
+    b = t.SearchBound(2, ("A",))
+
+    def sweep():
+        return t.axiom_soundness_sweep(b, [4], 2, 9, spaces=spaces)
+
+    report = sweep()
+    hashes = []
+    space_hash = t.SubsetSpace.__hash__
+    monkeypatch.setattr(t.SubsetSpace, "__hash__",
+                        lambda s: hashes.append(s) or space_hash(s))
+    assert sweep() == report and not hashes
+    assert t.decide_valid(t.parse("K A -> A"), b).positive
+    assert sweep() == report and len(hashes) == 2 * len(spaces)
+    assert next(reversed(t.decide._LAYOUTS))[0] == spaces

@@ -5,8 +5,9 @@ import pytest
 
 import topologic as t
 from topologic import Atom, Box, Knows, Not, Pair
-from conftest import (ReferenceEvaluator, random_model, reference_hits,
-                      reference_instantiate_axiom, search_passes)
+from conftest import (ReferenceEvaluator, not_chain, random_model,
+                      reference_hits, reference_instantiate_axiom,
+                      search_passes)
 from topologic import decide
 from topologic.semantics import PassFrame
 from topologic.space import to_mask
@@ -651,3 +652,123 @@ def test_searches_do_not_depend_on_lane_cap(monkeypatch, cap):
     assert default[1][0] is not None and default[2].violations
     monkeypatch.setattr(decide, "LANE_CAP", cap)
     assert run() == default
+
+
+# Formulas that a program compiles with interned duplicate operands, `~`
+# chains and every polarity of `&`, `K` and `[]`.
+PROGRAM_TEXTS = ["A & A", "A & ~A", "~A & A", "~~A", "~A & ~A", "K A & K A",
+                 "(A | B) & ~(A | B)", "~(A & ~B) & ~(~A & B)", "L ~A & <> ~B",
+                 "K ~A | [] ~~B", "<> (A | B) -> L (A & B)", "~K ~K ~A",
+                 "[] <> [] A -> <> [] <> ~A", "top & ~bot", "~top | bot"]
+
+
+def _program_formulas(rng: random.Random) -> list:
+    return ([t.parse(text) for text in PROGRAM_TEXTS]
+            + [t.random_formula(rng, ("A", "B"), d) for d in (2, 3, 4, 5)
+               for _ in range(6)])
+
+
+def _plan_peak(f) -> int:
+    """The most rows a walk in post-order holds that drops each row right
+    after its last parent, as search passes walked before programs."""
+    body = t.subformulas(f)
+    last = {}
+    for i, g in enumerate(body):
+        for o in [getattr(g, k) for k in g.__match_args__ if k != "name"]:
+            last[o] = i
+    live, peak = set(), 0
+    for i, g in enumerate(body):
+        live.add(g)
+        peak = max(peak, len(live))
+        live -= {o for o, j in last.items() if j == i}
+    return peak
+
+
+def _program_peak(ops) -> int:
+    """The most registers a program's run holds at once."""
+    live, peak = set(), 0
+    for op, dst, a, b, release in ops:
+        live.add(dst)
+        peak = max(peak, len(live))
+        live -= {r for r, bit in ((a, 1), (b, 2)) if release & bit}
+    return peak
+
+
+def test_program_matches_reference_and_holds_no_more_rows():
+    """Program rows equal `ReferenceEvaluator`'s, on model evaluators and on
+    every lane of multi-space search passes, for formulas with interned
+    duplicate operands, `~` chains and seeded random formulas; a program
+    never holds more rows at once than the walk it replaced."""
+    rng = random.Random(33)
+    formulas = _program_formulas(rng)
+    for f in formulas:
+        assert _program_peak(t.semantics.program(f)[0]) <= _plan_peak(f)
+    for n in range(1, 6):
+        m = random_model(rng, n)
+        ev, ref = t.Evaluator(m), ReferenceEvaluator(m)
+        for f in formulas:
+            for g in (f, *t.subformulas(f)):
+                for U in m.space.opens:
+                    assert ev.extension(U, g) == ref.extension(U, g)
+    spaces = [*t.enumerate_subset_spaces(2, 3), *t.enumerate_topologies(3)]
+    for group, lo, firsts, ev in search_passes(spaces, ["A", "B"]):
+        w = ev._frame.width
+        index = {t.space.from_mask(u): i for i, u in enumerate(ev._frame.slots)}
+        for lane in range(0, firsts[-1], 7):
+            m = decide._lane_model(group, lo, firsts, ["A", "B"], lane)
+            ref = ReferenceEvaluator(m)
+            for f in formulas:
+                row = ev.row(f)
+                for U in m.space.opens:
+                    assert (row[index[U]] >> lane * w & (1 << w) - 1
+                            == to_mask(ref.extension(U, f)))
+
+
+def test_not_makes_no_op():
+    """`~` compiles to no op, down a chain of 20,000, whose row is its
+    atom's or that row's complement."""
+    ka = t.parse("K A")
+    assert len(t.semantics.program(t.parse("~~~~K A"))[0]) == len(
+        t.semantics.program(ka)[0]) == 2
+    space = list(t.enumerate_topologies(3))[7]
+    m = t.make_model(space, {"A": F({0, 2})})
+    (*_, search), = search_passes([space], ["A"])
+    for depth in (20_000, 20_001):
+        f = not_chain(depth)
+        ops, out, neg, atoms = t.semantics.program(f)
+        assert len(ops) == 1 and neg == depth % 2 and atoms == ("A",)
+        for ev in (t.Evaluator(m), search):
+            A = ev.row(Atom("A"))
+            assert ev.row(f) == (A if not neg else [u ^ a for u, a in zip(
+                ev._frame.masks, A)])
+        assert t.model_valid(m, f) is (not neg and m.atom_set("A") == X)
+
+
+def test_template_program_matches_reference_lane_by_lane():
+    """A scheme template run under a substitution holds in each lane of a
+    pass exactly where `ReferenceEvaluator` says its instance holds."""
+    rng = random.Random(34)
+    spaces = list(t.enumerate_topologies(2))
+    (group, lo, firsts, ev), = search_passes(spaces, ["phi", "psi"])
+    w = ev._frame.width
+    index = {t.space.from_mask(u): i for i, u in enumerate(ev._frame.slots)}
+    for sid, template in t.semantics._TEMPLATES.items():
+        for subst in _template_substitutions(sid, rng)[::3]:
+            instance = t.instantiate_axiom(sid, subst)
+            row = ev._row(template, subst)
+            assert not ev._rows
+            for lane in range(firsts[-1]):
+                m = decide._lane_model(group, lo, firsts, ["phi", "psi"], lane)
+                ref = ReferenceEvaluator(m)
+                for U in m.space.opens:
+                    assert (row[index[U]] >> lane * w & (1 << w) - 1
+                            == to_mask(ref.extension(U, instance)))
+
+
+@pytest.mark.parametrize("point, open_", [
+    (0, 5), (0, None), ("a", {"a"}), (1.0, {1.0}), (None, F({0}))])
+def test_pair_rejects_what_is_no_pair(point, open_):
+    """A `Pair` with a non-container open or a non-int point is a
+    SpaceError, not a raw TypeError."""
+    with pytest.raises(t.SpaceError, match="not in open"):
+        Pair(point, open_)
