@@ -18,19 +18,18 @@ import functools
 import json
 import random
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .decide import (SearchBound, axiom_soundness_sweep, decide_sat,
                      decide_valid, random_formula)
 from .finitemodel import basis_equivalent, extract_finite_model
-from .formula import (Formula, ParseError, atoms, is_atom_name, parse,
-                      print_formula, print_formulas, subformulas)
+from .formula import (Formula, ParseError, is_atom_name, parse,
+                      print_formula, print_formulas)
 from .modelfile import (load_model, model_to_document, read_json,
-                        save_model)
+                        read_text, save_model)
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
-                        find_counterexample)
+                        find_counterexample, program)
 from .space import (InternalError, Model, SpaceError, checked_mask,
                     format_family, format_set, is_topology)
 from .splitting import build_splitting, remainder_blocks
@@ -38,7 +37,7 @@ from .splitting import build_splitting, remainder_blocks
 
 def _parse_formula(m: Model, text: str) -> Formula:
     f = parse(text)
-    undeclared = atoms(f) - m.masks.keys()
+    undeclared = set(program(f)[3]).difference(m.masks)  # f's atoms
     if undeclared:
         raise SpaceError(f"unknown atom {', '.join(sorted(undeclared))}")
     return f
@@ -105,11 +104,17 @@ def cmd_split(args) -> int:
 
     order = list(table.splittings)  # post-order: operands first
     text = print_formulas(order)
+    below: dict[Formula, int] = {}  # psi's subformulas, as bits over order
+    for i, psi in enumerate(order):
+        below[psi] = 1 << i
+        for field in psi.__match_args__:  # its operands, or an atom's name
+            below[psi] |= below.get(getattr(psi, field), 0)
+    stable_text = {phi: t + ": stable" for phi, t in text.items()}  # for all blocks
     # By family: its listing, and its blocks' (slot, slots, line, verdicts).
     shown: dict[tuple[int, ...], tuple[str, list]] = {}
     all_stable = True
     for psi in order:
-        inner = [*filter(set(subformulas(psi)).__contains__, order)]
+        inner = [phi for j, phi in enumerate(order) if below[psi] >> j & 1]
         fam = table.splittings[psi].slots
         if fam not in shown:
             shown[fam] = listing(fam), [
@@ -123,7 +128,7 @@ def cmd_split(args) -> int:
                 if phi not in seen:
                     ok = ev.stable(block, phi)
                     all_stable = all_stable and ok
-                    seen[phi] = text[phi] + (": stable" if ok else ": UNSTABLE")
+                    seen[phi] = stable_text[phi] if ok else text[phi] + ": UNSTABLE"
             points = [names[x] for x in range(len(names)) if row[r] >> x & 1]
             lines += [head, "    extension: {" + ", ".join(points) + "}",
                       "    stability: " + "; ".join([seen[phi] for phi in inner])]
@@ -165,10 +170,14 @@ def cmd_basis(args) -> int:
     if not (isinstance(raw, list) and all(isinstance(U, list) for U in raw)):
         raise SpaceError("basis file must be a JSON list of opens, "
                          "each a list of point names")
-    basis = [frozenset(m.space.index_of(n) for n in member) for member in raw]
+    index = {name: x for x, name in enumerate(m.space.point_names)}
+    try:
+        basis = [frozenset(map(index.__getitem__, member)) for member in raw]
+    except (KeyError, TypeError):  # index_of names the first unknown point
+        basis = [frozenset(map(m.space.index_of, member)) for member in raw]
     if args.formulas:
         formulas = [_parse_formula(m, line)
-                    for line in Path(args.formulas).read_text().splitlines()
+                    for line in read_text(args.formulas).splitlines()
                     if line.strip()]
     else:
         if args.depth < 0:
@@ -195,7 +204,7 @@ def cmd_decide(args) -> int:
     for name in sorted(listed):
         if not is_atom_name(name):
             raise SpaceError(f"--atoms: {name!r} is not an atom name")
-    bound = SearchBound(args.points, tuple(sorted(listed | atoms(f))))
+    bound = SearchBound(args.points, tuple(sorted(listed.union(program(f)[3]))))
     if args.mode == "sat":
         verdict = decide_sat(f, bound)
     else:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from operator import or_
 from typing import Iterable, Sequence
 
-from .formula import Formula, atoms
-from .semantics import Evaluator, Pair, PassFrame
-from .space import (InternalError, Model, PointSet, SpaceError,
+from .formula import Formula
+from .semantics import Evaluator, Pair, PassFrame, program
+from .space import (InternalError, Model, PointSet, SpaceError, checked_iter,
                     checked_mask, close, format_set, from_mask, is_closed,
                     is_topology, sort_masks, space_from_masks, to_mask)
 from .splitting import build_splitting
@@ -28,7 +28,7 @@ def _check_basis(m: Model, basis: Sequence[PointSet]) -> set[int]:
     """The masks of the basis members, once checked."""
     names = m.space.point_names
     members = {checked_mask(len(names), B, "basis member is not open")
-               for B in basis}
+               for B in checked_iter(basis, "basis")}
     for u in sort_masks(members.difference(m.space.masks), len(names))[:1]:  # the least
         raise SpaceError(f"basis member {format_set(from_mask(u), names)} is not open")
     if not is_closed(members, members, or_):
@@ -145,7 +145,7 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     # intersection-closed (the open-set lattice is distributive).
     if not is_topology(restricted_space):
         raise InternalError("the restricted family is not a topology")
-    names = atoms(f)
+    names = program(f)[3]  # f's atoms
     restricted = Model(restricted_space,  # point_quotient checks the names
                        {a: u for a, u in m.masks.items() if a in names})
     return ExtractionResult(restricted, point_quotient(restricted, names))

@@ -15,7 +15,7 @@ declared identifiers; the full point set must appear among the opens.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+from os import PathLike
 
 from .formula import is_atom_name
 from .space import Model, SpaceError, check_atom_name, space_from_masks
@@ -69,23 +69,31 @@ def model_to_document(m: Model) -> dict:
     }
 
 
-def read_json(path: str | Path):
+def read_text(path: str | PathLike) -> str:
+    """The text of a UTF-8 file; its file object is freed on return."""
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
+def read_json(path: str | PathLike):
     """The JSON value in a file; invalid or too deeply nested JSON raises
     SpaceError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SpaceError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
         raise SpaceError(f"{path}: JSON nested too deeply") from None
 
 
-def load_model(path: str | Path) -> Model:
+def load_model(path: str | PathLike) -> Model:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise SpaceError(f"{path}: model document must be a JSON object")
     return model_from_document(doc)
 
 
-def save_model(m: Model, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_document(m), indent=2) + "\n")
+def save_model(m: Model, path: str | PathLike) -> None:
+    text = json.dumps(model_to_document(m), indent=2) + "\n"
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)

@@ -52,8 +52,8 @@ from weakref import WeakKeyDictionary
 
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, parse,
                       post_order, subformulas)
-from .space import (Model, PointSet, SpaceError, SubsetSpace, checked_mask,
-                    from_mask, sort_masks)
+from .space import (Model, PointSet, SpaceError, SubsetSpace, checked_iter,
+                    checked_mask, from_mask, sort_masks)
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ class Evaluator:
 
     def slots(self, opens: Iterable[PointSet]) -> list[int]:
         """The slots of the given opens, ascending: in `sort_family` order."""
-        return sorted(map(self._slot, opens))
+        return sorted(map(self._slot, checked_iter(opens, "opens")))
 
     def stable(self, slots: Sequence[int], f: Formula) -> bool:
         """True iff f's truth at each point is constant over the given slots

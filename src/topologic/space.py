@@ -9,8 +9,8 @@ The library returns, saves and prints frozensets of indices: `opens`
 and `valuation` are views made by `from_mask` on first read, which no
 search does.  `checked_mask` is the one door from a caller's point set to
 a mask: any iterable of int points below the point count (`bool`s are the
-points 0 and 1), else SpaceError; a wrong argument type past that (a
-non-space or non-`Model` first argument, a non-iterable family) may still
+points 0 and 1), else SpaceError, as are a non-iterable family and a
+non-mapping valuation; a non-space or non-`Model` first argument may still
 raise TypeError or AttributeError.  `space_from_masks` builds every space,
 `interior_mask` is the one interior, `close` closes frozensets or masks
 under & or | in one pass (both are associative, commutative and
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, starmap
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formula import is_atom_name
 
@@ -64,6 +64,14 @@ def checked_mask(n: int, S: Iterable[int], what: str) -> int:
     except TypeError:  # from iter(S): isinstance guards the comparison
         raise SpaceError(f"{what}: {S!r} is not a set of points") from None
     return u
+
+
+def checked_iter(S: Iterable, what: str) -> Iterator:
+    """iter(S); SpaceError, naming what, if S is not iterable."""
+    try:
+        return iter(S)
+    except TypeError:
+        raise SpaceError(f"{what}: {S!r} is not iterable") from None
 
 
 @lru_cache(maxsize=1024)
@@ -122,8 +130,9 @@ class SubsetSpace:
 
 
 def make_space(point_names: Iterable[str], opens: Iterable[PointSet]) -> SubsetSpace:
-    names = tuple(point_names)  # checked by space_from_masks before any open
-    return space_from_masks(names, (checked_mask(len(names), U, "open") for U in opens))
+    names = tuple(checked_iter(point_names, "names"))  # checked by space_from_masks
+    return space_from_masks(names, (checked_mask(len(names), U, "open")
+                                    for U in checked_iter(opens, "opens")))
 
 
 def sort_masks(masks: Iterable[int], n: int) -> list[int]:
@@ -242,5 +251,7 @@ def check_atom_name(name: str) -> str:
 
 def make_model(space: SubsetSpace, valuation: Mapping[str, PointSet]) -> Model:
     n = len(space.point_names)
+    if not isinstance(valuation, Mapping):
+        raise SpaceError(f"a valuation maps atoms to point sets, not {valuation!r}")
     return Model(space, {check_atom_name(a): checked_mask(n, S, f"valuation of {a!r}")
                          for a, S in valuation.items()})

@@ -20,9 +20,9 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, subformulas
-from .space import (Model, PointSet, SpaceError, SubsetSpace, checked_mask,
-                    close, from_mask, interior_mask, is_closed, is_topology,
-                    sort_masks)
+from .space import (Model, PointSet, SpaceError, SubsetSpace, checked_iter,
+                    checked_mask, close, from_mask, interior_mask, is_closed,
+                    is_topology, sort_masks)
 from .semantics import Evaluator
 
 
@@ -59,7 +59,8 @@ def _least_above(fam: Iterable[int], v: int) -> int:
 
 def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
     n = len(space.point_names)
-    masks = {checked_mask(n, U, "splitting member") for U in family}
+    masks = {checked_mask(n, U, "splitting member")
+             for U in checked_iter(family, "splitting family")}
     for u in sort_masks(masks.difference(space.masks), n)[:1]:  # the least
         raise SpaceError(f"{sorted(from_mask(u))} is not an open of the space")
     sp = Splitting(tuple(sorted(map(space.masks.index, masks))), space)

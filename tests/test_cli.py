@@ -115,6 +115,49 @@ def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent.json", "A"]) == 2
 
 
+# Each file a command reads, with BAD in its place.
+READ_ARGVS = [
+    ["check", "BAD", "A"], ["check", "BAD", "A", "--at", "x0:x0"],
+    ["split", "BAD", "A"], ["quotient", "BAD", "A"], ["axioms", "BAD"],
+    ["basis", "BAD", "BASIS"], ["basis", "MODEL", "BAD"],
+    ["basis", "MODEL", "BASIS", "--formulas", "BAD"],
+]
+
+
+@pytest.mark.parametrize("argv", READ_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("bad", ["missing", "directory", "not UTF-8"])
+def test_unreadable_files_exit_2(m0_file, tmp_path, capsys, argv, bad):
+    """A missing path, a directory or bytes that are not UTF-8 (here a
+    Latin-1 e-acute) end as one error line and exit 2, with no output."""
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(M0_DOC["opens"]))
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b'["x\xe9"]\n')
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "not UTF-8": latin1}[bad]
+    names = {"BAD": str(path), "MODEL": m0_file, "BASIS": str(basis)}
+    assert main([names.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if bad == "not UTF-8":
+        assert "can't decode byte 0xe9" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "MODEL", "K A"],
+    ["decide", "A & ~K A", "--mode", "sat", "--points", "2"],
+], ids=" ".join)
+@pytest.mark.parametrize("out", ["a directory", "under a missing directory"])
+def test_unwritable_out_exits_2(m0_file, tmp_path, capsys, argv, out):
+    path = tmp_path if out == "a directory" else tmp_path / "none" / "out.json"
+    argv = [m0_file if arg == "MODEL" else arg for arg in argv]
+    assert main([*argv, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "none").exists()
+
+
 def test_split_knows(m0_file, capsys, monkeypatch):
     built = []
     init = t.Evaluator.__init__
@@ -144,6 +187,51 @@ def test_split_deep_chain(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("subformula: ") == 521
     assert "UNSTABLE" not in out
+    _assert_stability_lines(out, t.parse("~" * 520 + "A"))
+
+
+def _assert_stability_lines(out: str, f: t.Formula) -> None:
+    """Each subformula psi of f heads its part of split's report, in
+    post-order, and each of its blocks' stability lines names exactly
+    subformulas(psi), in the order of f's subformulas, each stable."""
+    order = t.subformulas(f)
+    text = {phi: t.print_formula(phi) for phi in order}
+    heads, lines = [], []
+    for line in out.splitlines():
+        if line.startswith("subformula: "):
+            heads.append(line[len("subformula: "):])
+        elif line.startswith("    stability: "):
+            lines.append((len(heads) - 1, line[len("    stability: "):]))
+    assert heads == [text[psi] for psi in order]
+    expected = {}
+    for k, listed in lines:
+        if k not in expected:
+            inner = set(t.subformulas(order[k]))
+            expected[k] = "; ".join([text[phi] + ": stable"
+                                     for phi in order if phi in inner])
+        assert listed == expected[k]
+    assert set(expected) == set(range(len(order)))
+
+
+# Shared operands, which post-order lists once: the second & operand
+# already listed, an operand shared across branches, and double negation.
+SHARED_OPERAND_TEXTS = ["A & A", "K A & ~K A", "~~A", "(A & B) & (B & A)",
+                        "[] (K A & A) & ~K A", "K ~~A & ~A", "(A | B) -> (B | A)"]
+
+
+def test_split_stability_lines_match_reference(m0_file, tmp_path, capsys):
+    rng = random.Random(3434)
+    paths = [m0_file]
+    for i in range(3):
+        path = tmp_path / f"model{i}.json"
+        t.save_model(_golden_model(rng, rng.randint(4, 7)), path)
+        paths.append(str(path))
+    texts = SHARED_OPERAND_TEXTS + [
+        t.print_formula(t.random_formula(rng, ["A", "B"], rng.randint(2, 5)))
+        for _ in range(24)]
+    for i, text in enumerate(texts):
+        assert main(["split", paths[i % len(paths)], text]) == 0
+        _assert_stability_lines(capsys.readouterr().out, t.parse(text))
 
 
 def test_quotient_deep_chain(m0_file, capsys):
@@ -324,6 +412,31 @@ def test_split_and_quotient_golden_hashes(tmp_path, capsys):
     assert {c: d.hexdigest() for c, d in digests.items()} == GOLDEN_HASHES
 
 
+# sha256 of the `quotient --out` files over the 60 models of
+# `test_split_and_quotient_golden_hashes`, as `save_model` wrote them
+# through pathlib.
+QUOTIENT_OUT_HASH = (
+    "bdf376ac8930e63bdd49a0daf736a94df59a0af154f359f4fc44eba6a0d8c47e")
+
+
+def test_quotient_out_files_golden_hash(tmp_path, capsys):
+    rng = random.Random(2024)  # the models and formulas of the test above
+    digest = hashlib.sha256()
+    out = tmp_path / "finite.json"
+    for i in range(60):
+        m = _golden_model(rng, rng.randint(3, 7))
+        text = t.print_formula(_golden_formula(rng))
+        path = tmp_path / f"model{i}.json"
+        t.save_model(m, path)
+        assert main(["quotient", str(path), text, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+        digest.update(out.read_bytes())
+        # The file holds the model that stdout shows when no --out is given.
+        assert main(["quotient", str(path), text]) == 0
+        assert capsys.readouterr().out.endswith(out.read_text())
+    assert digest.hexdigest() == QUOTIENT_OUT_HASH
+
+
 # sha256 of the concatenated `split` stdout over the models of
 # `test_split_golden_hash_at_benchmark_sizes`, as printed before `split`
 # read block stability from each block's slots.
@@ -451,6 +564,11 @@ def test_basis_full_topology(m0_file, tmp_path, capsys):
     # The first open in the model's order that the basis misses.
     ([[]], "basis does not generate the open {x0}"),
     ([["x0"], ["x1"], ["x0", "x1", "x2"]], "basis member {x1} is not open"),
+    # The first name that is not a point, in file order: a str, a number or
+    # an unhashable list.
+    ([["x0", "y"], ["z"]], "unknown point 'y'"),
+    ([["x0"], [0]], "unknown point 0"),
+    ([["x0"], [["x1"]], ["z"]], "unknown point ['x1']"),
 ])
 def test_basis_errors_name_points(m0_file, tmp_path, capsys, basis, message):
     basis_path = tmp_path / "basis.json"
@@ -876,6 +994,34 @@ def test_basis_builds_each_plan_once(m0_file, tmp_path, monkeypatch):
     before = len(built)
     assert main(argv) == 0
     assert len(built) == before
+
+
+def test_model_commands_walk_each_formula_once(m0_file, tmp_path, monkeypatch):
+    """Run again on the same files, a model command walks its formula's
+    subformulas only to build splittings: once in split and quotient, and
+    not at all in check or basis, whose formulas' atoms are read off their
+    kept programs."""
+    basis, formulas = tmp_path / "basis.json", tmp_path / "formulas.txt"
+    basis.write_text(json.dumps(M0_DOC["opens"]))
+    formulas.write_text("K (B & ~A) -> [] (A | L B)\nL [] ~(B & K A)\n")
+    text = "K (A & ~[] B) | L (B -> A)"
+    walks = []
+    subformulas = t.formula.subformulas
+    for module in (t.formula, t.semantics, t.splitting, t.decide, cli):
+        if getattr(module, "subformulas", None) is subformulas:
+            monkeypatch.setattr(module, "subformulas",
+                                lambda f: walks.append(f) or subformulas(f))
+    for argv, expected in [
+            (["check", m0_file, text], 0),
+            (["check", m0_file, text, "--at", "x1:x0,x1"], 0),
+            (["split", m0_file, text], 1),
+            (["quotient", m0_file, text, "--out", str(tmp_path / "q.json")], 1),
+            (["basis", m0_file, str(basis), "--formulas", str(formulas)], 0)]:
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 1)
+            walks.clear()
+            assert main(argv) in (0, 1)
+        assert len(walks) == expected, argv
 
 
 def test_split_unstable_block_exits_3(m0_file, monkeypatch, capsys):

@@ -357,6 +357,17 @@ _DOOR_CALLS = {  # name -> (call on S, whether S must be an open)
     "basis_equivalent": (lambda S: t.basis_equivalent(
         _DOOR_MODEL, [S, *_DOOR_NONEMPTY], [_DOOR_F]), True),
 }
+# The calls above that take a family, a valuation or a basis, each given W
+# as that whole argument: each must be iterable, and a valuation a mapping.
+_DOOR_WHOLE = {
+    "make_space": [lambda W: t.make_space(["x0", "x1", "x2"], W),
+                   lambda W: t.make_space(W, [X])],
+    "make_model": [lambda W: t.make_model(_DOOR_SPACE, W)],
+    "make_splitting": [lambda W: t.make_splitting(_DOOR_SPACE, W)],
+    "is_stable": [lambda W: t.is_stable(_DOOR_MODEL, W, _DOOR_F)],
+    "Evaluator.slots": [lambda W: t.Evaluator(_DOOR_MODEL).slots(W)],
+    "basis_equivalent": [lambda W: t.basis_equivalent(_DOOR_MODEL, W, [_DOOR_F])],
+}
 
 
 def _door_reference(name: str, S: frozenset):
@@ -404,7 +415,9 @@ def test_point_sets_pass_one_checked_door(name, points, open_, container,
     gives; one with a member that is not an int point of the space (out of
     range, negative, 2**70, a str, a float, None), or that is no set at
     all, is a SpaceError, never a raw TypeError, OverflowError or
-    IndexError.  `basis_equivalent` reports the member as not open."""
+    IndexError.  `basis_equivalent` reports the member as not open.  A
+    family, valuation or basis that is not iterable, or a valuation that
+    is no mapping, is a SpaceError too."""
     call, needs_open = _DOOR_CALLS[name]
     good = open_ if needs_open else points
     assert _door_result(name, call(container(good))) == _door_reference(name, good)
@@ -416,6 +429,12 @@ def test_point_sets_pass_one_checked_door(name, points, open_, container,
             call(S)
         if name == "basis_equivalent":
             assert "not open" in str(exc.value)
+    for call_whole in _DOOR_WHOLE.get(name, []):
+        with pytest.raises(t.SpaceError):
+            call_whole(not_iterable)
+    if name == "make_model":
+        with pytest.raises(t.SpaceError, match="maps atoms"):
+            call_whole([("A", container(good))])
 
 
 def test_bools_are_the_points_0_and_1():
