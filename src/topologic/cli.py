@@ -29,7 +29,7 @@ from .formula import (Formula, ParseError, is_atom_name, parse,
 from .modelfile import (load_model, model_to_document, read_json,
                         read_text, save_model)
 from .semantics import (AXIOM_METAVARS, Evaluator, Pair,
-                        find_counterexample, program)
+                        find_counterexample, program_atoms)
 from .space import (InternalError, Model, SpaceError, checked_mask,
                     format_family, format_set, is_topology)
 from .splitting import build_splitting, remainder_blocks
@@ -37,7 +37,7 @@ from .splitting import build_splitting, remainder_blocks
 
 def _parse_formula(m: Model, text: str) -> Formula:
     f = parse(text)
-    undeclared = set(program(f)[3]).difference(m.masks)  # f's atoms
+    undeclared = set(program_atoms(f)).difference(m.masks)
     if undeclared:
         raise SpaceError(f"unknown atom {', '.join(sorted(undeclared))}")
     return f
@@ -170,11 +170,7 @@ def cmd_basis(args) -> int:
     if not (isinstance(raw, list) and all(isinstance(U, list) for U in raw)):
         raise SpaceError("basis file must be a JSON list of opens, "
                          "each a list of point names")
-    index = {name: x for x, name in enumerate(m.space.point_names)}
-    try:
-        basis = [frozenset(map(index.__getitem__, member)) for member in raw]
-    except (KeyError, TypeError):  # index_of names the first unknown point
-        basis = [frozenset(map(m.space.index_of, member)) for member in raw]
+    basis = [frozenset(map(m.space.index_of, member)) for member in raw]
     if args.formulas:
         formulas = [_parse_formula(m, line)
                     for line in read_text(args.formulas).splitlines()
@@ -204,7 +200,7 @@ def cmd_decide(args) -> int:
     for name in sorted(listed):
         if not is_atom_name(name):
             raise SpaceError(f"--atoms: {name!r} is not an atom name")
-    bound = SearchBound(args.points, tuple(sorted(listed.union(program(f)[3]))))
+    bound = SearchBound(args.points, tuple(sorted(listed.union(program_atoms(f)))))
     if args.mode == "sat":
         verdict = decide_sat(f, bound)
     else:

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
                       parse)
 from .semantics import (_TEMPLATES, Evaluator, Pair, PassFrame, _ones,
-                        instantiate_axiom, program, scheme_metavars)
+                        instantiate_axiom, program_atoms, scheme_metavars)
 from .space import (InternalError, Model, PointSet, SpaceError,
                     SubsetSpace, check_atom_name, from_mask, space_from_masks,
                     to_mask)
@@ -353,7 +353,7 @@ def _point_runs(b: SearchBound) -> list[range]:
 def _decide(f: Formula, b: SearchBound, holds: bool, hit_kind: VerdictKind,
             no_hit_kind: VerdictKind) -> Verdict:
     runs = _point_runs(b)
-    used = set(program(f)[3])  # f's atoms, off the program its passes run
+    used = set(program_atoms(f))  # off the program its passes run
     if not used <= set(b.atoms):
         raise SpaceError(f"formula atoms {sorted(used)} not covered by "
                          f"the search bound atoms {list(b.atoms)}")

@@ -17,7 +17,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .formula import Formula
-from .semantics import Evaluator, Pair, PassFrame, program
+from .semantics import Evaluator, Pair, PassFrame, program_atoms
 from .space import (InternalError, Model, PointSet, SpaceError, checked_iter,
                     checked_mask, close, format_set, from_mask, is_closed,
                     is_topology, sort_masks, space_from_masks, to_mask)
@@ -145,7 +145,7 @@ def extract_finite_model(m: Model, f: Formula) -> ExtractionResult:
     # intersection-closed (the open-set lattice is distributive).
     if not is_topology(restricted_space):
         raise InternalError("the restricted family is not a topology")
-    names = program(f)[3]  # f's atoms
+    names = program_atoms(f)
     restricted = Model(restricted_space,  # point_quotient checks the names
                        {a: u for a, u in m.masks.items() if a in names})
     return ExtractionResult(restricted, point_quotient(restricted, names))

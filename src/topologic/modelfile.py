@@ -70,7 +70,6 @@ def model_to_document(m: Model) -> dict:
 
 
 def read_text(path: str | PathLike) -> str:
-    """The text of a UTF-8 file; its file object is freed on return."""
     with open(path, encoding="utf-8") as file:
         return file.read()
 

@@ -429,6 +429,11 @@ def program(f: Formula) -> tuple[tuple, int, bool, tuple[str, ...]]:
     return prog
 
 
+def program_atoms(f: Formula) -> tuple[str, ...]:
+    """f's atoms, off its program: f is walked only if it has none yet."""
+    return program(f)[3]
+
+
 def satisfies(m: Model, p: Pair, f: Formula) -> bool:
     """The satisfaction relation at one pair."""
     return Evaluator(m).satisfies(p, f)

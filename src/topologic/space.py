@@ -51,27 +51,24 @@ def to_mask(s: Iterable[int]) -> int:
     return sum(map((1).__lshift__, s))
 
 
-def checked_mask(n: int, S: Iterable[int], what: str) -> int:
-    """The mask of S when each member is an int point below n: the one
-    check of a caller's point set.  Else SpaceError, naming what."""
-    u = 0
-    try:
-        for x in S:
-            if not (isinstance(x, int) and 0 <= x < n):
-                raise SpaceError(f"{what}: {x!r} is outside the space "
-                                 "(out-of-range, or not an int)")
-            u |= 1 << x
-    except TypeError:  # from iter(S): isinstance guards the comparison
-        raise SpaceError(f"{what}: {S!r} is not a set of points") from None
-    return u
-
-
 def checked_iter(S: Iterable, what: str) -> Iterator:
     """iter(S); SpaceError, naming what, if S is not iterable."""
     try:
         return iter(S)
     except TypeError:
         raise SpaceError(f"{what}: {S!r} is not iterable") from None
+
+
+def checked_mask(n: int, S: Iterable[int], what: str) -> int:
+    """The mask of S when each member is an int point below n: the one
+    check of a caller's point set.  Else SpaceError, naming what."""
+    u = 0
+    for x in checked_iter(S, what):
+        if not (isinstance(x, int) and 0 <= x < n):
+            raise SpaceError(f"{what}: {x!r} is outside the space "
+                             "(out-of-range, or not an int)")
+        u |= 1 << x
+    return u
 
 
 @lru_cache(maxsize=1024)
@@ -122,10 +119,14 @@ class SubsetSpace:
     def is_union_closed(self) -> bool:
         return is_closed(self.masks, set(self.masks), or_)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: x for x, name in enumerate(self.point_names)}
+
     def index_of(self, name: str) -> int:
         try:
-            return self.point_names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise SpaceError(f"unknown point {name!r}") from None
 
 

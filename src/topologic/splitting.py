@@ -59,8 +59,7 @@ def _least_above(fam: Iterable[int], v: int) -> int:
 
 def make_splitting(space: SubsetSpace, family: Iterable[PointSet]) -> Splitting:
     n = len(space.point_names)
-    masks = {checked_mask(n, U, "splitting member")
-             for U in checked_iter(family, "splitting family")}
+    masks = {checked_mask(n, U, "splitting member") for U in checked_iter(family, "family")}
     for u in sort_masks(masks.difference(space.masks), n)[:1]:  # the least
         raise SpaceError(f"{sorted(from_mask(u))} is not an open of the space")
     sp = Splitting(tuple(sorted(map(space.masks.index, masks))), space)
