@@ -64,7 +64,7 @@ def _pair_str(m: Model, p: Pair) -> str:
 
 
 def _write_model(m: Model, out: str | None) -> None:
-    if out:
+    if out is not None:
         save_model(m, out)
         print(f"wrote {out}")
     else:
@@ -171,7 +171,7 @@ def cmd_basis(args) -> int:
         raise SpaceError("basis file must be a JSON list of opens, "
                          "each a list of point names")
     basis = [frozenset(map(m.space.index_of, member)) for member in raw]
-    if args.formulas:
+    if args.formulas is not None:
         formulas = [_parse_formula(m, line)
                     for line in read_text(args.formulas).splitlines()
                     if line.strip()]
@@ -216,11 +216,11 @@ def cmd_axioms(args) -> int:
     try:
         # A repeated id is swept and printed once, at its first place.
         schemes = (list(dict.fromkeys(int(x) for x in args.schemes.split(",")))
-                   if args.schemes else sorted(AXIOM_METAVARS))
+                   if args.schemes is not None else sorted(AXIOM_METAVARS))
     except ValueError:
         raise SpaceError(f"--schemes takes comma-separated scheme ids, "
                          f"not {args.schemes!r}") from None
-    if args.model:
+    if args.model is not None:
         m = load_model(args.model)
         spaces = [m.space]
         bound = SearchBound(len(m.space.point_names),

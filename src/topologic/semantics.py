@@ -35,7 +35,8 @@ no row but flips its operand's polarity, and each row is emptied after
 its last reader, so a wide pass holds few rows.  A pass can run a formula
 with a substitution for its atoms, as sweeps run a scheme's template:
 such an atom's row is its formula's, run apart, and no row is kept.  A
-model's evaluator runs ops of the same kind, one per subformula.
+model's evaluator compiles by the same rule against the registers it
+keeps, so its formulas share them.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -141,43 +142,45 @@ class Evaluator:
     """Extension table of one model, or of many valuations of spaces,
     shared by every formula it evaluates.
 
-    Each distinct subformula has one row: at index i, the mask of the points
-    of slot i that satisfy it there, in every lane (for one space, slot i
-    is its i-th open).  Formulas are interned, so rows are keyed by node
-    and equal subformulas of different formulas share a row.
+    A formula's row holds at index i the mask of the points of slot i that
+    satisfy it there, in every lane (for one space, slot i is its i-th open).
 
     `Evaluator(m)` has one lane, valued by the model m, and keeps every row
-    it computes.  `Evaluator(frame)` is a search pass over a `PassFrame`:
+    it computes, in registers: `_at` maps each node to one, and `_negs`
+    holds the nodes that read theirs negated, so a node and its negation
+    share one, as do equal (interned) subformulas of different formulas.
+    `Evaluator(frame)` is a search pass over a `PassFrame`:
     it holds only the row of the formula it answered last, negated as its
     program's, and drops it before it walks another, so a walk that fails
     leaves no row; a walk under a substitution (`hit_slots`) leaves none.
     `mask` returns every lane; `extension` and `satisfies` read lane 0.
     """
 
-    __slots__ = ("_keep", "_frame", "_rows")
+    __slots__ = ("_at", "_negs", "_frame", "_rows")
 
     def __init__(self, m: Model | PassFrame):
-        self._keep = isinstance(m, Model)
-        if self._keep:
+        self._at = self._negs = None
+        if isinstance(m, Model):
             m = PassFrame((m.space,), (1,), m.masks)
+            self._at, self._negs = {}, set()
         elif not isinstance(m, PassFrame):
             raise TypeError(f"an evaluator needs a model or a frame, "
                             f"not {type(m).__name__}")
         self._frame = m
-        self._rows: dict[Formula, list[int]] = {}
+        self._rows: dict = {}
 
     def _core(self, f: Formula, subst: Mapping[str, Formula] | None = None
               ) -> tuple[list[int], bool]:
-        """f's row, or with True its complement's: its program's result.
-        On a search pass given subst, each atom named in subst is read as
-        its formula, and no row is kept."""
-        rows = self._rows
-        if self._keep:
+        """f's row, or with True its complement's.  A model's evaluator runs
+        ops only for nodes new to it.  On a search pass given subst, each
+        atom named in subst is read as its formula, and no row is kept."""
+        rows, at = self._rows, self._at
+        if at is not None:
             if subst is not None:
                 raise TypeError("a model's evaluator takes no substitution")
-            if f not in rows:
-                self._run(_compile(f, {}, set(), rows), rows, None)
-            return rows[f], False
+            if f not in at:
+                self._run(_compile(f, at, self._negs, len(rows)), rows, None)
+            return rows[at[f]], f in self._negs
         ops, out, neg, _ = program(f)
         if subst is None and f in rows:
             return rows[f], neg
@@ -189,10 +192,7 @@ class Evaluator:
 
     def _row(self, f: Formula, subst: Mapping[str, Formula] | None = None
              ) -> list[int]:
-        """f's row (see `_core`): one XOR if its program's result is
-        negated."""
-        if self._keep and f in self._rows:
-            return self._rows[f]
+        """f's row (see `_core`): one XOR if it comes negated."""
         row, neg = self._core(f, subst)
         return list(map(xor, self._frame.masks, row)) if neg else row
 
@@ -208,10 +208,8 @@ class Evaluator:
                     row = list(map(and_, regs[a], regs[b]))
                 elif op == _ANDNOT:
                     row = list(map(xor, regs[a], map(and_, regs[a], regs[b])))
-                elif op == _OR:
+                else:
                     row = list(map(or_, regs[a], regs[b]))
-                else:  # `_NOT`, which only a model's evaluator runs
-                    row = list(map(xor, masks, regs[a]))
             elif op < _ATOM:
                 # The operand's misses: its row, if it is negated.
                 misses = iter(regs[a]) if b else map(xor, masks, regs[a])
@@ -278,7 +276,8 @@ class Evaluator:
         whose opens contain it.  No slots ask for no row."""
         if not slots:
             return True
-        row, masks = self._row(f), self._frame.masks
+        row, _ = self._core(f)  # f and ~f are stable on the same slots
+        masks = self._frame.masks
         sat = fail = 0  # points where f holds, and fails, at some slot
         for i in slots:
             sat |= row[i]
@@ -357,25 +356,23 @@ def _ones(count: int, step: int) -> int:
 
 
 # Program ops, binary then unary then leaves; `_NK` is `~K`, `_NBOX` `~[]`.
-_AND, _ANDNOT, _OR, _NOT, _K, _NK, _BOX, _NBOX, _ATOM, _TOP, _BOT = range(11)
+_AND, _ANDNOT, _OR, _K, _NK, _BOX, _NBOX, _ATOM, _TOP, _BOT = range(10)
 
 
-def _compile(f: Formula, at: dict, negs: set,
-             kept: Mapping[Formula, list[int]] | None = None
+def _compile(f: Formula, at: dict, negs: set, count: int = 0
              ) -> Iterator[list]:
-    """f's ops, [op, dst, a, b, release] each (see `program`), each after
-    its operands'.  at gets the register that each node reads, and negs
-    each node that reads its register negated: `~` makes no op, it flips
-    its operand's polarity.  `K` and `[]` read a negated operand as its
-    misses and make `L` and `<>`, `&` of a negated operand is and-not, and
-    of two, `|` of a negated result.  Given kept, a model's rows, whose
-    taker runs each op before it draws the next, each node is its own
-    register and op, `~` too, and a kept node's row is read."""
-    count = 0
-    for g in subformulas(f) if kept is None else post_order(f, kept):
+    """The ops of f's nodes not in at, [op, dst, a, b, release] each (see
+    `program`), each after its operands', in registers numbered from count.
+    at gets the register that each node reads, and negs each node that
+    reads its register negated: `~` makes no op, it flips its operand's
+    polarity.  `K` and `[]` read a negated operand as its misses and make
+    `L` and `<>`, `&` of a negated operand is and-not, and of two, `|` of a
+    negated result.  A node enters at once the next op is asked for, so an
+    op that raises when run leaves no entry."""
+    for g in post_order(f, at):
         t = type(g)
-        if t is Not and kept is None:
-            at[g] = at.get(g.arg, g.arg)
+        if t is Not:
+            at[g] = at[g.arg]
             if g.arg not in negs:
                 negs.add(g)
             continue
@@ -384,13 +381,11 @@ def _compile(f: Formula, at: dict, negs: set,
             x, y = g.left, g.right
             if x in negs and y not in negs:
                 x, y = y, x  # and-not takes the negated operand second
-            a, b = at.get(x, x), at.get(y, y)
+            a, b = at[x], at[y]
             op = _OR if x in negs else _ANDNOT if y in negs else _AND
         elif t is Knows or t is Box:
-            a, b = at.get(g.arg, g.arg), g.arg in negs
+            a, b = at[g.arg], g.arg in negs
             op = (_K if t is Knows else _BOX) + b
-        elif t is Not:
-            op, a = _NOT, g.arg
         elif t is Atom:
             op, a = _ATOM, g.name
         elif t is Top or t is Bot:
@@ -399,8 +394,8 @@ def _compile(f: Formula, at: dict, negs: set,
             raise TypeError(f"not a formula: {g!r}")
         if op in (_OR, _NK, _NBOX):
             negs.add(g)
-        at[g], count = g if kept is not None else count, count + 1
-        yield [op, at[g], a, b, 0]
+        yield [op, count, a, b, 0]
+        at[g], count = count, count + 1
 
 
 # Each formula's program, run by every search pass, kept while the formula

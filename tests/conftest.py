@@ -64,6 +64,13 @@ def not_chain(depth: int, f=Atom("A")):
     return f
 
 
+def knows_box_chain(depth: int) -> str:
+    """depth `K []` pairs over a conjunction: a splitting asks for the row
+    of each K's operand, so a cost per asked row that grows with the
+    formula shows."""
+    return "K [] (" * depth + "A" + " & B)" * depth
+
+
 # Formula text over the parser's token alphabet, plus a few stray
 # characters; concatenation also forms identifiers such as "KA".
 FORMULA_TEXT = st.lists(

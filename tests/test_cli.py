@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import topologic as t
 from topologic import cli, finitemodel
 from topologic.cli import main
-from conftest import (FORMULA_TEXT, generate_topology,
+from conftest import (FORMULA_TEXT, generate_topology, knows_box_chain,
                       reference_model_from_document)
 
 F = frozenset
@@ -148,9 +148,11 @@ def test_unreadable_files_exit_2(m0_file, tmp_path, capsys, argv, bad):
     ["quotient", "MODEL", "K A"],
     ["decide", "A & ~K A", "--mode", "sat", "--points", "2"],
 ], ids=" ".join)
-@pytest.mark.parametrize("out", ["a directory", "under a missing directory"])
+@pytest.mark.parametrize("out", ["a directory", "under a missing directory",
+                                 "empty"])
 def test_unwritable_out_exits_2(m0_file, tmp_path, capsys, argv, out):
-    path = tmp_path if out == "a directory" else tmp_path / "none" / "out.json"
+    path = {"a directory": tmp_path, "empty": "",
+            "under a missing directory": tmp_path / "none" / "out.json"}[out]
     argv = [m0_file if arg == "MODEL" else arg for arg in argv]
     assert main([*argv, "--out", str(path)]) == 2
     err = capsys.readouterr().err
@@ -261,6 +263,16 @@ def test_commands_on_deep_formula(m0_file, tmp_path, capsys, command, code,
                       "--formulas", str(formulas_path)],
             "decide": ["decide", DEEP, "--points", "2"]}[command]
     assert main(argv) == code
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("command, code, first_line", [
+    ("check", 1, "counterexample: point x0, open {x0, x1, x2}"),
+    ("quotient", 0, "restricted family: {{}, {x0}, {x0, x1, x2}}"),
+])
+def test_commands_on_deep_knows_chain(m0_file, capsys, command, code,
+                                      first_line):
+    assert main([command, m0_file, knows_box_chain(2000)]) == code
     assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
@@ -754,6 +766,10 @@ def test_axioms_model_file_above_cap(tmp_path, capsys):
     ["check", "ATOM_K", "A"],
     ["axioms", "ATOM_SPACE", "--trials", "2", "--schemes", "7"],
     ["basis", "ATOM_EMPTY", "OPENS"],
+    # An empty value is a value, not an option left out.
+    ["axioms", "--enumerate", "2", "--schemes", ""],
+    ["axioms", "", "--enumerate", "2"],
+    ["basis", "M0", "OPENS", "--formulas", ""],
 ])
 def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
     """Bad numbers, vacuous requests and malformed files exit 2."""
@@ -779,7 +795,8 @@ def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
     files["BINARY"] = str(tmp_path / "binary.json")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00{")
     assert main([files.get(a, a) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _JSON_VALUES = st.recursive(
@@ -985,9 +1002,9 @@ def test_basis_builds_each_plan_once(m0_file, tmp_path, monkeypatch):
     formulas = tmp_path / "formulas.txt"
     formulas.write_text("\n".join(texts) + "\n")
     built = []  # texts, as a formula held here would keep its plan
-    subformulas = t.semantics.subformulas
-    monkeypatch.setattr(t.semantics, "subformulas", lambda f: built.append(
-        t.print_formula(f)) or subformulas(f))
+    compile_ = t.semantics._compile
+    monkeypatch.setattr(t.semantics, "_compile", lambda f, *args: built.append(
+        t.print_formula(f)) or compile_(f, *args))
     argv = ["basis", m0_file, str(basis), "--formulas", str(formulas)]
     assert main(argv) == 0
     assert set(texts) <= set(built) and len(built) == len(set(built))

@@ -5,9 +5,9 @@ import pytest
 
 import topologic as t
 from topologic import Atom, Box, Knows, Not, Pair
-from conftest import (ReferenceEvaluator, not_chain, random_model,
-                      reference_hits, reference_instantiate_axiom,
-                      search_passes)
+from conftest import (ReferenceEvaluator, knows_box_chain, not_chain,
+                      random_model, reference_hits,
+                      reference_instantiate_axiom, search_passes)
 from topologic import decide
 from topologic.semantics import PassFrame
 from topologic.space import to_mask
@@ -585,7 +585,8 @@ def test_search_pass_keeps_only_asked_rows():
     m = t.make_model(spaces[5], {"A": F({0}), "B": F({0, 1})})
     ev = t.Evaluator(m)
     ev.first_pair(f, False)
-    assert set(ev._rows) == set(t.subformulas(f))
+    assert set(ev._at) == set(t.subformulas(f))
+    assert set(ev._rows) == set(ev._at.values())
 
 
 @pytest.mark.parametrize("search_pass", [False, True])
@@ -618,7 +619,9 @@ def test_failed_walk_leaves_evaluator_consistent(search_pass):
         if search_pass:
             assert not ev._rows
         else:
-            assert set(t.subformulas(ka)) <= set(ev._rows)
+            assert set(t.subformulas(ka)) <= set(ev._at)
+            assert all(len(ev._rows.get(r, ())) == len(space.opens)
+                       for r in ev._at.values())
     assert ev.mask(X3, ka) == before
     other = fresh()
     for U in space.opens:
@@ -742,6 +745,36 @@ def test_not_makes_no_op():
             assert ev.row(f) == (A if not neg else [u ^ a for u, a in zip(
                 ev._frame.masks, A)])
         assert t.model_valid(m, f) is (not neg and m.atom_set("A") == X)
+    # A model's evaluator shares registers across formulas: after K A,
+    # ~~~~K A & ~B adds B's and the &'s, and no op for any `~`.
+    m = t.make_model(space, {"A": F({0, 2}), "B": F({1})})
+    ev, ref = t.Evaluator(m), ReferenceEvaluator(m)
+    ev.row(ka)
+    held = set(ev._rows)
+    f = t.parse("~~~~K A & ~B")
+    ev.row(f)
+    assert len(ev._rows) == len(held) + 2 and held < set(ev._rows)
+    assert set(ev._rows) == set(ev._at.values())
+    for g in t.subformulas(f):
+        for U in space.opens:
+            assert ev.extension(U, g) == ref.extension(U, g)
+    assert len(ev._rows) == len(held) + 2
+
+
+def test_model_evaluator_holds_one_register_per_op():
+    """Asked the row of every subformula of a 2,000-deep `K []` chain, and
+    then of each one's negation, a model's evaluator holds one register per
+    subformula: a subformula asked again, or negated, reads the register it
+    has, at a cost that does not grow with the formula."""
+    space = list(t.enumerate_topologies(3))[7]
+    ev = t.Evaluator(t.make_model(space, {"A": F({0}), "B": F({0, 1})}))
+    body = t.subformulas(t.parse(knows_box_chain(2000)))
+    assert not any(type(g) is Not for g in body)
+    rows = [ev.row(g) for g in body]
+    negated = [ev.row(Not(g)) for g in body]
+    assert len(ev._rows) == len(body)
+    assert all(neg == [u ^ r for u, r in zip(ev._frame.masks, row)]
+               for row, neg in zip(rows, negated))
 
 
 def test_template_program_matches_reference_lane_by_lane():
