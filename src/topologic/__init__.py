@@ -10,7 +10,7 @@ from .space import (InternalError, Model, PointSet, SpaceError, SubsetSpace,
                     heyting_implication, interior, is_topology, make_model,
                     make_space, sort_family)
 from .semantics import (Evaluator, Pair, SchemeError, extension,
-                        find_counterexample, instantiate_axiom, model_valid,
+                        find_counterexample, instantiate_axiom,
                         pairs_in_order, satisfies)
 from .splitting import (Splitting, SplittingTable, build_splitting, classify,
                         is_stable, make_splitting, partition)
@@ -19,7 +19,6 @@ from .finitemodel import (ExtractionResult, QuotientMap, basis_equivalent,
 from .decide import (SearchBound, SweepReport, Verdict, VerdictKind,
                      axiom_soundness_sweep, decide_sat, decide_valid,
                      enumerate_subset_spaces, enumerate_topologies,
-                     enumerate_valuations, find_subset_space_countermodel,
-                     random_formula)
+                     find_subset_space_countermodel, random_formula)
 from .modelfile import (load_model, model_from_document, model_to_document,
                         save_model)

@@ -220,16 +220,16 @@ def cmd_axioms(args) -> int:
     except ValueError:
         raise SpaceError(f"--schemes takes comma-separated scheme ids, "
                          f"not {args.schemes!r}") from None
+    if (args.model is None) == (args.enumerate is None):
+        raise SpaceError("give either a model file or --enumerate N")
     if args.model is not None:
         m = load_model(args.model)
         spaces = [m.space]
         bound = SearchBound(len(m.space.point_names),
                             tuple(sorted(m.masks)) or ("A",))
-    elif args.enumerate is not None:
+    else:
         bound = SearchBound(args.enumerate, ("A",))
         spaces = None
-    else:
-        raise SpaceError("give either a model file or --enumerate N")
     report = axiom_soundness_sweep(bound, schemes, args.trials, args.seed,
                                    spaces=spaces)
     violated = {v.scheme_id for v in report.violations}
@@ -238,9 +238,12 @@ def cmd_axioms(args) -> int:
         print(f"scheme {sid:>2}: {status}  "
               f"({report.checked[sid]} instance checks)")
     for v in report.violations[:10]:
+        names = v.model.space.point_names
         print(f"  scheme {v.scheme_id}: {print_formula(v.instance)} fails at "
               f"{_pair_str(v.model, v.pair)} in model over opens "
-              f"{format_family(v.model.space.opens, v.model.space.point_names)}")
+              f"{format_family(v.model.space.opens, names)} with " + ", ".join(
+                  f"{a} = {format_set(S, names)}"
+                  for a, S in sorted(v.model.valuation.items())))
     return 0 if report.clean else 1
 
 

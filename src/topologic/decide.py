@@ -11,8 +11,8 @@ formula, valuation and pair (`_first_hit`).  Its passes and their frames
 (see `semantics.PassFrame`) are fixed by its spaces and atoms, so those of
 recent searches are kept under keys of plain data naming the spaces
 (`_passes`), each frame built when its pass is first walked: a warm search
-hashes no space and builds no kept frame.  A pass holds one formula's row
-at a time, and no verdict or hit is kept.
+hashes no space and builds no kept frame.  A pass keeps no row: it holds
+one formula's row while its hits are read, and no verdict or hit is kept.
 
 `decide_sat` and `decide_valid` scan one topology per homeomorphism class:
 1, 3, 9, 33 and 139 of them on 1 to 5 points (OEIS A001930), against 1, 4,
@@ -41,13 +41,11 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .formula import (And, Atom, Bot, Box, Formula, Knows, Not, Top, atoms,
-                      parse)
+from .formula import And, Atom, Bot, Box, Formula, Knows, Not, Top, parse
 from .semantics import (_TEMPLATES, Evaluator, Pair, PassFrame, _ones,
                         instantiate_axiom, program_atoms, scheme_metavars)
-from .space import (InternalError, Model, PointSet, SpaceError,
-                    SubsetSpace, check_atom_name, from_mask, space_from_masks,
-                    to_mask)
+from .space import (InternalError, Model, SpaceError, SubsetSpace,
+                    check_atom_name, space_from_masks, to_mask)
 
 HARD_POINT_CAP = 5
 # Lanes per evaluator pass, a memory guard: on n points a row takes n + 1
@@ -182,20 +180,13 @@ def enumerate_subset_spaces(n: int, max_opens: int) -> Iterator[SubsetSpace]:
 
 
 def _valuation(n: int, atom_names: Sequence[str], v: int) -> dict[str, int]:
-    """The v-th valuation of `enumerate_valuations`, as masks."""
+    """The v-th valuation of the atoms on n points, as masks: a space's
+    v-th lane in a search pass.  Written in base 2**n, v has one digit per
+    atom, the first atom's most significant, and each digit indexes the
+    subsets in cardinality-then-members order."""
     subsets, k = _subsets_in_order(n), len(atom_names)
     return {a: subsets[v >> n * (k - 1 - i) & (1 << n) - 1]
             for i, a in enumerate(atom_names)}
-
-
-def enumerate_valuations(n: int, atom_names: Sequence[str]
-                         ) -> Iterator[dict[str, PointSet]]:
-    """Every valuation of the atoms on n points.  The v-th is a space's
-    v-th lane in a search pass: written in base 2**n, v has one digit per
-    atom, the first atom's most significant, and each digit indexes the
-    subsets in cardinality-then-members order."""
-    for v in range(1 << n * len(atom_names)):
-        yield {a: from_mask(u) for a, u in _valuation(n, atom_names, v).items()}
 
 
 @lru_cache(maxsize=64)
@@ -496,9 +487,9 @@ def _boundary_instances(sid: int) -> tuple[Sequence[str], Sequence[Formula]]:
     """The atoms that a scheme's instances share, and the instances, built
     once so that their programs stay in `semantics._PROGRAMS`."""
     fs = tuple(instantiate_axiom(sid, s) for s in _BOUNDARY_SUBSTITUTIONS[sid])
-    if len({frozenset(atoms(f)) for f in fs}) != 1:
+    if len({frozenset(program_atoms(f)) for f in fs}) != 1:
         raise InternalError(f"scheme {sid}'s instances differ in atoms")
-    return tuple(sorted(atoms(fs[0]))), fs
+    return tuple(sorted(program_atoms(fs[0]))), fs
 
 
 def find_subset_space_countermodel(scheme_id: int, b: SearchBound,

@@ -13,7 +13,8 @@ as the two lanes of one evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
+from functools import reduce
+from operator import or_, xor
 from typing import Iterable, Sequence
 
 from .formula import Formula
@@ -59,7 +60,8 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
     every nonempty open, so an accepted basis is the nonempty opens, with
     or without the empty set.  The basis model differs at most by the
     empty open, which holds no point and so is in no pair.  The models are
-    lanes 0 and 1 of one evaluator, so each formula is walked once.
+    lanes 0 and 1 of one evaluator, so each formula is walked once, and
+    whole-model validity is read off the same row as the pairs.
     """
     bspace = space_from_masks(m.space.point_names, _check_basis(m, basis))
     w = len(m.space.point_names) + 1  # the lane width
@@ -67,14 +69,16 @@ def basis_equivalent(m: Model, basis: Sequence[PointSet],
                       {a: u * (1 | 1 << w) for a, u in m.masks.items()})
     ev = Evaluator(frame)
     slots = [frame.slots.index(u) for u in bspace.masks]
+    points = (1 << w - 1) - 1
     for f in formulas:
         row = ev.row(f)
         for i in slots:
-            differ = (row[i] ^ row[i] >> w) & (1 << w - 1) - 1
+            differ = (row[i] ^ row[i] >> w) & points
             if differ:
                 least = (differ & -differ).bit_length() - 1
                 return BasisCounterexample(f, Pair(least, from_mask(frame.slots[i])))
-        if len(list(ev.hit_slots(f, False))) == 1:
+        fails = reduce(or_, map(xor, frame.masks, row), 0)  # lanes 0 and 1
+        if (fails & points == 0) != (fails >> w & points == 0):
             return BasisCounterexample(f, None)
     return None
 

@@ -26,17 +26,18 @@ is read off in one scan.
 
 What a pass fixes before any formula is its `PassFrame`: the slots and
 their masks over the lanes, `K`'s per-lane constants, the atoms' rows,
-and, built at first use, the slot order of `hits` and the covers of `[]`.
-A frame keeps no point set: the frozenset methods find an open's slot by
-its mask, and a search makes no point set but its witness's.  An evaluator
-owns only its rows (see `Evaluator`).  A search pass runs a formula's
-program, made once (`program`): a flat list of row ops in which `~` makes
-no row but flips its operand's polarity, and each row is emptied after
-its last reader, so a wide pass holds few rows.  A pass can run a formula
-with a substitution for its atoms, as sweeps run a scheme's template:
-such an atom's row is its formula's, run apart, and no row is kept.  A
-model's evaluator compiles by the same rule against the registers it
-keeps, so its formulas share them.
+and, built at first use, the slot order of `hit_slots` and the covers of
+`[]`.  A frame keeps no point set: the frozenset methods find an open's
+slot by its mask, and a search makes no point set but its witness's.  A
+model's evaluator owns only its rows, and a search pass owns none (see
+`Evaluator`).  A search pass answers each question by running the
+formula's program, made once (`program`): a flat list of row ops in which
+`~` makes no row but flips its operand's polarity, and each row is emptied
+after its last reader, so a wide pass holds few rows.  A pass can run a
+formula with a substitution for its atoms, as sweeps run a scheme's
+template: such an atom's row is its formula's, run apart.  A model's
+evaluator compiles by the same rule against the registers it keeps, so
+its formulas share them.
 
 The axiom schemes are written once, as formulas in `AXIOM_SCHEMES`.
 """
@@ -149,10 +150,9 @@ class Evaluator:
     it computes, in registers: `_at` maps each node to one, and `_negs`
     holds the nodes that read theirs negated, so a node and its negation
     share one, as do equal (interned) subformulas of different formulas.
-    `Evaluator(frame)` is a search pass over a `PassFrame`:
-    it holds only the row of the formula it answered last, negated as its
-    program's, and drops it before it walks another, so a walk that fails
-    leaves no row; a walk under a substitution (`hit_slots`) leaves none.
+    `Evaluator(frame)` is a search pass over a `PassFrame`: it runs the
+    program of each formula it is asked about and returns the row, keeping
+    none, so a formula asked again is run again.
     `mask` returns every lane; `extension` and `satisfies` read lane 0.
     """
 
@@ -172,8 +172,9 @@ class Evaluator:
     def _core(self, f: Formula, subst: Mapping[str, Formula] | None = None
               ) -> tuple[list[int], bool]:
         """f's row, or with True its complement's.  A model's evaluator runs
-        ops only for nodes new to it.  On a search pass given subst, each
-        atom named in subst is read as its formula, and no row is kept."""
+        ops only for nodes new to it.  A search pass runs f's program and
+        keeps nothing; given subst, each atom named in subst is read as its
+        formula."""
         rows, at = self._rows, self._at
         if at is not None:
             if subst is not None:
@@ -182,19 +183,7 @@ class Evaluator:
                 self._run(_compile(f, at, self._negs, len(rows)), rows, None)
             return rows[at[f]], f in self._negs
         ops, out, neg, _ = program(f)
-        if subst is None and f in rows:
-            return rows[f], neg
-        rows.clear()  # a search pass: release the last row
-        row = self._run(ops, [None] * len(ops), subst)[out]
-        if subst is None:
-            rows[f] = row
-        return row, neg
-
-    def _row(self, f: Formula, subst: Mapping[str, Formula] | None = None
-             ) -> list[int]:
-        """f's row (see `_core`): one XOR if it comes negated."""
-        row, neg = self._core(f, subst)
-        return list(map(xor, self._frame.masks, row)) if neg else row
+        return self._run(ops, [None] * len(ops), subst)[out], neg
 
     def _run(self, ops: Sequence, regs, subst) -> list | dict:
         """Run ops (see `program`) on the registers regs, and return them.
@@ -233,7 +222,7 @@ class Evaluator:
                 del misses
             elif op == _ATOM:
                 if subst is not None and a in subst:
-                    row = self._row(subst[a], ())  # read with its own atoms
+                    row = self.row(subst[a])  # read with its own atoms
                 else:
                     v = fr.atoms.get(a)
                     if v is None:
@@ -250,10 +239,13 @@ class Evaluator:
                 regs[b] = None
         return regs
 
-    def row(self, f: Formula) -> list[int]:
+    def row(self, f: Formula, subst: Mapping[str, Formula] | None = None
+            ) -> list[int]:
         """f's row: at slot i, the mask of the points of slot i that
-        satisfy f there, in every lane."""
-        return self._row(f)
+        satisfy f there, in every lane; given subst, see `_core`.  A row
+        that comes negated costs one XOR."""
+        row, neg = self._core(f, subst)
+        return list(map(xor, self._frame.masks, row)) if neg else row
 
     def _slot(self, U: PointSet) -> int:
         """The slot of the open U, found by its mask."""
@@ -265,7 +257,7 @@ class Evaluator:
     def mask(self, U: PointSet, f: Formula) -> int:
         """The points of the open U that satisfy f at U, as a bitmask."""
         i = self._slot(U)
-        return self._row(f)[i]
+        return self.row(f)[i]
 
     def slots(self, opens: Iterable[PointSet]) -> list[int]:
         """The slots of the given opens, ascending: in `sort_family` order."""
@@ -336,15 +328,11 @@ class Evaluator:
         """The pair of a point and a slot whose open holds it."""
         return Pair(point, from_mask(self._frame.slots[slot]))
 
-    def hits(self, f: Formula, holds: bool) -> Iterator[tuple[int, Pair]]:
-        """Each lane of `hit_slots`, with its pair."""
-        return ((lane, self.pair(point, slot))
-                for lane, point, slot in self.hit_slots(f, holds))
-
     def first_pair(self, f: Formula, holds: bool) -> Pair | None:
         """The least pair in `pairs_in_order` at which the truth of f
         equals holds, in the least lane that has one, or None."""
-        return next((p for _, p in self.hits(f, holds)), None)
+        return next((self.pair(point, slot)
+                     for _, point, slot in self.hit_slots(f, holds)), None)
 
 
 _NONZERO = re.compile(rb"[^\x00]")  # a byte with a bit set
@@ -442,11 +430,6 @@ def extension(m: Model, U: PointSet, f: Formula) -> PointSet:
 def find_counterexample(m: Model, f: Formula) -> Pair | None:
     """Least falsifying pair in the deterministic order, or None."""
     return Evaluator(m).first_pair(f, False)
-
-
-def model_valid(m: Model, f: Formula) -> bool:
-    """True iff f holds at every pair of the model."""
-    return find_counterexample(m, f) is None
 
 
 class SchemeError(SpaceError):

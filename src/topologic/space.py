@@ -234,12 +234,6 @@ class Model:
     def valuation(self) -> dict[str, PointSet]:
         return {a: from_mask(u) for a, u in self.masks.items()}
 
-    def atom_set(self, name: str) -> PointSet:
-        try:
-            return self.valuation[name]
-        except KeyError:
-            raise SpaceError(f"unknown atom {name!r}") from None
-
 
 def check_atom_name(name: str) -> str:
     """name, if parse reads it alone as an atom; else SpaceError."""

@@ -121,7 +121,7 @@ class ReferenceEvaluator:
             case Bot():
                 result = F()
             case Atom(name):
-                result = self.model.atom_set(name) & U
+                result = self.model.valuation[name] & U
             case Not(x):
                 result = U - self.extension(U, x)
             case And(a, b):
@@ -476,18 +476,35 @@ def reference_basis_equivalent(m: t.Model, basis, formulas):
     return None
 
 
+def hits(ev: t.Evaluator, f: Formula, holds: bool):
+    """Each lane of `ev.hit_slots(f, holds)`, with its pair."""
+    return ((lane, ev.pair(point, slot))
+            for lane, point, slot in ev.hit_slots(f, holds))
+
+
+def enumerate_valuations(n: int, atom_names):
+    """Every valuation of the atoms on n points, in the order of a space's
+    lanes in a search pass: the first atom's set changes slowest, and each
+    atom runs through the subsets by size, then by sorted members."""
+    subsets = sorted((F(x for x in range(n) if bits[x])
+                      for bits in itertools.product((0, 1), repeat=n)),
+                     key=lambda S: (len(S), sorted(S)))
+    for sets in itertools.product(subsets, repeat=len(atom_names)):
+        yield dict(zip(atom_names, sets))
+
+
 def reference_hits(ev: t.Evaluator, f: Formula, holds: bool,
                    lanes: int) -> list:
-    """`Evaluator.hits` one lane at a time: in each lane, the opens largest
+    """`hits` one lane at a time: in each lane, the opens largest
     first and the points ascending, each slot's row shifted to the lane."""
     frame = ev._frame
     w = frame.width
     slots = sorted(enumerate(map(t.space.from_mask, frame.slots)),
                    key=lambda slot: -len(slot[1]))
-    out = []
+    out, rows = [], ev.row(f)  # read once: a search pass keeps no row
     for lane in range(lanes):
         for i, U in slots:
-            row = ev.mask(U, f)
+            row = rows[i]
             if not holds:
                 row ^= frame.masks[i]
             bits = row >> lane * w & (1 << w - 1) - 1
@@ -530,7 +547,7 @@ def reference_closure_family(m: t.Model, atom_list) -> tuple[tuple, tuple]:
     universe = s.universe
     family = {universe, F()}
     for name in atom_list:
-        family.add(m.atom_set(name))
+        family.add(m.valuation[name])
     while True:
         new = set()
         for a in family:
@@ -660,7 +677,7 @@ def reference_sweep(b: t.SearchBound, scheme_ids, trials: int, seed: int,
     for group, lo, firsts, ev in search_passes(spaces, names):
         found = sorted(((lane, j, pair)
                         for j, (_, instance) in enumerate(instances)
-                        for lane, pair in ev.hits(instance, False)),
+                        for lane, pair in hits(ev, instance, False)),
                        key=lambda hit: hit[:2])
         for lane, j, pair in found:
             model = t.decide._lane_model(group, lo, firsts, names, lane)
@@ -741,10 +758,10 @@ def reference_point_quotient(m: t.Model, atom_list) -> tuple:
     point_class = {}
     for x in range(len(s.point_names)):
         profile = (tuple(x in U for U in s.opens),
-                   tuple(x in m.atom_set(a) for a in names))
+                   tuple(x in m.valuation[a] for a in names))
         point_class[x] = profiles.setdefault(profile, len(profiles))
     open_class = {U: F(point_class[x] for x in U) for U in s.opens}
     family = tuple(sorted(set(open_class.values()), key=set_key))
     return (point_class, open_class, tuple(f"c{i}" for i in range(len(profiles))),
             family, tuple(sum(1 << x for x in U) for U in family),
-            {a: F(point_class[x] for x in m.atom_set(a)) for a in names})
+            {a: F(point_class[x] for x in m.valuation[a]) for a in names})

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import topologic as t
 from topologic import cli, finitemodel
 from topologic.cli import main
-from conftest import (FORMULA_TEXT, generate_topology, knows_box_chain,
-                      reference_model_from_document)
+from conftest import (FORMULA_TEXT, ReferenceEvaluator, generate_topology,
+                      knows_box_chain, reference_model_from_document)
 
 F = frozenset
 
@@ -712,12 +713,35 @@ def test_axioms_model_file(m0_file, capsys):
     assert main(["axioms", m0_file, "--trials", "3"]) == 0
 
 
+VIOLATION = re.compile(r"  scheme (\d+): (.+) fails at point (\w+), open "
+                       r"\{(.*?)\} in model over opens \{(.*)\} with (.+)")
+
+
 def test_axioms_non_topology_violations(non_topology_file, capsys):
-    # Schemes beyond the subset-space axiomatization may fail here; the
-    # sweep must report rather than crash, with exit 1 on violations.
-    code = main(["axioms", non_topology_file, "--trials", "15", "--seed", "2",
-                 "--schemes", "11,12"])
-    assert code in (0, 1)
+    """Scheme 11 fails on the space {x0x1, x0x2, X}, under two valuations
+    of A: exit 1, and each violation line names its valuation, so no two
+    lines are the same.  Each line's instance, read back, fails at its pair
+    under `ReferenceEvaluator`, on the opens and valuation it prints."""
+    code = main(["axioms", non_topology_file, "--trials", "5",
+                 "--schemes", "11"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert code == 1 and len(lines) == 2 == len(set(lines))
+    names = ("x0", "x1", "x2")
+
+    def points(listed):
+        return F(names.index(x) for x in listed.split(", ") if x)
+
+    for line in lines:
+        sid, text, point, open_, opens, valuation = VIOLATION.fullmatch(
+            line).groups()
+        space = t.make_space(names, [points(U) for U in
+                                     re.findall(r"\{([^{}]*)\}", opens)])
+        m = t.make_model(space, {a: points(S) for a, S in
+                                 re.findall(r"(\w+) = \{([^{}]*)\}",
+                                            valuation)})
+        pair = t.Pair(names.index(point), points(open_))
+        assert sid == "11" and not ReferenceEvaluator(m).satisfies(
+            pair, t.parse(text))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -726,6 +750,8 @@ def test_axioms_non_topology_violations(non_topology_file, capsys):
     (["axioms", "--enumerate", "2", "--schemes", "4,99"],
      "unknown axiom scheme 99"),
     (["axioms"], "give either a model file or --enumerate N"),
+    (["axioms", "model.json", "--enumerate", "3"],
+     "give either a model file or --enumerate N"),
 ])
 def test_axioms_bad_input_messages(argv, message, capsys):
     assert main(argv) == 2
@@ -770,6 +796,13 @@ def test_axioms_model_file_above_cap(tmp_path, capsys):
     ["axioms", "--enumerate", "2", "--schemes", ""],
     ["axioms", "", "--enumerate", "2"],
     ["basis", "M0", "OPENS", "--formulas", ""],
+    # A pair with no open, or with a set that is no open; a non-topology
+    # given to quotient or basis; a model document that is no object.
+    ["check", "M0", "A", "--at", "x0"],
+    ["check", "M0", "A", "--at", "x0:x1"],
+    ["quotient", "NON_TOPOLOGY", "A"],
+    ["basis", "NON_TOPOLOGY", "OPENS"],
+    ["check", "NOT_OBJECT", "A"],
 ])
 def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
     """Bad numbers, vacuous requests and malformed files exit 2."""
@@ -787,6 +820,9 @@ def test_bad_numeric_input_exits_2(argv, m0_file, tmp_path, capsys):
         "ATOM_K": json.dumps({**M0_DOC, "valuation": {"K": ["x0"]}}),
         "ATOM_SPACE": json.dumps({**M0_DOC, "valuation": {"A B": ["x0"]}}),
         "ATOM_EMPTY": json.dumps({**M0_DOC, "valuation": {"": []}}),
+        "NON_TOPOLOGY": json.dumps({**M0_DOC, "opens": [
+            ["x0", "x1"], ["x0", "x2"], ["x0", "x1", "x2"]]}),
+        "NOT_OBJECT": json.dumps([M0_DOC]),
     }
     files = {"M0": m0_file, "DIRECTORY": str(tmp_path)}
     for key, text in texts.items():

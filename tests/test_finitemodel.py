@@ -5,8 +5,8 @@ import pytest
 
 import topologic as t
 from topologic import Pair, finitemodel
-from conftest import (basis_witness, generate_topology,
-                      minimal_neighborhood_basis, not_chain,
+from conftest import (basis_witness, enumerate_valuations,
+                      generate_topology, minimal_neighborhood_basis, not_chain,
                       random_model, reference_basis_equivalent,
                       reference_check_basis, reference_point_quotient)
 
@@ -185,7 +185,7 @@ def test_point_quotient_matches_reference():
     spaces = [*(s for n in range(1, 5) for s in t.enumerate_topologies(n)),
               *(s for n in range(1, 4) for s in t.enumerate_subset_spaces(n, 4))]
     for s in spaces:
-        for val in t.enumerate_valuations(len(s.point_names), ["A"]):
+        for val in enumerate_valuations(len(s.point_names), ["A"]):
             m = t.make_model(s, val)
             for atom_list in (["A"], []):
                 q = t.point_quotient(m, atom_list)
@@ -323,3 +323,22 @@ def test_extract_preserves_satisfiability():
                            res.quotient.translate(moved), f)
         kept += 1
     assert kept > 0
+
+
+_NON_TOPOLOGY = t.make_model(t.make_space(["x0", "x1", "x2"],
+                                          [F({0, 1}), F({0, 2}), X]),
+                             {"A": F({0})})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: t.point_quotient(_NON_TOPOLOGY, ["A", "Z"]), "unknown atom 'Z'"),
+    (lambda: t.extract_finite_model(_NON_TOPOLOGY, t.parse("A")),
+     "extract_finite_model requires a topology"),
+    (lambda: t.heyting_implication(_NON_TOPOLOGY.space, F({0, 1}), X),
+     "Heyting implication requires a topology"),
+], ids=["point_quotient", "extract_finite_model", "heyting_implication"])
+def test_bad_input_is_space_error(call, message):
+    """An atom the model lacks, or a non-topology where a topology is
+    needed, is a SpaceError that says so."""
+    with pytest.raises(t.SpaceError, match=message):
+        call()

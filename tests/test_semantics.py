@@ -5,9 +5,10 @@ import pytest
 
 import topologic as t
 from topologic import Atom, Box, Knows, Not, Pair
-from conftest import (ReferenceEvaluator, knows_box_chain, not_chain,
-                      random_model, reference_hits,
-                      reference_instantiate_axiom, search_passes)
+from conftest import (ReferenceEvaluator, enumerate_valuations, hits,
+                      knows_box_chain, not_chain, random_model,
+                      reference_hits, reference_instantiate_axiom,
+                      search_passes)
 from topologic import decide
 from topologic.semantics import PassFrame
 from topologic.space import to_mask
@@ -136,12 +137,12 @@ def test_frame_pads_lanes_to_widest_space(names):
                                 == ref.extension(U, g))
                     else:
                         assert bits == 0
-        sat, fail = dict(ev.hits(f, True)), dict(ev.hits(f, False))
+        sat, fail = dict(hits(ev, f, True)), dict(hits(ev, f, False))
         for lane, (one, ref) in enumerate(zip(ones, refs)):
             assert sat.get(lane) == one.first_pair(f, True)
             assert fail.get(lane) == ref.find_counterexample(f)
     # K A holds on a 1-point lane exactly where A does, next to 4 points.
-    ka = dict(ev.hits(t.parse("K A"), True))
+    ka = dict(hits(ev, t.parse("K A"), True))
     assert [lane in ka for lane, m in enumerate(lanes)
             if len(m.space.point_names) == 1] == [False, True] * 3
 
@@ -188,7 +189,7 @@ def test_deep_chain_closed_form(m0, blocks):
 
 
 def test_model_valid_axiom7_instance(m0):
-    assert t.model_valid(m0, t.parse("K A -> A"))
+    assert t.find_counterexample(m0, t.parse("K A -> A")) is None
 
 
 def test_model_valid_counterexamples(m0):
@@ -261,7 +262,7 @@ def test_template_walk_matches_instance_walk():
         for subst in _template_substitutions(sid, rng):
             instance = t.instantiate_axiom(sid, subst)
             for *_, ev in passes:
-                assert ev._row(template, subst) == ev.row(instance)
+                assert ev.row(template, subst) == ev.row(instance)
                 for holds in (True, False):
                     assert (list(ev.hit_slots(template, holds, subst))
                             == list(ev.hit_slots(instance, holds)))
@@ -314,11 +315,11 @@ def test_necessitation_and_modus_ponens_preserved():
         m = random_model(rng, 4)
         f = t.random_formula(rng, ["A", "B"], 3)
         g = t.random_formula(rng, ["A", "B"], 3)
-        if t.model_valid(m, f):
-            assert t.model_valid(m, t.Knows(f))
-            assert t.model_valid(m, t.Box(f))
-            if t.model_valid(m, t.Implies(f, g)):
-                assert t.model_valid(m, g)
+        if t.find_counterexample(m, f) is None:
+            assert t.find_counterexample(m, t.Knows(f)) is None
+            assert t.find_counterexample(m, t.Box(f)) is None
+            if t.find_counterexample(m, t.Implies(f, g)) is None:
+                assert t.find_counterexample(m, g) is None
 
 
 def test_atom_stability_under_effort():
@@ -326,7 +327,7 @@ def test_atom_stability_under_effort():
     for _ in range(20):
         m = random_model(rng, 4)
         inst = t.instantiate_axiom(2, {"phi": Atom("A")})
-        assert t.model_valid(m, inst)
+        assert t.find_counterexample(m, inst) is None
 
 
 def test_extension_complement():
@@ -402,11 +403,11 @@ def test_lanes_match_one_lane_and_reference(monkeypatch, cap):
                 for m, one, ref in zip(models, ones, refs):
                     for U in m.space.opens:
                         assert one.extension(U, g) == ref.extension(U, g)
-            sat, fail = dict(ev.hits(f, True)), dict(ev.hits(f, False))
+            sat, fail = dict(hits(ev, f, True)), dict(hits(ev, f, False))
             for lane, one, ref in zip(lanes, ones, refs):
                 assert sat.get(lane) == one.first_pair(f, True)
                 assert fail.get(lane) == ref.find_counterexample(f)
-    vals = {n: list(t.enumerate_valuations(n, names)) for n in (1, 2, 3)}
+    vals = {n: list(enumerate_valuations(n, names)) for n in (1, 2, 3)}
     expected = [(s, v) for s in spaces for v in vals[len(s.point_names)]]
     # At the default cap, one pass holds spaces of 1 to 3 points.
     assert mixed == (cap > 5)
@@ -528,7 +529,7 @@ def test_hits_match_per_lane_reference(monkeypatch, holds):
             for group, lo, firsts, ev in search_passes(spaces, names):
                 lanes = firsts[-1]
                 for f in formulas:
-                    got = list(ev.hits(f, holds))
+                    got = list(hits(ev, f, holds))
                     assert got == reference_hits(ev, f, holds, lanes)
                     dense += len(got) > lanes // 2
                     sparse += 0 < len(got) <= lanes // 8
@@ -538,7 +539,7 @@ def test_hits_match_per_lane_reference(monkeypatch, holds):
                      {"A": F({0}), "B": F({1, 2})})
     for text in texts:
         ev = t.Evaluator(m)
-        assert (list(ev.hits(t.parse(text), holds))
+        assert (list(hits(ev, t.parse(text), holds))
                 == reference_hits(ev, t.parse(text), holds, 1))
     A = t.parse("A")
     for n in (9, 16, 17, 24, 30):
@@ -547,15 +548,15 @@ def test_hits_match_per_lane_reference(monkeypatch, holds):
         m = t.make_model(space, {"A": F({n - 1}) if holds
                                  else F(range(n - 1))})
         ev = t.Evaluator(m)
-        assert list(ev.hits(A, holds)) == [(0, Pair(n - 1, top))]
+        assert list(hits(ev, A, holds)) == [(0, Pair(n - 1, top))]
         assert reference_hits(ev, A, holds, 1) == [(0, Pair(n - 1, top))]
-        assert not t.model_valid(m, A)
+        assert t.find_counterexample(m, A) is not None
 
 
 def test_search_pass_keeps_only_asked_rows():
-    """A search pass holds at most the row of the last formula it answered,
-    and releases it before it walks the next; asked again, a formula gets
-    the same hits.  A model's evaluator keeps every row."""
+    """A search pass keeps no row: none is held while a walk reads an atom
+    or after any call, and asked again, a formula is walked again and gets
+    the same row and hits.  A model's evaluator keeps every row."""
     ka, f, g = t.parse("K A"), t.parse("K A -> [] K A"), t.parse("~K A & [] B")
     spaces, names = list(t.enumerate_topologies(3)), ("A", "B")
     held = []  # the rows a pass holds whenever a walk reads an atom
@@ -569,18 +570,19 @@ def test_search_pass_keeps_only_asked_rows():
         frame = decide._new_frame(group, lo, count, names)  # not kept
         frame.atoms = Atoms(frame.atoms)
         ev = t.Evaluator(frame)
-        first = list(ev.hits(f, False))
-        assert set(ev._rows) == {f}
-        list(ev.hits(g, True))
-        assert set(ev._rows) == {g}
+        first = list(hits(ev, f, False))
+        assert not ev._rows
+        list(hits(ev, g, True))
+        assert not ev._rows
         top = ev.mask(group[0].opens[-1], ka)
-        row = ev._rows[ka]
-        assert ev.mask(group[0].opens[-1], ka) == top
-        assert ev._rows[ka] is row  # the held row, not walked again
-        list(ev.hits(Not(ka), True))
-        assert set(ev._rows) == {Not(ka)}
-        assert list(ev.hits(f, False)) == first
-        assert set(ev._rows) == {f}
+        row = ev.row(ka)
+        assert ev.mask(group[0].opens[-1], ka) == top and not ev._rows
+        again = ev.row(ka)
+        assert again == row and again is not row  # walked again, not held
+        list(hits(ev, Not(ka), True))
+        assert not ev._rows
+        assert list(hits(ev, f, False)) == first
+        assert not ev._rows
     assert held and not any(held)
     m = t.make_model(spaces[5], {"A": F({0}), "B": F({0, 1})})
     ev = t.Evaluator(m)
@@ -626,7 +628,7 @@ def test_failed_walk_leaves_evaluator_consistent(search_pass):
     other = fresh()
     for U in space.opens:
         assert ev.mask(U, later) == other.mask(U, later)
-    assert list(ev.hits(later, True)) == list(other.hits(later, True))
+    assert list(hits(ev, later, True)) == list(hits(other, later, True))
     # A walk that fails on a pass's first formula leaves no row at all.
     if search_pass:
         ev = fresh()
@@ -744,7 +746,8 @@ def test_not_makes_no_op():
             A = ev.row(Atom("A"))
             assert ev.row(f) == (A if not neg else [u ^ a for u, a in zip(
                 ev._frame.masks, A)])
-        assert t.model_valid(m, f) is (not neg and m.atom_set("A") == X)
+        assert (t.find_counterexample(m, f) is None) is (
+            not neg and m.valuation["A"] == X)
     # A model's evaluator shares registers across formulas: after K A,
     # ~~~~K A & ~B adds B's and the &'s, and no op for any `~`.
     m = t.make_model(space, {"A": F({0, 2}), "B": F({1})})
@@ -788,7 +791,7 @@ def test_template_program_matches_reference_lane_by_lane():
     for sid, template in t.semantics._TEMPLATES.items():
         for subst in _template_substitutions(sid, rng)[::3]:
             instance = t.instantiate_axiom(sid, subst)
-            row = ev._row(template, subst)
+            row = ev.row(template, subst)
             assert not ev._rows
             for lane in range(firsts[-1]):
                 m = decide._lane_model(group, lo, firsts, ["phi", "psi"], lane)
